@@ -234,84 +234,34 @@ def _norm_pair(cfg: ExperimentConfig, en) -> tuple[float, float, bool]:
     return en.l2_normalized, en.h1_normalized, True
 
 
-def _families_from_groups(report: ErrorReport, groups, x_name: str, blowup: bool = False):
-    for key, pts in groups.items():
-        xs = tuple(p[0] for p in pts)
-        l2s = tuple(p[1] for p in pts)
-        h1s = tuple(p[2] for p in pts)
-        fit = loglog_slope if blowup else fitted_rate
-        report.families.append(
-            Family(
-                key=key,
-                x_name=x_name,
-                xs=xs,
-                l2_errors=l2s,
-                h1_errors=h1s,
-                l2_rate=fit(xs, l2s),
-                h1_rate=fit(xs, h1s),
-            )
-        )
+def _study_families(cfg: ExperimentConfig):
+    """Yield (key, x name, alpha, [(K, N, t, x), ...]) for each refinement family."""
+    meshes = _mesh_list(cfg)
+    for alpha in cfg.alphas:
+        head = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}"
+        if cfg.study == "blowup":
+            K, N = meshes[0], cfg.Ns[0]
+            yield f"{head}/blowup", "t", alpha, [(K, N, t, t) for t in sorted(cfg.ts, reverse=True)]
+            continue
+        for t in cfg.ts:
+            key = f"{head}/t={t:g}/{cfg.study}"
+            if cfg.study == "temporal":
+                yield key, "tau", alpha, [(meshes[0], N, t, t / N) for N in cfg.Ns]
+            else:
+                yield key, "h", alpha, [(K, cfg.Ns[0], t, 1.0 / K) for K in meshes]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     """Sweep the configured grid; one row per (alpha, mesh, step count, time)."""
     cfg = _with_defaults(cfg)
-    if cfg.study == "blowup":
-        return blowup_study(cfg)
-    runner = _Runner(cfg)
-    report = ErrorReport(config=cfg)
-    groups: dict[str, list] = {}
-
-    meshes = _mesh_list(cfg)
-    for alpha in cfg.alphas:
-        for t in cfg.ts:
-            if cfg.study == "temporal":
-                K = meshes[0]
-                sweep = [(K, N, t / N) for N in cfg.Ns]
-                x_name = "tau"
-            else:
-                N = cfg.Ns[0]
-                sweep = [(K, N, 1.0 / K) for K in meshes]
-                x_name = "h"
-            fam_key = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}/t={t:g}/{cfg.study}"
-            pts = []
-            prev = None
-            for K, N, x in sweep:
-                try:
-                    en = runner.solve_point(alpha, K, N, t)
-                except Exception as exc:
-                    raise ExperimentError(
-                        {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
-                    ) from exc
-                l2, h1, normed = _norm_pair(cfg, en)
-                rate = None
-                if prev is not None:
-                    rate = math.log(prev[1] / l2) / math.log(prev[0] / x)
-                prev = (x, l2)
-                report.rows.append(
-                    ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, fam_key, normed)
-                )
-                pts.append((x, l2, h1))
-            groups[fam_key] = pts
-    _families_from_groups(report, groups, x_name)
-    return report
-
-
-def blowup_study(cfg: ExperimentConfig) -> ErrorReport:
-    """L2 error against t -> 0 at fixed mesh with tau = t/N; log-log slope."""
-    cfg = _with_defaults(cfg)
-    if cfg.scheme != "sbd":
+    if cfg.study == "blowup" and cfg.scheme != "sbd":
         raise ValueError("blowup study requires the second-order scheme (sbd)")
+    fit = loglog_slope if cfg.study == "blowup" else fitted_rate
     runner = _Runner(cfg)
     report = ErrorReport(config=cfg)
-    groups: dict[str, list] = {}
-    K = _mesh_list(cfg)[0]
-    N = cfg.Ns[0]
-    for alpha in cfg.alphas:
-        fam_key = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}/blowup"
-        pts = []
-        prev = None
-        for t in sorted(cfg.ts, reverse=True):
+    for key, x_name, alpha, points in _study_families(cfg):
+        xs, l2s, h1s, normed = [], [], [], True
+        for K, N, t, x in points:
             try:
                 en = runner.solve_point(alpha, K, N, t)
             except Exception as exc:
@@ -319,17 +269,20 @@ def blowup_study(cfg: ExperimentConfig) -> ErrorReport:
                     {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
                 ) from exc
             l2, h1, normed = _norm_pair(cfg, en)
-            rate = None
-            if prev is not None:
-                rate = math.log(prev[1] / l2) / math.log(prev[0] / t)
-            prev = (t, l2)
-            report.rows.append(
-                ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, fam_key, normed)
-            )
-            pts.append((t, l2, h1))
-        groups[fam_key] = pts
-    _families_from_groups(report, groups, "t", blowup=True)
+            xs.append(x)
+            l2s.append(l2)
+            h1s.append(h1)
+        for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)):
+            report.rows.append(ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, key, normed))
+        report.families.append(
+            Family(key, x_name, tuple(xs), tuple(l2s), tuple(h1s), fit(xs, l2s), fit(xs, h1s))
+        )
     return report
+
+
+def blowup_study(cfg: ExperimentConfig) -> ErrorReport:
+    """L2 error against t -> 0 at fixed mesh with tau = t/N; log-log slope."""
+    return run_experiment(replace(cfg, study="blowup"))
 
 
 # ---------------------------------------------------------------------------
