@@ -222,7 +222,6 @@ class _Runner:
             tau=t / N,
             n_steps=N,
             include_history_origin=self.cfg.include_history_origin,
-            initial_projection=self.cfg.projection,
         )
         traj = run_scheme(space, scfg, self.initial(K))
         return error_norms(space, traj.final, self.oracle(alpha), t)
@@ -235,7 +234,7 @@ def _norm_pair(cfg: ExperimentConfig, en) -> tuple[float, float, bool]:
 
 
 def _study_families(cfg: ExperimentConfig):
-    """Yield (key, x name, alpha, [(K, N, t, x), ...]) for each refinement family."""
+    """Yield (key, x name, alpha, [(K, N, t, x), ...]) for each study family."""
     meshes = _mesh_list(cfg)
     for alpha in cfg.alphas:
         head = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}"

@@ -59,18 +59,6 @@ class SparseSymMatrix:
     def n(self) -> int:
         return self._csr.shape[0]
 
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._csr.data
-
     def tocsr(self) -> sp.csr_matrix:
         return self._csr
 

@@ -50,7 +50,6 @@ class SchemeConfig:
     tau: float
     n_steps: int
     include_history_origin: bool = False
-    initial_projection: str = "l2"
 
     def __post_init__(self):
         if self.scheme not in ("be", "sbd"):
@@ -61,17 +60,14 @@ class SchemeConfig:
             raise ValueError("gamma and tau must be positive")
         if self.n_steps < 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
-        if self.initial_projection not in ("l2", "ritz"):
-            raise ValueError(f"projection must be 'l2' or 'ritz', got {self.initial_projection!r}")
 
 
 @dataclass(frozen=True)
 class DiscreteTrajectory:
-    """Snapshots U^0..U^N of interior coefficients plus cached S U^j products."""
+    """Snapshots U^0..U^N of interior coefficients."""
 
     config: SchemeConfig
     snapshots: np.ndarray      # (N+1, n_dof)
-    stiffness_products: np.ndarray
 
     @property
     def final(self) -> np.ndarray:
@@ -125,7 +121,7 @@ def step_be(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> Discre
         except Exception as exc:  # propagate with the failing step index
             raise StepFailure(n, exc) from exc
         SU[n] = Scsr @ U[n]
-    return DiscreteTrajectory(config=cfg, snapshots=U, stiffness_products=SU)
+    return DiscreteTrajectory(config=cfg, snapshots=U)
 
 
 def step_sbd(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> DiscreteTrajectory:
@@ -167,7 +163,7 @@ def step_sbd(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> Discr
         except Exception as exc:
             raise StepFailure(n, exc) from exc
         SU[n] = Scsr @ U[n]
-    return DiscreteTrajectory(config=cfg, snapshots=U, stiffness_products=SU)
+    return DiscreteTrajectory(config=cfg, snapshots=U)
 
 
 def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> DiscreteTrajectory:

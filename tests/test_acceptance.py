@@ -407,14 +407,14 @@ def test_criterion_9c_modal_factor_properties():
     for a, b in zip(edges[:-1], edges[1:]):
         x, w = np.polynomial.legendre.leggauss(8)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * (w @ np.array([uj_eval(K1, float(mid + half * xx), tol=1e-9) for xx in x]))
+        total += half * (w @ np.array([uj_eval(K1, float(mid + half * xx)) for xx in x]))
     ok &= total < 1.0 / PI2
     talbot_gap = max(
         abs(uj_eval(KernelDensity(lam, 1.0, alpha), t) - _uj_talbot(lam, alpha, 1.0, t))
         for lam in (PI2, 4 * PI2) for alpha in (0.3, 0.5, 0.9) for t in (0.001, 0.1, 1.0)
     )
     ok &= talbot_gap < 1e-8
-    u999 = uj_eval(KernelDensity(PI2, 1.0, 0.999), 0.1, tol=1e-9)
+    u999 = uj_eval(KernelDensity(PI2, 1.0, 0.999), 0.1)
     limit_gap = abs(u999 * (1 + PI2) - limit_alpha1(PI2, 1.0, 0.1)) / limit_alpha1(PI2, 1.0, 0.1)
     ok &= limit_gap < 0.02
     _announce(9, "property: modal factor positivity/decay/limits", ok,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,7 +144,7 @@ def test_uj_integral_bounded_by_inverse_eigenvalue():
             total = 0.0
             for a, b in zip(edges[:-1], edges[1:]):
                 x, w = gauss_panels(a, b, 1, order=8)
-                total += w @ np.array([uj_eval(K, float(t), tol=1e-9) for t in x])
+                total += w @ np.array([uj_eval(K, float(t)) for t in x])
             assert 0.0 < total < 1.0 / lam
             totals.append(total)
         # mass accumulates toward the 1/lam cap as T grows
@@ -158,7 +159,7 @@ def test_uj_min_bound_single_constant():
     for lam in (PI2, 4 * PI2, 100.0):
         K = KernelDensity(lam, gamma, alpha)
         for t in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):
-            u = uj_eval(K, t, tol=1e-11)
+            u = uj_eval(K, t)
             ratios.append(lam * u / min(1.0 / t, t ** (alpha - 1.0)))
     c = max(ratios)
     assert 0.05 < c < 3.0
@@ -167,9 +168,59 @@ def test_uj_min_bound_single_constant():
 def test_uj_large_time_decay_regime():
     # at large t the product lam * u * t stays bounded
     K = KernelDensity(PI2, 1.0, 0.5)
-    vals = [PI2 * uj_eval(K, t, tol=1e-12) * t for t in (10.0, 100.0, 1000.0)]
+    vals = [PI2 * uj_eval(K, t) * t for t in (10.0, 100.0, 1000.0)]
     assert vals[0] < 3.0
     assert vals[2] < vals[0]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_uj_against_real_line_density_quadrature(alpha):
+    # u(t) = int exp(-rt) K(r) dr in s = log r; the cut below r = e^-45 loses
+    # < 1e-19 and exp(-rt) < 1e-26 beyond rt = 60
+    worst = 0.0
+    for lam in (PI2, 1e2 * PI2, 1e4 * PI2, 1e8 * PI2):
+        K = KernelDensity(lam, 1.0, alpha)
+        for t in (1e-6, 1e-3, 0.1, 1.0):
+            s, w = gauss_panels(-45.0, math.log(60.0 / t), 3000)
+            r = np.exp(s)
+            ref = w @ (np.exp(-r * t) * K(r) * r)
+            worst = max(worst, abs(uj_eval(K, t) - ref))
+    assert worst <= 1e-11
+
+
+def _mittag_leffler_beta1(alpha: float, gamma: float, t: float) -> float:
+    # inverse transform of 1/(1 + gamma z^alpha): t^(a-1) E_{a,a}(-t^a/gamma) / gamma
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        x = -mpmath.mpf(t) ** a / gamma
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = x**k / mpmath.gamma(a * k + a)
+            total += term
+            if k > 10 and abs(term) < mpmath.mpf(10) ** -35 * abs(total):
+                break
+            k += 1
+        return float(mpmath.mpf(t) ** (a - 1) * total / gamma)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_beta1_against_mittag_leffler_series(alpha):
+    ms = build_modal_solution(InitialDatum("dirac", location=0.5), alpha, 1.0)
+    for t in (1e-8, 1e-6, 1e-3, 0.1, 1.0):
+        ref = _mittag_leffler_beta1(alpha, 1.0, t)
+        assert abs(ms.beta1(t) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_dirac_split_reconstructs_plain_factor(alpha):
+    # beta1/lam_j + rho_j is the plain factor, inverted from a different symbol
+    ms = build_modal_solution(InitialDatum("dirac", location=0.5), alpha, 1.0)
+    assert len(ms.modes) == 400
+    for t in (1e-8, 1e-6, 1e-3, 0.1, 1.0):
+        b1 = ms.beta1(t)
+        split = b1 / ms.modes.lam + ms.factors(t)
+        plain = np.array([uj_eval(KernelDensity(lam, 1.0, alpha), t) for lam in ms.modes.lam])
+        assert np.max(np.abs(split - plain) * ms.modes.lam) <= 1e-10 * abs(b1)
 
 
 def test_alpha_to_one_limit():
@@ -177,7 +228,7 @@ def test_alpha_to_one_limit():
     # by 1/(1+gamma lam): the fractional term acts as a singular perturbation
     # with an initial layer collapsing onto that factor
     lam, gamma, t = PI2, 1.0, 0.1
-    u = uj_eval(KernelDensity(lam, gamma, 0.999), t, tol=1e-9)
+    u = uj_eval(KernelDensity(lam, gamma, 0.999), t)
     classical = limit_alpha1(lam, gamma, t)
     assert abs(u * (1.0 + gamma * lam) - classical) / classical < 0.02
 
