@@ -259,7 +259,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     runner = _Runner(cfg)
     report = ErrorReport(config=cfg)
     for key, x_name, alpha, points in _study_families(cfg):
-        xs, l2s, h1s, normed = [], [], [], True
+        xs, l2s, h1s = [], [], []
         for K, N, t, x in points:
             try:
                 en = runner.solve_point(alpha, K, N, t)
@@ -272,7 +272,9 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
             l2s.append(l2)
             h1s.append(h1)
         for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)):
-            report.rows.append(ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, key, normed))
+            report.rows.append(
+                ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, key, normed)
+            )
         report.families.append(
             Family(key, x_name, tuple(xs), tuple(l2s), tuple(h1s), fit(xs, l2s), fit(xs, h1s))
         )
