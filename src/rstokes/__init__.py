@@ -2,7 +2,7 @@
 
 from .mesh import Mesh, build_interval_mesh, build_square_mesh
 from .fem import InitialDatum, FemSpace, assemble, l2_project, ritz_project, error_norms
-from .cq import weights, discrete_convolution
+from .cq import weights
 from .stepper import SchemeConfig, step_be, step_sbd, run_scheme
 from .oracle import build_modal_solution, exact_solution, uj_eval, KernelDensity
 
@@ -17,7 +17,6 @@ __all__ = [
     "ritz_project",
     "error_norms",
     "weights",
-    "discrete_convolution",
     "SchemeConfig",
     "step_be",
     "step_sbd",

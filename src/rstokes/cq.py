@@ -9,100 +9,39 @@ these weights approximates the fractional derivative/integral of order mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["GeneratingPolynomial", "CQWeights", "weights", "discrete_convolution"]
+__all__ = ["weights"]
 
+# coefficients c_0, c_1, ... of delta(xi)
 _SCHEMES = {
     "be": (1.0, -1.0),
     "sbd": (1.5, -2.0, 0.5),
 }
 
 
-@dataclass(frozen=True)
-class GeneratingPolynomial:
-    """delta(xi) of a multistep scheme, as its coefficient tuple."""
+def weights(scheme: str, mu: float, tau: float, N: int) -> np.ndarray:
+    """Weights w_0..w_N with sum_j w_j xi^j = (delta(xi)/tau)^mu.
 
-    scheme: str
-    coefficients: tuple[float, ...]
-
-    @classmethod
-    def for_scheme(cls, scheme: str) -> "GeneratingPolynomial":
-        key = scheme.lower()
-        if key not in _SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; expected 'be' or 'sbd'")
-        return cls(scheme=key, coefficients=_SCHEMES[key])
-
-
-@dataclass(frozen=True)
-class CQWeights:
-    """First N+1 coefficients of (delta(xi)/tau)^mu."""
-
-    scheme: str
-    mu: float
-    tau: float
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.values[j])
-
-
-def _be_series(mu: float, count: int) -> np.ndarray:
-    # (1 - xi)^mu by the binomial recurrence g_j = g_{j-1} (j-1-mu)/j.
-    g = np.empty(count)
-    g[0] = 1.0
-    for j in range(1, count):
-        g[j] = g[j - 1] * (j - 1 - mu) / j
-    return g
-
-
-def _sbd_series(mu: float, count: int) -> np.ndarray:
-    # delta(xi)^mu by the J.C.P. Miller recurrence for powers of a series:
-    # a_n = (1/(n c_0)) sum_k (k(mu+1) - n) c_k a_{n-k}, truncated at k <= 2.
-    c0, c1, c2 = _SCHEMES["sbd"]
-    a = np.empty(count)
-    a[0] = c0**mu
-    for n in range(1, count):
-        acc = (1.0 * (mu + 1.0) - n) * c1 * a[n - 1]
-        if n >= 2:
-            acc += (2.0 * (mu + 1.0) - n) * c2 * a[n - 2]
-        a[n] = acc / (n * c0)
-    return a
-
-
-def weights(scheme: str, mu: float, tau: float, N: int) -> CQWeights:
-    """Weights w_0..w_N with sum_j w_j xi^j = (delta(xi)/tau)^mu."""
+    J.C.P. Miller's recurrence for a power of a polynomial:
+    a_0 = c_0^mu, a_n = (1/(n c_0)) sum_{k=1}^{min(n, deg)} (k(mu+1) - n) c_k a_{n-k};
+    for backward Euler it is the binomial recurrence.
+    """
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'be' or 'sbd'")
     if tau <= 0.0:
         raise ValueError(f"step size must be positive, got tau={tau}")
     if N < 0:
         raise ValueError(f"weight count must be nonnegative, got N={N}")
-    poly = GeneratingPolynomial.for_scheme(scheme)
-    if poly.scheme == "be":
-        series = _be_series(mu, N + 1)
-    else:
-        series = _sbd_series(mu, N + 1)
-    values = series * tau ** (-mu)
+    c = _SCHEMES[scheme]
+    a = np.empty(N + 1)
+    a[0] = c[0] ** mu
+    for n in range(1, N + 1):
+        acc = 0.0
+        for k in range(1, min(n, len(c) - 1) + 1):
+            acc += (k * (mu + 1.0) - n) * c[k] * a[n - k]
+        a[n] = acc / (n * c[0])
+    values = a * tau ** (-mu)
     if not np.all(np.isfinite(values)):
         raise ValueError("weight recurrence produced non-finite values")
-    return CQWeights(scheme=poly.scheme, mu=mu, tau=tau, values=values)
-
-
-def discrete_convolution(w: CQWeights, g: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """sum_{j=0}^{n} w_j g_{n-j} for a sequence of equal-length vectors."""
-    if n >= len(g):
-        raise ValueError(f"index n={n} out of range for sequence of length {len(g)}")
-    if n >= len(w):
-        raise ValueError(f"need at least n+1={n + 1} weights, have {len(w)}")
-    acc = w.values[0] * np.asarray(g[n], dtype=float)
-    for j in range(1, n + 1):
-        gj = np.asarray(g[n - j], dtype=float)
-        if gj.shape != acc.shape:
-            raise ValueError("sequence entries must share one shape")
-        acc = acc + w.values[j] * gj
-    return acc
+    return values

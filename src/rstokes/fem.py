@@ -212,12 +212,12 @@ def _load_vector(space: FemSpace, v: InitialDatum) -> np.ndarray:
     raise UnsupportedDatumError(f"no load rule for kind {v.kind!r}")
 
 
-def l2_project(space: FemSpace, v: InitialDatum, tol: float = 1e-13) -> np.ndarray:
+def l2_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     """Interior coefficients of the L2 projection P_h v (duality pairing for Dirac)."""
-    return solve_spd(space.M, _load_vector(space, v), tol=tol)
+    return solve_spd(space.M, _load_vector(space, v))
 
 
-def ritz_project(space: FemSpace, v: InitialDatum, tol: float = 1e-13) -> np.ndarray:
+def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     """Interior coefficients of the Ritz projection R_h v (gradient data required)."""
     if v.kind == "smooth_sine":
         if space.mesh.dim != 1:
@@ -230,7 +230,7 @@ def ritz_project(space: FemSpace, v: InitialDatum, tol: float = 1e-13) -> np.nda
         c = (space.S_full @ np.asarray(v.values, dtype=float))[space.interior_nodes]
     else:
         raise UnsupportedDatumError(f"datum kind {v.kind!r} has no gradient representation")
-    return solve_spd(space.S, c, tol=tol)
+    return solve_spd(space.S, c)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +250,15 @@ def _gauss01(p: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _points_per_element(max_freq: int, h: float, min_points: int) -> int:
+def _points_per_element(max_freq: int, h: float) -> int:
     # resolve the fastest retained mode: Gauss-p handles a phase of about 2p
-    return max(min_points, int(math.ceil(1.2 * max_freq * h)) + 6)
+    return max(4, int(math.ceil(1.2 * max_freq * h)) + 6)
 
 
-def _error_1d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float, min_points: int):
+def _error_1d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float):
     mesh = space.mesh
     full = space.expand(numeric)
-    p = _points_per_element(exact.max_frequency[0], mesh.h, min_points)
+    p = _points_per_element(exact.max_frequency[0], mesh.h)
     g, gw = _gauss01(p)
 
     pieces = []
@@ -284,7 +284,7 @@ def _error_1d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
     return l2_sq, h1_sq
 
 
-def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float, min_points: int):
+def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float):
     mesh = space.mesh
     K = int(round(math.sqrt(mesh.n_elements / 2)))
     h = 1.0 / K
@@ -294,7 +294,7 @@ def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
     Vc, Vd = V[1:, 1:], V[1:, :-1]
 
     fmax = max(exact.max_frequency)
-    p = max(4, min(int(math.ceil(1.2 * fmax * h)) + 4, 60), min_points)
+    p = max(4, min(int(math.ceil(1.2 * fmax * h)) + 4, 60))
     g, gw = _gauss01(p)
 
     l2_sq = 0.0
@@ -330,16 +330,10 @@ def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
     return l2_sq, h1_sq
 
 
-def error_norms(
-    space: FemSpace,
-    numeric: np.ndarray,
-    exact: "ModalSolution",
-    t: float,
-    min_points: int = 4,
-) -> ErrorNorms:
+def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float) -> ErrorNorms:
     """L2 and H1-seminorm distance between a mesh function and the exact solution.
 
-    Composite Gauss quadrature with at least `min_points` points per element;
+    Composite Gauss quadrature with at least 4 points per element;
     the point count grows with the highest retained oracle mode so that the
     oscillatory part of the integrand stays resolved.
     """
@@ -349,9 +343,9 @@ def error_norms(
     if numeric.shape != (space.n_dof,):
         raise ValueError(f"expected {space.n_dof} interior coefficients, got {numeric.shape}")
     if space.mesh.dim == 1:
-        l2_sq, h1_sq = _error_1d(space, numeric, exact, t, min_points)
+        l2_sq, h1_sq = _error_1d(space, numeric, exact, t)
     else:
-        l2_sq, h1_sq = _error_2d(space, numeric, exact, t, min_points)
+        l2_sq, h1_sq = _error_2d(space, numeric, exact, t)
     l2 = math.sqrt(max(l2_sq, 0.0))
     h1 = math.sqrt(max(h1_sq, 0.0))
     norm_v = exact.datum_l2()

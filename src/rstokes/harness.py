@@ -63,8 +63,6 @@ class ExperimentConfig:
     projection: str = "l2"
     include_history_origin: bool = False
     oracle_tol: float = 1e-6
-    oracle_max_modes: int | None = None
-    solver_tol: float = 1e-13
     out: str | None = None
     fmt: str = "csv"
 
@@ -79,6 +77,14 @@ class ExperimentConfig:
             raise ValueError("alpha list must be nonempty")
         if any(t <= 0 for t in self.ts):
             raise ValueError("observation times must be positive")
+        if any(N < 1 for N in self.Ns):
+            raise ValueError(f"step counts must be at least 1, got N list {self.Ns}")
+        # a repeated sweep value gives a zero log-ratio in the rate formula
+        lists = {"alpha": self.alphas, "k": self.ks, "K": self.Ks, "N": self.Ns, "t": self.ts,
+                 "mesh (k and K together)": _mesh_list(self)}
+        for name, values in lists.items():
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} list repeats a value: {tuple(values)}")
         if self.projection not in ("l2", "ritz"):
             raise ValueError(f"projection must be l2 or ritz, got {self.projection!r}")
         if self.projection == "ritz" and self.example != "a":
@@ -176,15 +182,6 @@ def _mesh_list(cfg: ExperimentConfig) -> list[int]:
     return [2**k for k in cfg.ks] + list(cfg.Ks)
 
 
-def _oracle(cfg: ExperimentConfig, alpha: float, t_min: float) -> ModalSolution:
-    kwargs = {}
-    if cfg.oracle_max_modes is not None:
-        kwargs["max_modes"] = cfg.oracle_max_modes
-    return build_modal_solution(
-        _DATA[cfg.example], alpha, cfg.gamma, tol=cfg.oracle_tol, t_min=t_min, **kwargs
-    )
-
-
 class _Runner:
     """Caches meshes, projections and modal solutions across grid points."""
 
@@ -205,12 +202,14 @@ class _Runner:
     def initial(self, K: int) -> np.ndarray:
         if K not in self._initial:
             project = ritz_project if self.cfg.projection == "ritz" else l2_project
-            self._initial[K] = project(self.space(K), self.datum, tol=self.cfg.solver_tol)
+            self._initial[K] = project(self.space(K), self.datum)
         return self._initial[K]
 
     def oracle(self, alpha: float) -> ModalSolution:
         if alpha not in self._oracles:
-            self._oracles[alpha] = _oracle(self.cfg, alpha, self.t_min)
+            self._oracles[alpha] = build_modal_solution(
+                self.datum, alpha, self.cfg.gamma, tol=self.cfg.oracle_tol, t_min=self.t_min
+            )
         return self._oracles[alpha]
 
     def solve_point(self, alpha: float, K: int, N: int, t: float):

@@ -17,6 +17,7 @@ __all__ = ["SparseSymMatrix", "SolverError", "matvec", "solve_spd", "SpdFactoriz
 
 _DENSE_FALLBACK_N = 64
 _SYMMETRY_TOL = 1e-14
+_SOLVE_TOL = 1e-13
 
 
 class SolverError(RuntimeError):
@@ -28,9 +29,9 @@ class SolverError(RuntimeError):
 
 
 class SparseSymMatrix:
-    """Compressed-sparse-row square matrix, optionally flagged symmetric."""
+    """Compressed-sparse-row symmetric matrix; symmetry is checked on construction."""
 
-    def __init__(self, csr: sp.csr_matrix, symmetric: bool = True):
+    def __init__(self, csr: sp.csr_matrix):
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         csr = csr.tocsr()
@@ -38,18 +39,16 @@ class SparseSymMatrix:
         csr.sort_indices()
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix entries must be finite")
-        if symmetric:
-            scale = max(1.0, float(np.abs(csr.data).max(initial=0.0)))
-            gap = abs(csr - csr.T)
-            if gap.nnz and gap.data.max() > _SYMMETRY_TOL * scale:
-                raise ValueError("matrix flagged symmetric but A != A^T")
+        scale = max(1.0, float(np.abs(csr.data).max(initial=0.0)))
+        gap = abs(csr - csr.T)
+        if gap.nnz and gap.data.max() > _SYMMETRY_TOL * scale:
+            raise ValueError("matrix is not symmetric: A != A^T")
         self._csr = csr
-        self.symmetric = symmetric
 
     @classmethod
-    def from_coo(cls, n: int, rows, cols, values, symmetric: bool = True) -> "SparseSymMatrix":
+    def from_coo(cls, n: int, rows, cols, values) -> "SparseSymMatrix":
         coo = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
-        return cls(coo.tocsr(), symmetric=symmetric)
+        return cls(coo.tocsr())
 
     @classmethod
     def identity(cls, n: int) -> "SparseSymMatrix":
@@ -70,10 +69,7 @@ class SparseSymMatrix:
 
     def scaled_sum(self, a: float, other: "SparseSymMatrix", b: float) -> "SparseSymMatrix":
         """Return a*self + b*other as a new matrix."""
-        return SparseSymMatrix(
-            (a * self._csr + b * other._csr).tocsr(),
-            symmetric=self.symmetric and other.symmetric,
-        )
+        return SparseSymMatrix((a * self._csr + b * other._csr).tocsr())
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
@@ -86,8 +82,8 @@ def matvec(A: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
     return A.tocsr() @ x
 
 
-def solve_spd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solve Ax=b for SPD A to a relative residual <= tol.
+def solve_spd(A: SparseSymMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve Ax=b for SPD A to a relative residual <= 1e-13.
 
     Jacobi-preconditioned CG capped at 10n iterations; systems with n <= 64
     are solved densely.  A zero right-hand side short-circuits to zero.
@@ -119,7 +115,7 @@ def solve_spd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12) -> np.ndarr
         x += alpha * p
         r -= alpha * Ap
         res = np.linalg.norm(r) / bnorm
-        if res <= tol:
+        if res <= _SOLVE_TOL:
             return x
         z = inv_diag * r
         rz_new = r @ z

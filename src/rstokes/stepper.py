@@ -6,10 +6,10 @@ Both schemes solve one constant SPD system per step,
     BE :  (M/tau + (1 + gamma tau^-a w0) S) U^n = M U^{n-1}/tau - history + F^n
     SBD:  (3M/(2tau) + (1 + gamma tau^-a w0) S) U^n = BDF2 terms - history + F^n,
 
-where the history is the discrete fractional convolution of the stored
-stiffness products S U^j.  The SBD scheme applies the corrected first step
-(weight 3/2 on the startup sequence and half-weighted initial terms) that
-restores second-order accuracy for nonvanishing initial data.
+where the history is S applied to the CQ-weighted sum of the stored states
+U^j, so one (N+1) x dof array is kept.  The SBD scheme applies the corrected
+first step (weight 3/2 on the startup sequence and half-weighted initial
+terms) that restores second-order accuracy for nonvanishing initial data.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def step_be(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> Discre
     if v.shape != (space.n_dof,):
         raise ValueError(f"initial vector must have {space.n_dof} entries")
     N = cfg.n_steps
-    w = weights("be", cfg.alpha, 1.0, N).values
+    w = weights("be", cfg.alpha, 1.0, N)
     frac = cfg.gamma * cfg.tau ** (-cfg.alpha)
     system = space.M.scaled_sum(1.0 / cfg.tau, space.S, 1.0 + frac * w[0])
     solver = SpdFactorization(system)
@@ -108,19 +108,16 @@ def step_be(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> Discre
     Scsr = space.S.tocsr()
 
     U = np.empty((N + 1, space.n_dof))
-    SU = np.empty_like(U)
     U[0] = v
-    SU[0] = Scsr @ v
     j0 = 0 if cfg.include_history_origin else 1
     for n in range(1, N + 1):
         rhs = (Mcsr @ U[n - 1]) / cfg.tau + _forcing(f, n * cfg.tau, space.n_dof)
         if n - 1 >= j0:
-            rhs -= frac * (w[n - j0 : 0 : -1] @ SU[j0:n])
+            rhs -= frac * (Scsr @ (w[n - j0 : 0 : -1] @ U[j0:n]))
         try:
             U[n] = solver.solve(rhs)
         except Exception as exc:  # propagate with the failing step index
             raise StepFailure(n, exc) from exc
-        SU[n] = Scsr @ U[n]
     return DiscreteTrajectory(config=cfg, snapshots=U)
 
 
@@ -133,7 +130,7 @@ def step_sbd(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> Discr
         raise ValueError(f"initial vector must have {space.n_dof} entries")
     N = cfg.n_steps
     tau = cfg.tau
-    w = weights("sbd", cfg.alpha, 1.0, N).values
+    w = weights("sbd", cfg.alpha, 1.0, N)
     frac = cfg.gamma * tau ** (-cfg.alpha)
     system = space.M.scaled_sum(1.5 / tau, space.S, 1.0 + frac * w[0])
     solver = SpdFactorization(system)
@@ -141,28 +138,24 @@ def step_sbd(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> Discr
     Scsr = space.S.tocsr()
 
     U = np.empty((N + 1, space.n_dof))
-    SU = np.empty_like(U)
     U[0] = v
-    SU[0] = Scsr @ v
 
     # corrected first step: half-weighted initial stiffness and forcing terms
-    rhs = (1.5 / tau) * (Mcsr @ U[0]) - 0.5 * (1.0 + frac * w[0]) * SU[0]
+    rhs = (1.5 / tau) * (Mcsr @ U[0]) - 0.5 * (1.0 + frac * w[0]) * (Scsr @ U[0])
     rhs += _forcing(f, tau, space.n_dof) + 0.5 * _forcing(f, 0.0, space.n_dof)
     try:
         U[1] = solver.solve(rhs)
     except Exception as exc:
         raise StepFailure(1, exc) from exc
-    SU[1] = Scsr @ U[1]
 
     for n in range(2, N + 1):
         rhs = (Mcsr @ (4.0 * U[n - 1] - U[n - 2])) / (2.0 * tau)
-        rhs -= frac * (w[n - 1 : 0 : -1] @ SU[1:n] + 0.5 * w[n - 1] * SU[0])
+        rhs -= frac * (Scsr @ (w[n - 1 : 0 : -1] @ U[1:n] + 0.5 * w[n - 1] * U[0]))
         rhs += _forcing(f, n * tau, space.n_dof)
         try:
             U[n] = solver.solve(rhs)
         except Exception as exc:
             raise StepFailure(n, exc) from exc
-        SU[n] = Scsr @ U[n]
     return DiscreteTrajectory(config=cfg, snapshots=U)
 
 
@@ -182,7 +175,7 @@ def scalar_trajectory_be(
     u0: float = 1.0,
     include_history_origin: bool = False,
 ) -> np.ndarray:
-    w = weights("be", alpha, 1.0, n_steps).values
+    w = weights("be", alpha, 1.0, n_steps)
     frac = gamma * tau ** (-alpha)
     u = np.empty(n_steps + 1)
     u[0] = u0
@@ -197,7 +190,7 @@ def scalar_trajectory_be(
 def scalar_trajectory_sbd(
     lam: float, alpha: float, gamma: float, tau: float, n_steps: int, u0: float = 1.0
 ) -> np.ndarray:
-    w = weights("sbd", alpha, 1.0, n_steps).values
+    w = weights("sbd", alpha, 1.0, n_steps)
     frac = gamma * tau ** (-alpha)
     u = np.empty(n_steps + 1)
     u[0] = u0

@@ -369,7 +369,7 @@ def test_criterion_9a_cq_weight_oracles():
     ok = True
     with mpmath.workdps(40):
         for mu in (0.1, 0.5, 0.9):
-            w = weights("be", mu, 1.0, 30).values
+            w = weights("be", mu, 1.0, 30)
             oracle = np.array([float((-1) ** j * mpmath.binomial(mu, j)) for j in range(31)])
             ok &= bool(np.max(np.abs(w - oracle)) < 1e-12)
     for m in (1, 2, 3):
@@ -377,7 +377,7 @@ def test_criterion_9a_cq_weight_oracles():
         acc = np.array([1.0])
         for _ in range(m):
             acc = np.convolve(acc, poly)
-        w = weights("sbd", float(m), 1.0, len(acc) - 1).values
+        w = weights("sbd", float(m), 1.0, len(acc) - 1)
         ok &= bool(np.max(np.abs(w - acc)) < 1e-12)
     _announce(9, "property: CQ weights vs binomial/integer-power oracles", ok, "tolerance 1e-12")
 

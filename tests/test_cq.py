@@ -3,10 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rstokes.cq import CQWeights, GeneratingPolynomial, discrete_convolution, weights
+from rstokes.cq import weights
 
 
 def binomial_weights_oracle(mu: float, count: int) -> np.ndarray:
@@ -41,22 +39,20 @@ def miller_mpmath_oracle(mu: float, count: int) -> np.ndarray:
 
 
 def test_generating_polynomials():
-    assert GeneratingPolynomial.for_scheme("be").coefficients == (1.0, -1.0)
-    assert GeneratingPolynomial.for_scheme("sbd").coefficients == (1.5, -2.0, 0.5)
     with pytest.raises(ValueError):
-        GeneratingPolynomial.for_scheme("cn")
+        weights("cn", 0.5, 1.0, 4)
 
 
 def test_be_half_power_table():
     w = weights("be", 0.5, 1.0, 3)
-    assert np.allclose(w.values, [1.0, -0.5, -0.125, -0.0625], atol=1e-15)
+    assert np.allclose(w, [1.0, -0.5, -0.125, -0.0625], atol=1e-15)
 
 
 def test_be_weights_match_binomial_oracle():
     for mu in (0.1, 0.5, 0.9, -0.5, -1.0):
         w = weights("be", mu, 1.0, 30)
         oracle = binomial_weights_oracle(mu, 31)
-        assert np.max(np.abs(w.values - oracle)) < 1e-14
+        assert np.max(np.abs(w - oracle)) < 1e-14
 
 
 def test_sbd_half_power_leading_weights():
@@ -68,31 +64,30 @@ def test_sbd_half_power_leading_weights():
 def test_sbd_integer_powers_match_polynomial_oracle():
     for m in (1, 2, 3):
         w = weights("sbd", float(m), 1.0, 12)
-        assert np.max(np.abs(w.values - sbd_power_oracle(m, 13))) < 1e-12
+        assert np.max(np.abs(w - sbd_power_oracle(m, 13))) < 1e-12
 
 
 def test_mu_one_reproduces_generating_polynomial():
-    for scheme in ("be", "sbd"):
+    for scheme, coeffs in (("be", (1.0, -1.0)), ("sbd", (1.5, -2.0, 0.5))):
         w = weights(scheme, 1.0, 1.0, 8)
-        coeffs = GeneratingPolynomial.for_scheme(scheme).coefficients
         expect = np.zeros(9)
         expect[: len(coeffs)] = coeffs
-        assert np.allclose(w.values, expect, atol=1e-15)
+        assert np.allclose(w, expect, atol=1e-15)
 
 
 def test_tau_scaling():
     tau = 0.02
     w = weights("be", 0.5, tau, 4)
     base = weights("be", 0.5, 1.0, 4)
-    assert np.allclose(w.values, base.values * tau**-0.5, rtol=1e-14)
+    assert np.allclose(w, base * tau**-0.5, rtol=1e-14)
     assert w[0] > 0.0
 
 
 def test_be_sign_pattern_and_partial_sums():
     w = weights("be", 0.5, 1.0, 10_000)
     assert w[0] > 0
-    assert np.all(w.values[1:] < 0)
-    partial = np.cumsum(w.values)
+    assert np.all(w[1:] < 0)
+    partial = np.cumsum(w)
     assert np.all(partial > 0)
     assert np.all(np.diff(partial) < 0)
     assert abs(partial[-1]) < 0.05
@@ -100,7 +95,7 @@ def test_be_sign_pattern_and_partial_sums():
 
 def test_sbd_partial_sums_decay():
     w = weights("sbd", 0.5, 1.0, 10_000)
-    partial = np.cumsum(w.values)
+    partial = np.cumsum(w)
     assert abs(partial[-1]) < 0.05
 
 
@@ -109,7 +104,7 @@ def test_doubled_precision_recomputation():
         w = weights("sbd", mu, 1.0, 200)
         oracle = miller_mpmath_oracle(mu, 201)
         scale = np.maximum(np.abs(oracle), 1e-30)
-        assert np.max(np.abs(w.values - oracle) / scale) < 1e-13
+        assert np.max(np.abs(w - oracle) / scale) < 1e-13
 
 
 def test_invalid_arguments():
@@ -119,46 +114,3 @@ def test_invalid_arguments():
         weights("be", 0.5, -1.0, 4)
     with pytest.raises(ValueError):
         weights("be", 0.5, 1.0, -1)
-
-
-def test_convolution_identity_weights(rng):
-    w = weights("be", 0.0, 1.0, 5)       # (delta/tau)^0 = 1
-    g = [rng.standard_normal(3) for _ in range(5)]
-    assert np.allclose(discrete_convolution(w, g, 3), g[3])
-
-
-def test_convolution_constant_partial_sum():
-    w = weights("be", 0.5, 1.0, 5)
-    g = [np.array([2.0])] * 5
-    out = discrete_convolution(w, g, 3)
-    assert abs(out[0] - 2.0 * 0.3125) < 1e-14
-
-
-def test_convolution_unit_impulse():
-    w = weights("be", 0.5, 1.0, 5)
-    g = [np.array([1.0]), np.array([0.0]), np.array([0.0])]
-    assert abs(discrete_convolution(w, g, 2)[0] - w[2]) < 1e-15
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.floats(-2.0, 2.0))
-def test_convolution_linearity(seed, c):
-    rng = np.random.default_rng(seed)
-    w = weights("sbd", 0.5, 0.1, 6)
-    g1 = [rng.standard_normal(4) for _ in range(6)]
-    g2 = [rng.standard_normal(4) for _ in range(6)]
-    combo = [a + c * b for a, b in zip(g1, g2)]
-    lhs = discrete_convolution(w, combo, 5)
-    rhs = discrete_convolution(w, g1, 5) + c * discrete_convolution(w, g2, 5)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
-
-
-def test_convolution_errors(rng):
-    w = weights("be", 0.5, 1.0, 2)
-    g = [rng.standard_normal(2) for _ in range(4)]
-    with pytest.raises(ValueError):
-        discrete_convolution(w, g, 4)
-    with pytest.raises(ValueError):
-        discrete_convolution(w, g, 3)      # only 3 weights available
-    with pytest.raises(ValueError):
-        discrete_convolution(weights("be", 0.5, 1.0, 4), [g[0], rng.standard_normal(3)], 1)

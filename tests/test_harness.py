@@ -57,6 +57,26 @@ def test_config_validation():
         ExperimentConfig(example="a", fmt="json")
 
 
+def test_repeated_step_count_rejected(capsys):
+    argv = ["--example", "a", "--study", "temporal", "--N", "10,10", "--k", "4"]
+    assert main(argv) == 1
+    assert "N list repeats a value" in capsys.readouterr().err
+
+
+def test_repeated_mesh_rejected(capsys):
+    argv = ["--example", "a", "--study", "spatial", "--k", "3,3"]
+    assert main(argv) == 1
+    assert "k list repeats a value" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="mesh"):
+        ExperimentConfig(example="c", study="spatial", ks=(3,), Ks=(8, 9))
+
+
+def test_zero_step_count_rejected(capsys):
+    argv = ["--example", "a", "--study", "temporal", "--N", "0,5", "--k", "4"]
+    assert main(argv) == 1
+    assert "N list" in capsys.readouterr().err
+
+
 def test_temporal_report_structure():
     cfg = ExperimentConfig(example="a", scheme="be", study="temporal",
                            alphas=(0.5,), ks=(5,), Ns=(4, 8), ts=(0.1,))

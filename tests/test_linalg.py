@@ -77,7 +77,7 @@ def test_solve_large_uses_cg_path():
     space = assemble(build_interval_mesh(128))   # 127 unknowns, above dense fallback
     rng = np.random.default_rng(3)
     b = rng.standard_normal(space.n_dof)
-    x = solve_spd(space.S, b, tol=1e-13)
+    x = solve_spd(space.S, b)
     res = np.linalg.norm(matvec(space.S, x) - b) / np.linalg.norm(b)
     assert res < 1e-12
 
@@ -90,7 +90,7 @@ def test_solve_roundtrip_random_spd(n, seed):
     D = B @ B.T + n * np.eye(n)
     A = SparseSymMatrix.from_coo(n, *np.nonzero(D), D[np.nonzero(D)])
     b = rng.standard_normal(n)
-    x = solve_spd(A, b, tol=1e-12)
+    x = solve_spd(A, b)
     assert np.linalg.norm(matvec(A, x) - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -107,7 +107,7 @@ def test_solver_failure_reports_residual():
     b = np.zeros(n)
     b[0] = 1.0
     with pytest.raises(SolverError) as err:
-        solve_spd(A, b, tol=1e-13)
+        solve_spd(A, b)
     assert err.value.residual > 0.0
 
 
@@ -116,5 +116,5 @@ def test_factorization_matches_iterative():
     rng = np.random.default_rng(5)
     b = rng.standard_normal(space.n_dof)
     direct = SpdFactorization(space.M).solve(b)
-    iterative = solve_spd(space.M, b, tol=1e-14)
+    iterative = solve_spd(space.M, b)
     assert np.max(np.abs(direct - iterative)) < 1e-10

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,3 +183,20 @@ def test_trajectory_metadata():
     assert np.all(np.isfinite(traj.snapshots))
     assert traj.times().tolist() == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
     assert np.shares_memory(traj.final, traj.snapshots)
+
+
+@pytest.mark.parametrize("scheme", ["be", "sbd"])
+def test_stepper_stores_one_history_array(scheme):
+    # the history is S applied to the weighted sum of stored states, so a run
+    # keeps the (N+1) x dof snapshots and no second array of that size
+    space = assemble(build_interval_mesh(512))
+    v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
+    cfg = SchemeConfig(scheme, 0.5, 1.0, 0.1 / 400, 400)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        traj = run_scheme(space, cfg, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traj.snapshots.nbytes
