@@ -3,7 +3,7 @@
 from .mesh import Mesh, build_interval_mesh, build_square_mesh
 from .fem import InitialDatum, FemSpace, assemble, l2_project, ritz_project, error_norms
 from .cq import weights
-from .stepper import SchemeConfig, step_be, step_sbd, run_scheme
+from .stepper import SchemeConfig, run_scheme
 from .oracle import build_modal_solution, exact_solution, uj_eval, KernelDensity
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "error_norms",
     "weights",
     "SchemeConfig",
-    "step_be",
-    "step_sbd",
     "run_scheme",
     "build_modal_solution",
     "exact_solution",

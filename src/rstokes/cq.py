@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["weights"]
+__all__ = ["DELTA", "weights"]
 
 # coefficients c_0, c_1, ... of delta(xi)
-_SCHEMES = {
+DELTA = {
     "be": (1.0, -1.0),
     "sbd": (1.5, -2.0, 0.5),
 }
@@ -27,13 +27,13 @@ def weights(scheme: str, mu: float, tau: float, N: int) -> np.ndarray:
     a_0 = c_0^mu, a_n = (1/(n c_0)) sum_{k=1}^{min(n, deg)} (k(mu+1) - n) c_k a_{n-k};
     for backward Euler it is the binomial recurrence.
     """
-    if scheme not in _SCHEMES:
+    if scheme not in DELTA:
         raise ValueError(f"unknown scheme {scheme!r}; expected 'be' or 'sbd'")
     if tau <= 0.0:
         raise ValueError(f"step size must be positive, got tau={tau}")
     if N < 0:
         raise ValueError(f"weight count must be nonnegative, got N={N}")
-    c = _SCHEMES[scheme]
+    c = DELTA[scheme]
     a = np.empty(N + 1)
     a[0] = c[0] ** mu
     for n in range(1, N + 1):

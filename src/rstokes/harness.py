@@ -80,11 +80,18 @@ class ExperimentConfig:
         if any(N < 1 for N in self.Ns):
             raise ValueError(f"step counts must be at least 1, got N list {self.Ns}")
         # a repeated sweep value gives a zero log-ratio in the rate formula
+        meshes = _mesh_list(self)
         lists = {"alpha": self.alphas, "k": self.ks, "K": self.Ks, "N": self.Ns, "t": self.ts,
-                 "mesh (k and K together)": _mesh_list(self)}
+                 "mesh (k and K together)": meshes}
         for name, values in lists.items():
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} list repeats a value: {tuple(values)}")
+        # the axes a study does not sweep hold one value each
+        if self.study != "spatial" and len(meshes) > 1:
+            raise ValueError(f"{self.study} study holds the mesh fixed; "
+                             f"got mesh (k and K together) list {tuple(meshes)}")
+        if self.study != "temporal" and len(self.Ns) > 1:
+            raise ValueError(f"{self.study} study holds N fixed; got N list {self.Ns}")
         if self.projection not in ("l2", "ritz"):
             raise ValueError(f"projection must be l2 or ritz, got {self.projection!r}")
         if self.projection == "ritz" and self.example != "a":

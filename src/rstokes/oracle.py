@@ -359,17 +359,7 @@ class ModalSolution:
             tail_density = 3.0 * max(rho[-8:].max(), 1e-300) * lam_J**2
             j_last = float(self.modes.jx[-1])
             return 2.0 * tail_density / (3.0 * math.pi**4 * j_last**3)
-        if self.kind == "step":
-            M = float(self.modes.jx[-1])
-            return 4.0 * bound / (math.pi**3 * 2.0 * M**2) * 2.0
-        if self.kind == "step2d":
-            M = float(max(self.modes.jx.max(), self.modes.jy.max()))
-            return 64.0 * bound * (1.0 + math.log(M)) / (math.pi**4 * M**2)
-        if self.kind == "custom_coefficients":
-            M = float(self.modes.jx[-1])
-            amp = float(np.abs(self.coeffs[-32:]).max()) * M**2
-            return 2.0 * math.sqrt(2.0) * amp / M
-        return math.inf
+        return _remainder(self.kind, self.modes, self.coeffs, bound)
 
     # -- evaluation --------------------------------------------------------
     def eval_points(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -460,6 +450,19 @@ def exact_solution(ms: ModalSolution, x, t: float, tol: float | None = None):
     return float(vals[0, 0]), (float(gx[0, 0]), float(gy[0, 0]))
 
 
+def _remainder(kind: str, modes: ModeSet, coeffs: np.ndarray, bound: float) -> float:
+    """Sup bound on the sum over the modes beyond `modes`, given |u_j(t)| <= bound / lam_j."""
+    if kind == "step":
+        M = float(modes.jx[-1])
+        return 4.0 * bound / (math.pi**3 * M**2)
+    if kind == "step2d":
+        M = float(max(modes.jx.max(), modes.jy.max()))
+        return 64.0 * bound * (1.0 + math.log(M)) / (math.pi**4 * M**2)
+    # custom nodal data on the interval: coefficients decay like j^-2
+    M = float(modes.jx[-1])
+    return float(np.abs(coeffs[-32:]).max()) * M**2 * 2.0 * math.sqrt(2.0) / M
+
+
 def build_modal_solution(
     datum: "InitialDatum",
     alpha: float,
@@ -500,16 +503,7 @@ def build_modal_solution(
     phi_sup = 2.0 if domain == "square" else math.sqrt(2.0)
     contrib = np.abs(coeffs) * phi_sup * np.minimum(1.0, t_bound / modes.lam)
     suffix = np.cumsum(contrib[::-1])[::-1]
-    # analytic remainder beyond the enumeration
-    if datum.kind == "step":
-        M = float(modes.jx[-1])
-        remainder = 4.0 * t_bound / (math.pi**3 * M**2)
-    elif datum.kind == "step2d":
-        M = float(max(modes.jx.max(), modes.jy.max()))
-        remainder = 64.0 * t_bound * (1.0 + math.log(M)) / (math.pi**4 * M**2)
-    else:  # custom nodal data: coefficients decay like j^-2
-        M = float(modes.jx[-1])
-        remainder = float(np.abs(coeffs[-32:]).max()) * M**2 * 2.0 * phi_sup / M
+    remainder = _remainder(datum.kind, modes, coeffs, t_bound)
     keep = len(modes)
     meets = np.flatnonzero(np.concatenate([suffix[1:], [0.0]]) + remainder < tol)
     if len(meets):

@@ -1,15 +1,21 @@
-"""Fully discrete time stepping: backward Euler and corrected second-order
-backward difference schemes with convolution quadrature for the fractional term.
+"""Fully discrete time stepping: one multistep stepper with convolution
+quadrature for the fractional term, for backward Euler and the corrected
+second-order backward difference scheme (SBD).
 
-Both schemes solve one constant SPD system per step,
+With c_k the coefficients of the scheme's generating polynomial delta
+(`cq.DELTA`) and w_j the CQ weights of (delta(xi)/tau)^alpha at tau = 1,
+step n solves one constant SPD system,
 
-    BE :  (M/tau + (1 + gamma tau^-a w0) S) U^n = M U^{n-1}/tau - history + F^n
-    SBD:  (3M/(2tau) + (1 + gamma tau^-a w0) S) U^n = BDF2 terms - history + F^n,
+    (c_0 M/tau + (1 + gamma tau^-a w_0) S) U^n
+        = -(M/tau) sum_{k>=1} c_k U^{n-k}
+          - gamma tau^-a S (sum_{j=1}^{n-1} w_{n-j} U^j + theta_n U^0),
 
-where the history is S applied to the CQ-weighted sum of the stored states
-U^j, so one (N+1) x dof array is kept.  The SBD scheme applies the corrected
-first step (weight 3/2 on the startup sequence and half-weighted initial
-terms) that restores second-order accuracy for nonvanishing initial data.
+with theta_n = w_n for BE with `include_history_origin`, w_{n-1}/2 for
+SBD and 0 otherwise.  The history is S applied to the weighted sum of the
+stored states, so one (N+1) x dof array is kept.  SBD's first step is the
+corrected start (weight 3/2 on the startup sequence and a half-weighted
+initial stiffness term) that restores second-order accuracy for
+nonvanishing initial data.
 """
 
 from __future__ import annotations
@@ -18,15 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import weights
+from .cq import DELTA, weights
 from .fem import FemSpace
 from .linalg import SpdFactorization
 
 __all__ = [
     "SchemeConfig",
     "DiscreteTrajectory",
-    "step_be",
-    "step_sbd",
     "run_scheme",
     "scalar_trajectory_be",
     "scalar_trajectory_sbd",
@@ -83,84 +87,40 @@ class StepFailure(RuntimeError):
         self.step = step
 
 
-def _forcing(f, t: float, n_dof: int) -> np.ndarray:
-    if f is None:
-        return np.zeros(n_dof)
-    out = np.asarray(f(t), dtype=float)
-    if out.shape != (n_dof,):
-        raise ValueError(f"forcing must return {n_dof} interior load entries")
-    return out
-
-
-def step_be(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> DiscreteTrajectory:
-    """Backward Euler in time with BE-generated fractional weights."""
-    if cfg.scheme != "be":
-        raise ValueError("config requests a different scheme")
+def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTrajectory:
+    """March U^0 = v through cfg.n_steps steps of the configured scheme."""
     v = np.asarray(v, dtype=float)
     if v.shape != (space.n_dof,):
         raise ValueError(f"initial vector must have {space.n_dof} entries")
-    N = cfg.n_steps
-    w = weights("be", cfg.alpha, 1.0, N)
-    frac = cfg.gamma * cfg.tau ** (-cfg.alpha)
-    system = space.M.scaled_sum(1.0 / cfg.tau, space.S, 1.0 + frac * w[0])
-    solver = SpdFactorization(system)
+    N, tau = cfg.n_steps, cfg.tau
+    c = DELTA[cfg.scheme]
+    w = weights(cfg.scheme, cfg.alpha, 1.0, N)
+    frac = cfg.gamma * tau ** (-cfg.alpha)
+    diag = 1.0 + frac * w[0]
+    solver = SpdFactorization(space.M.scaled_sum(c[0] / tau, space.S, diag))
     Mcsr = space.M.tocsr()
     Scsr = space.S.tocsr()
+    # theta[n]: weight of U^0 in the history of step n
+    if cfg.scheme == "sbd":
+        theta = np.concatenate(([0.0], 0.5 * w[:-1]))
+    else:
+        theta = w if cfg.include_history_origin else np.zeros(N + 1)
 
     U = np.empty((N + 1, space.n_dof))
     U[0] = v
-    j0 = 0 if cfg.include_history_origin else 1
     for n in range(1, N + 1):
-        rhs = (Mcsr @ U[n - 1]) / cfg.tau + _forcing(f, n * cfg.tau, space.n_dof)
-        if n - 1 >= j0:
-            rhs -= frac * (Scsr @ (w[n - j0 : 0 : -1] @ U[j0:n]))
+        if cfg.scheme == "sbd" and n == 1:
+            # corrected first step: half-weighted initial stiffness term
+            rhs = (c[0] / tau) * (Mcsr @ U[0]) - 0.5 * diag * (Scsr @ U[0])
+        else:
+            past = sum(c[k] * U[n - k] for k in range(1, len(c)))
+            rhs = -(Mcsr @ past) / tau
+            rhs -= frac * (Scsr @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
         try:
             U[n] = solver.solve(rhs)
         except Exception as exc:  # propagate with the failing step index
             raise StepFailure(n, exc) from exc
     return DiscreteTrajectory(config=cfg, snapshots=U)
-
-
-def step_sbd(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> DiscreteTrajectory:
-    """Corrected second-order backward difference scheme."""
-    if cfg.scheme != "sbd":
-        raise ValueError("config requests a different scheme")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.n_dof,):
-        raise ValueError(f"initial vector must have {space.n_dof} entries")
-    N = cfg.n_steps
-    tau = cfg.tau
-    w = weights("sbd", cfg.alpha, 1.0, N)
-    frac = cfg.gamma * tau ** (-cfg.alpha)
-    system = space.M.scaled_sum(1.5 / tau, space.S, 1.0 + frac * w[0])
-    solver = SpdFactorization(system)
-    Mcsr = space.M.tocsr()
-    Scsr = space.S.tocsr()
-
-    U = np.empty((N + 1, space.n_dof))
-    U[0] = v
-
-    # corrected first step: half-weighted initial stiffness and forcing terms
-    rhs = (1.5 / tau) * (Mcsr @ U[0]) - 0.5 * (1.0 + frac * w[0]) * (Scsr @ U[0])
-    rhs += _forcing(f, tau, space.n_dof) + 0.5 * _forcing(f, 0.0, space.n_dof)
-    try:
-        U[1] = solver.solve(rhs)
-    except Exception as exc:
-        raise StepFailure(1, exc) from exc
-
-    for n in range(2, N + 1):
-        rhs = (Mcsr @ (4.0 * U[n - 1] - U[n - 2])) / (2.0 * tau)
-        rhs -= frac * (Scsr @ (w[n - 1 : 0 : -1] @ U[1:n] + 0.5 * w[n - 1] * U[0]))
-        rhs += _forcing(f, n * tau, space.n_dof)
-        try:
-            U[n] = solver.solve(rhs)
-        except Exception as exc:
-            raise StepFailure(n, exc) from exc
-    return DiscreteTrajectory(config=cfg, snapshots=U)
-
-
-def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray, f=None) -> DiscreteTrajectory:
-    return (step_be if cfg.scheme == "be" else step_sbd)(space, cfg, v, f)
 
 
 # ---------------------------------------------------------------------------

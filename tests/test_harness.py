@@ -205,3 +205,18 @@ def test_history_origin_flag_plumbs_through():
     e_omit = run_experiment(base).rows[0].l2_error
     e_keep = run_experiment(keep).rows[0].l2_error
     assert e_keep != pytest.approx(e_omit, rel=1e-6)
+
+
+@pytest.mark.parametrize("study,flags,name", [
+    ("temporal", ["--k", "4,5,6", "--N", "10,20", "--t", "0.1"], "mesh (k and K together) list"),
+    ("spatial", ["--k", "3,4", "--N", "100,200"], "N list"),
+    ("blowup", ["--k", "4,5", "--N", "100"], "mesh (k and K together) list"),
+    ("blowup", ["--k", "4", "--N", "100,200"], "N list"),
+])
+def test_fixed_axis_list_rejected(capsys, study, flags, name):
+    # a study uses one value of each axis it does not sweep; a longer list
+    # would otherwise be cut to its first entry without notice
+    argv = ["--example", "a", "--study", study, *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{study} study holds" in err and name in err

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from rstokes.stepper import (
     run_scheme,
     scalar_trajectory_be,
     scalar_trajectory_sbd,
-    step_be,
-    step_sbd,
 )
 
 PI2 = math.pi**2
@@ -43,9 +42,9 @@ def test_scalar_sbd_first_step_hand_value():
 
 def test_zero_data_stays_zero():
     space = assemble(build_interval_mesh(8))
-    for scheme, stepper in (("be", step_be), ("sbd", step_sbd)):
+    for scheme in ("be", "sbd"):
         cfg = SchemeConfig(scheme, 0.5, 1.0, 0.01, 6)
-        traj = stepper(space, cfg, np.zeros(space.n_dof))
+        traj = run_scheme(space, cfg, np.zeros(space.n_dof))
         assert np.max(np.abs(traj.snapshots)) == 0.0
 
 
@@ -58,8 +57,6 @@ def test_scheme_config_validation():
         SchemeConfig("be", 0.5, -1.0, 0.1, 2)
     with pytest.raises(ValueError):
         SchemeConfig("be", 0.5, 1.0, 0.1, 0)
-    with pytest.raises(ValueError):
-        step_sbd(assemble(build_interval_mesh(4)), SchemeConfig("be", 0.5, 1.0, 0.1, 2), np.zeros(3))
 
 
 def _generalized_modes(space):
@@ -75,9 +72,14 @@ def test_mode_decoupling_all_modes(mesh_builder, K):
     space = assemble(mesh_builder(K))
     assert space.n_dof <= 15
     lams, vecs = _generalized_modes(space)
+    schemes = (
+        ("be", False, scalar_trajectory_be),
+        ("be", True, partial(scalar_trajectory_be, include_history_origin=True)),
+        ("sbd", False, scalar_trajectory_sbd),
+    )
     for alpha in (0.3, 0.7):
-        for scheme, scalar in (("be", scalar_trajectory_be), ("sbd", scalar_trajectory_sbd)):
-            cfg = SchemeConfig(scheme, alpha, 1.0, 0.01, 12)
+        for scheme, origin, scalar in schemes:
+            cfg = SchemeConfig(scheme, alpha, 1.0, 0.01, 12, include_history_origin=origin)
             for k in range(space.n_dof):
                 v = vecs[:, k]
                 traj = run_scheme(space, cfg, v)
@@ -132,25 +134,6 @@ def test_alpha_trend_of_temporal_error():
     assert errors[0] > errors[1] > errors[2]
 
 
-def test_forcing_single_step_identity(rng):
-    # one BE step from zero data: (M/tau + c S) U^1 = load
-    space = assemble(build_interval_mesh(8))
-    load = rng.standard_normal(space.n_dof)
-    cfg = SchemeConfig("be", 0.5, 1.0, 0.02, 1)
-    traj = step_be(space, cfg, np.zeros(space.n_dof), f=lambda t: load)
-    w0 = 1.0
-    c = 1.0 + 1.0 * 0.02**-0.5 * w0
-    system = space.M.toarray() / 0.02 + c * space.S.toarray()
-    assert np.max(np.abs(system @ traj.final - load)) < 1e-10
-
-
-def test_forcing_shape_checked():
-    space = assemble(build_interval_mesh(8))
-    cfg = SchemeConfig("be", 0.5, 1.0, 0.02, 2)
-    with pytest.raises(ValueError):
-        step_be(space, cfg, np.zeros(space.n_dof), f=lambda t: np.zeros(3))
-
-
 def test_solver_failure_carries_step_index(monkeypatch):
     space = assemble(build_interval_mesh(8))
     cfg = SchemeConfig("be", 0.5, 1.0, 0.02, 5)
@@ -170,7 +153,7 @@ def test_solver_failure_carries_step_index(monkeypatch):
 
     monkeypatch.setattr(stepper_mod, "SpdFactorization", FlakySolver)
     with pytest.raises(StepFailure) as err:
-        step_be(space, cfg, np.ones(space.n_dof))
+        run_scheme(space, cfg, np.ones(space.n_dof))
     assert err.value.step == 3
 
 
@@ -178,7 +161,7 @@ def test_trajectory_metadata():
     space = assemble(build_interval_mesh(8))
     cfg = SchemeConfig("sbd", 0.5, 1.0, 0.05, 4)
     v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
-    traj = step_sbd(space, cfg, v)
+    traj = run_scheme(space, cfg, v)
     assert np.allclose(traj.snapshots[0], v)
     assert np.all(np.isfinite(traj.snapshots))
     assert traj.times().tolist() == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
