@@ -75,8 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown study {self.study!r}")
         if not self.alphas:
             raise ValueError("alpha list must be nonempty")
-        if any(t <= 0 for t in self.ts):
-            raise ValueError("observation times must be positive")
+        for name, values in (("t", self.ts), ("gamma", (self.gamma,)), ("oracle_tol", (self.oracle_tol,))):
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(f"{name} must be finite and positive, got {values}")
         if any(N < 1 for N in self.Ns):
             raise ValueError(f"step counts must be at least 1, got N list {self.Ns}")
         # a repeated sweep value gives a zero log-ratio in the rate formula
@@ -173,7 +174,9 @@ def fitted_rate(xs, errors) -> float:
     return float(np.mean(pr))
 
 def loglog_slope(xs, errors) -> float:
-    """Least-squares slope of log e against log x (blowup studies)."""
+    """Least-squares slope of log e against log x (blowup studies); nan below two points."""
+    if len(xs) < 2:
+        return float("nan")
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(errors)), 1)[0])
 
 

@@ -52,6 +52,7 @@ _CONTOUR_NODES = 32
 _HARD_CAP_1D = 10_000
 _HARD_CAP_2D = 10_000
 _DIRAC_MODES = 400          # the Green's-function split leaves a lam^-2 residual
+_PHASE_BUDGET = 2**14       # phase-matrix entries per block of eval_points
 
 
 class TruncationError(RuntimeError):
@@ -363,20 +364,24 @@ class ModalSolution:
 
     # -- evaluation --------------------------------------------------------
     def eval_points(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Values and derivatives on the interval at the given points."""
+        """Values and derivatives on the interval at the given points.
+
+        Points go in blocks of max(1, _PHASE_BUDGET // J) against all J modes at
+        once, so a sin/cos phase matrix never exceeds max(_PHASE_BUDGET, J) entries."""
         if self.domain != "interval":
             raise ValueError("eval_points applies to interval solutions")
         x = np.asarray(x, dtype=float)
         a = self.coeffs * self.factors(t)
-        j = self.modes.jx.astype(float)
-        vals = np.zeros_like(x)
-        grads = np.zeros_like(x)
-        for lo in range(0, len(j), 512):
-            jj = j[lo : lo + 512]
-            aa = a[lo : lo + 512]
-            phase = np.outer(x, jj * np.pi)
-            vals += math.sqrt(2.0) * (np.sin(phase) @ aa)
-            grads += math.sqrt(2.0) * (np.cos(phase) @ (aa * jj * np.pi))
+        k = self.modes.jx * np.pi
+        vals = np.empty_like(x)
+        grads = np.empty_like(x)
+        block = max(1, _PHASE_BUDGET // len(k))
+        for lo in range(0, len(x), block):
+            phase = np.outer(x[lo : lo + block], k)
+            vals[lo : lo + block] = np.sin(phase) @ a
+            grads[lo : lo + block] = np.cos(phase) @ (a * k)
+        vals *= math.sqrt(2.0)
+        grads *= math.sqrt(2.0)
         if self.green_point is not None:
             b1 = self.beta1(t)
             vals += b1 * _green_interval(x, self.green_point)

@@ -194,28 +194,48 @@ def test_error_norms_validation():
         error_norms(space, np.zeros(space.n_dof + 1), ms, 0.1)
 
 
-def test_error_norms_2d_quadrature_identity(rng):
-    # with a zero oracle the quadrature returns exactly the mass/stiffness norms
-    space = assemble(build_square_mesh(6))
+class _ZeroOracle:
+    """Zero reference: the quadrature then returns the mass/stiffness norms of U."""
 
-    class ZeroOracle:
-        max_frequency = (6, 6)
+    def __init__(self, max_frequency, breaks=()):
+        self.max_frequency = max_frequency
+        self.breaks = list(breaks)
 
-        def eval_grid(self, xs, ys, t):
-            z = np.zeros((len(ys), len(xs)))
-            return z, z.copy(), z.copy()
+    def eval_points(self, x, t):
+        return np.zeros_like(x), np.zeros_like(x)
 
-        def datum_l2(self):
-            return 1.0
+    def eval_grid(self, xs, ys, t):
+        z = np.zeros((len(ys), len(xs)))
+        return z, z.copy(), z.copy()
 
-        def singular_breaks(self):
-            return []
+    def datum_l2(self):
+        return 1.0
 
-    U = rng.standard_normal(space.n_dof)
-    en = error_norms(space, U, ZeroOracle(), 0.1)
+    def singular_breaks(self):
+        return self.breaks
+
+
+def _assert_mass_stiffness_norms(space, U, en):
     full = space.expand(U)
     assert en.l2 == pytest.approx(math.sqrt(full @ (space.M_full.tocsr() @ full)), rel=1e-12)
     assert en.h1 == pytest.approx(math.sqrt(full @ (space.S_full.tocsr() @ full)), rel=1e-12)
+
+
+def test_error_norms_2d_quadrature_identity(rng):
+    # with a zero oracle the quadrature returns exactly the mass/stiffness norms
+    space = assemble(build_square_mesh(6))
+    U = rng.standard_normal(space.n_dof)
+    _assert_mass_stiffness_norms(space, U, error_norms(space, U, _ZeroOracle((6, 6)), 0.1))
+
+
+@pytest.mark.parametrize("K,breaks", [(8, ()), (9, (0.3,))])
+def test_error_norms_1d_quadrature_identity(rng, K, breaks):
+    # a kink inside an element splits it in two pieces; both must use that
+    # element's values and slope
+    space = assemble(build_interval_mesh(K))
+    U = rng.standard_normal(space.n_dof)
+    oracle = _ZeroOracle((K, 0), breaks)
+    _assert_mass_stiffness_norms(space, U, error_norms(space, U, oracle, 0.1))
 
 
 def test_normalization_fields():

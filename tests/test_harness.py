@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ def test_blowup_slope_sign():
     assert rep.rows[0].t > rep.rows[-1].t          # sorted from large to small t
 
 
+def test_one_time_blowup_slope_is_nan():
+    # one observation time has no slope; the fit must not warn or invent one
+    cfg = ExperimentConfig(example="b", scheme="sbd", study="blowup",
+                           alphas=(0.5,), ks=(3,), Ns=(20,), ts=(1e-3,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = blowup_study(cfg)
+    assert math.isnan(rep.families[0].l2_rate)
+    assert math.isnan(rep.families[0].h1_rate)
+
+
 def test_experiment_error_carries_grid_point():
     cfg = ExperimentConfig(example="d", scheme="sbd", study="spatial",
                            alphas=(0.5,), Ks=(5,), Ns=(4,), ts=(0.1,))
@@ -220,3 +232,20 @@ def test_fixed_axis_list_rejected(capsys, study, flags, name):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{study} study holds" in err and name in err
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--t", "inf", "t"),
+    ("--t", "nan", "t"),
+    ("--gamma", "nan", "gamma"),
+    ("--gamma", "0", "gamma"),
+    ("--oracle-tol", "-1", "oracle_tol"),
+    ("--oracle-tol", "0", "oracle_tol"),
+    ("--oracle-tol", "nan", "oracle_tol"),
+])
+def test_nonfinite_or_nonpositive_input_rejected(capsys, flag, value, name):
+    # before the check these ran to exit 0 on inf/nan rows or a silent mode
+    # cap, or failed late inside the solver without naming the input
+    argv = ["--example", "b", "--study", "temporal", "--k", "3", "--N", "5", flag, value]
+    assert main(argv) == 1
+    assert f"{name} must be finite and positive" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from conftest import gauss_panels
 from rstokes.fem import InitialDatum
 from rstokes.oracle import (
+    _PHASE_BUDGET,
     KernelDensity,
     SymbolProbe,
     TruncationError,
@@ -343,6 +344,30 @@ def test_eval_grid_matches_bruteforce(rng):
             assert abs(vals[iy, ix] - amp @ phi) < 1e-12
             dphix = 2 * ms.modes.jx * math.pi * np.cos(ms.modes.jx * math.pi * x) * np.sin(ms.modes.jy * math.pi * y)
             assert abs(gx[iy, ix] - amp @ dphix) < 1e-11
+
+
+@pytest.mark.parametrize("kind,t_min,points", [
+    ("step", 1e-6, np.linspace(0.013, 0.987, 7)),
+    ("dirac", 0.1, np.concatenate([np.linspace(0.01, 0.49, 50), np.linspace(0.51, 0.99, 51)])),
+])
+def test_eval_points_matches_bruteforce(kind, t_min, points):
+    # more points than one block of eval_points holds, against a per-point sum
+    ms = build_modal_solution(InitialDatum(kind, location=0.5), 0.5, 1.0, tol=1e-6, t_min=t_min)
+    t = t_min
+    if kind == "step":
+        assert len(ms.modes) >= 6000
+    assert len(points) > max(1, _PHASE_BUDGET // len(ms.modes))
+    vals, grads = ms.eval_points(points, t)
+    amp = ms.coeffs * ms.factors(t)
+    k = ms.modes.jx * math.pi
+    for x, v, g in zip(points, vals, grads):
+        v_ref = math.sqrt(2) * amp @ np.sin(k * x)
+        g_ref = math.sqrt(2) * (amp * k) @ np.cos(k * x)
+        if kind == "dirac":
+            v_ref += ms.beta1(t) * (x * 0.5 if x < 0.5 else 0.5 * (1 - x))
+            g_ref += ms.beta1(t) * (0.5 if x < 0.5 else -0.5)
+        assert v == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
+        assert g == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
 
 
 def test_datum_norms():

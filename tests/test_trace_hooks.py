@@ -2,9 +2,15 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+from rstokes.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = ("cli", "harness", "fem", "oracle", "stepper", "linalg", "cq", "mesh")
 
 
@@ -43,3 +49,26 @@ def test_span_recorder_installs_and_restores():
         rec.restore()
     assert not _same(before, during)
     assert _same(before, _snapshot())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "b", "--scheme", "sbd", "--study", "blowup", "--k", "3", "--N", "20", "--t", "1e-3"],
+    ["--example", "d", "--scheme", "be", "--study", "temporal", "--k", "2", "--N", "2,4", "--t", "0.1"],
+])
+def test_traced_study_reports_every_layer_metric(tmp_path, argv):
+    # the traced benchmark reads each per-layer metric of BENCHMARK.json from
+    # the combined summary of a workload's studies; a name missing there
+    # (for example a count that was never incremented) stops the run
+    spans = _load_spans()
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        code = rec.call(spans.ROOT_SPAN, main, [*argv, "--out", str(tmp_path / "rows.csv")])
+    finally:
+        rec.restore()
+    assert code == 0
+    rec.dump(str(tmp_path / "trace.json"))
+    summary = spans.combine([spans.summarize(json.loads((tmp_path / "trace.json").read_text()))])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {m["name"] for m in spec["per_layer"]} - {"harness.trace_overhead_s"}
+    assert names <= summary.keys(), sorted(names - summary.keys())
