@@ -19,6 +19,11 @@ with a positive density K_j, kept here as an independent reference for the
 tests.  For Dirac data the slowly converging 1/lam_j part of the series is
 summed in closed form through the Green's function of -d^2/dx^2, which keeps
 the truncated remainder rapidly convergent.
+
+On the interval the truncated sine series is evaluated at P points by a
+Taylor-shifted FFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996): 19
+inverse FFTs of length 2L, L the power of two >= 2J, replace the P x J sin/cos
+sum, to within 1e-17 relative to the coefficient sum (`ModalSolution.eval_points`).
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ _CONTOUR_NODES = 32
 _HARD_CAP_1D = 10_000
 _HARD_CAP_2D = 10_000
 _DIRAC_MODES = 400          # the Green's-function split leaves a lam^-2 residual
-_PHASE_BUDGET = 2**14       # phase-matrix entries per block of eval_points
+_TAYLOR_TERMS = 18          # shift terms of eval_points: (pi/4)^18/18! e^(pi/4) < 1e-17
 
 
 class TruncationError(RuntimeError):
@@ -366,22 +371,46 @@ class ModalSolution:
     def eval_points(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives on the interval at the given points.
 
-        Points go in blocks of max(1, _PHASE_BUDGET // J) against all J modes at
-        once, so a sin/cos phase matrix never exceeds max(_PHASE_BUDGET, J) entries."""
+        Taylor-shifted FFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996):
+        with J the highest frequency, L the power of two >= 2J, m = rint(xL)
+        and d = pi (xL - m), so that |j d / L| <= pi/4,
+
+            sum_j a_j exp(i pi j x) = sum_s (d^s / s!) G_s[m],
+            G_s[m] = sum_j a_j (ij/L)^s exp(i pi j m / L),
+
+        and each G_s is one length-2L inverse FFT, read at m mod 2L (the sine
+        series is odd and 2-periodic).  Values keep s < S and derivatives,
+        pi L times the same sum over G_{s+1}, keep s < S as well, with
+        S = _TAYLOR_TERMS = 18: the dropped terms are below
+        (pi/4)^S / S! e^(pi/4) < 1e-17 times sum_j |a_j| (times sum_j |a_j| j pi
+        for derivatives).  Work is S (P + 2L log 2L) and memory O(L + P).  Any
+        finite x gives the odd, 2-periodic extension; nan or inf raise."""
         if self.domain != "interval":
             raise ValueError("eval_points applies to interval solutions")
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("evaluation points must be finite")
         a = self.coeffs * self.factors(t)
-        k = self.modes.jx * np.pi
-        vals = np.empty_like(x)
-        grads = np.empty_like(x)
-        block = max(1, _PHASE_BUDGET // len(k))
-        for lo in range(0, len(x), block):
-            phase = np.outer(x[lo : lo + block], k)
-            vals[lo : lo + block] = np.sin(phase) @ a
-            grads[lo : lo + block] = np.cos(phase) @ (a * k)
+        L = 1 << (2 * self.max_frequency[0] - 1).bit_length()
+        m = np.rint(x * L)
+        d = np.pi * (x * L - m)
+        m = m.astype(np.intp) % (2 * L)
+        b = np.zeros(2 * L, dtype=complex)
+        b[self.modes.jx] = (2 * L) * a
+        step = 1j * np.arange(2 * L) / L
+        vals = np.zeros_like(x)
+        grads = np.zeros_like(x)
+        power = np.ones_like(x)  # d^s / s! where the values take G_s
+        for s in range(_TAYLOR_TERMS + 1):
+            G = np.fft.ifft(b).imag[m]
+            if s > 0:
+                grads += power * G
+                power *= d / s
+            if s < _TAYLOR_TERMS:
+                vals += power * G
+            b *= step
         vals *= math.sqrt(2.0)
-        grads *= math.sqrt(2.0)
+        grads *= math.sqrt(2.0) * np.pi * L
         if self.green_point is not None:
             b1 = self.beta1(t)
             vals += b1 * _green_interval(x, self.green_point)

@@ -16,3 +16,31 @@ def gauss_panels(a: float, b: float, panels: int, order: int = 12):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def direct_eval_points(ms, x, t):
+    """Reference for `ModalSolution.eval_points`: the direct sin/cos sum.
+
+    Points go in blocks of max(1, 2**14 // J) against all J modes, so a phase
+    matrix holds at most max(2**14, J) entries.  For any finite x the sine
+    series gives the odd, 2-periodic extension; the Dirac Green's-function term
+    is the same closed form the fast path adds.
+    """
+    x = np.asarray(x, dtype=float)
+    a = ms.coeffs * ms.factors(t)
+    k = ms.modes.jx * np.pi
+    vals = np.empty_like(x)
+    grads = np.empty_like(x)
+    block = max(1, 2**14 // len(k))
+    for lo in range(0, len(x), block):
+        phase = np.outer(x[lo : lo + block], k)
+        vals[lo : lo + block] = np.sin(phase) @ a
+        grads[lo : lo + block] = np.cos(phase) @ (a * k)
+    vals *= np.sqrt(2.0)
+    grads *= np.sqrt(2.0)
+    if ms.green_point is not None:
+        x0 = ms.green_point
+        b1 = ms.beta1(t)
+        vals += b1 * np.where(x <= x0, x * (1.0 - x0), x0 * (1.0 - x))
+        grads += b1 * np.where(x <= x0, 1.0 - x0, -x0)
+    return vals, grads

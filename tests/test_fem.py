@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import gauss_panels
+from conftest import direct_eval_points, gauss_panels
 from rstokes.fem import (
     InitialDatum,
     UnsupportedDatumError,
@@ -14,7 +15,8 @@ from rstokes.fem import (
 )
 from rstokes.linalg import matvec
 from rstokes.mesh import build_interval_mesh, build_square_mesh
-from rstokes.oracle import KernelDensity, build_modal_solution, uj_eval
+from rstokes.oracle import KernelDensity, ModalSolution, build_modal_solution, uj_eval
+from rstokes.stepper import SchemeConfig, run_scheme
 
 
 def test_interval_mass_stencil():
@@ -236,6 +238,30 @@ def test_error_norms_1d_quadrature_identity(rng, K, breaks):
     U = rng.standard_normal(space.n_dof)
     oracle = _ZeroOracle((K, 0), breaks)
     _assert_mass_stiffness_norms(space, U, error_norms(space, U, oracle, 0.1))
+
+
+class _DirectModalSolution(ModalSolution):
+    """The same expansion, evaluated by the direct sin/cos sum."""
+
+    def eval_points(self, x, t):
+        return direct_eval_points(self, x, t)
+
+
+@pytest.mark.parametrize("kind,K,t", [("step", 64, 1e-6), ("dirac", 9, 1e-3)])
+def test_error_norms_fast_reference_matches_direct(kind, K, t):
+    # T5(b) at t = 1e-6 (6,330 modes) and Dirac data on a misaligned mesh,
+    # SBD with N = 1000 as in the acceptance studies
+    datum = InitialDatum(kind, location=0.5)
+    ms = build_modal_solution(datum, 0.5, 1.0, tol=1e-6, t_min=t)
+    if kind == "step":
+        assert len(ms.modes) == 6330
+    direct = _DirectModalSolution(**{f.name: getattr(ms, f.name) for f in dataclasses.fields(ms)})
+    space = assemble(build_interval_mesh(K))
+    U = run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, t / 1000, 1000), l2_project(space, datum)).final
+    fast = error_norms(space, U, ms, t)
+    ref = error_norms(space, U, direct, t)
+    assert fast.l2 == pytest.approx(ref.l2, rel=1e-12)
+    assert fast.h1 == pytest.approx(ref.h1, rel=1e-12)
 
 
 def test_normalization_fields():

@@ -3,12 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gauss_panels
+from conftest import direct_eval_points, gauss_panels
 from rstokes.fem import InitialDatum
 from rstokes.oracle import (
-    _PHASE_BUDGET,
     KernelDensity,
+    ModalSolution,
     SymbolProbe,
     TruncationError,
     _uj_talbot,
@@ -349,25 +351,57 @@ def test_eval_grid_matches_bruteforce(rng):
 @pytest.mark.parametrize("kind,t_min,points", [
     ("step", 1e-6, np.linspace(0.013, 0.987, 7)),
     ("dirac", 0.1, np.concatenate([np.linspace(0.01, 0.49, 50), np.linspace(0.51, 0.99, 51)])),
+    ("step", 1e-8, np.linspace(0.013, 0.987, 7)),
 ])
 def test_eval_points_matches_bruteforce(kind, t_min, points):
-    # more points than one block of eval_points holds, against a per-point sum
+    # the given points plus the edges of the eval_points FFT grid: x = 0 and 1,
+    # grid nodes m/L (no shift) and midpoints (m + 1/2)/L (largest shift)
     ms = build_modal_solution(InitialDatum(kind, location=0.5), 0.5, 1.0, tol=1e-6, t_min=t_min)
     t = t_min
     if kind == "step":
         assert len(ms.modes) >= 6000
-    assert len(points) > max(1, _PHASE_BUDGET // len(ms.modes))
+    if t_min == 1e-8:
+        assert len(ms.modes) == 10_000
+    L = 1 << (2 * ms.max_frequency[0] - 1).bit_length()
+    m = np.arange(0, L, max(1, L // 256))
+    points = np.concatenate([points, [0.0, 1.0], m / L, (m + 0.5) / L])
     vals, grads = ms.eval_points(points, t)
-    amp = ms.coeffs * ms.factors(t)
-    k = ms.modes.jx * math.pi
-    for x, v, g in zip(points, vals, grads):
-        v_ref = math.sqrt(2) * amp @ np.sin(k * x)
-        g_ref = math.sqrt(2) * (amp * k) @ np.cos(k * x)
-        if kind == "dirac":
-            v_ref += ms.beta1(t) * (x * 0.5 if x < 0.5 else 0.5 * (1 - x))
-            g_ref += ms.beta1(t) * (0.5 if x < 0.5 else -0.5)
-        assert v == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
-        assert g == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
+    v_ref, g_ref = direct_eval_points(ms, points, t)
+    assert vals == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
+    assert grads == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+def test_eval_points_matches_direct_sum(J, seed, n):
+    # at gamma = 1e-9 and t = 1e-12 every factor u_j(t) is near 1, so the
+    # random coefficients reach the sum undamped up to the highest mode
+    rng = np.random.default_rng(seed)
+    modes = eigenbasis("interval", J)
+    ms = ModalSolution("interval", 0.5, 1e-9, modes, rng.standard_normal(J), "custom_coefficients")
+    t = 1e-12
+    assert ms.factors(t).min() > 0.99
+    x = rng.uniform(0.0, 1.0, n)
+    vals, grads = ms.eval_points(x, t)
+    v_ref, g_ref = direct_eval_points(ms, x, t)
+    a = np.abs(ms.coeffs * ms.factors(t))
+    assert np.max(np.abs(vals - v_ref)) <= 1e-13 * a.sum()
+    assert np.max(np.abs(grads - g_ref)) <= 1e-13 * (a * modes.jx * math.pi).sum()
+
+
+def test_eval_points_outside_interval_and_nonfinite():
+    # the sine series is odd and 2-periodic for any finite x; nan and inf have
+    # no grid bin and must not return a value
+    for kind in ("step", "dirac"):
+        ms = build_modal_solution(InitialDatum(kind, location=0.5), 0.5, 1.0, tol=1e-6, t_min=1e-3)
+        x = np.array([-0.3, 1.7, 2.5])
+        vals, grads = ms.eval_points(x, 1e-3)
+        v_ref, g_ref = direct_eval_points(ms, x, 1e-3)
+        assert vals == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
+        assert grads == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ms.eval_points(np.array([0.25, bad]), 1e-3)
 
 
 def test_datum_norms():
