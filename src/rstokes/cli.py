@@ -51,6 +51,8 @@ def read_config_file(path: str) -> dict[str, str]:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _VALID_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             values[key] = val
     return values
 

@@ -74,7 +74,6 @@ class FemSpace:
     """Assembled P1 space: interior matrices plus the full (pre-elimination) pair."""
 
     mesh: Mesh
-    interior_map: np.ndarray      # node index -> interior unknown index, -1 on boundary
     M: SparseSymMatrix
     S: SparseSymMatrix
     M_full: SparseSymMatrix
@@ -86,7 +85,7 @@ class FemSpace:
 
     @property
     def interior_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.interior_map >= 0)
+        return self.mesh.interior_nodes
 
     def expand(self, interior: np.ndarray) -> np.ndarray:
         """Scatter interior coefficients to the full node vector (zeros on the boundary)."""
@@ -140,11 +139,9 @@ def assemble(mesh: Mesh) -> FemSpace:
     S_full = SparseSymMatrix.from_coo(n, rows, cols, svals)
 
     interior = mesh.interior_nodes
-    interior_map = np.full(n, -1, dtype=int)
-    interior_map[interior] = np.arange(len(interior))
     Mi = SparseSymMatrix(M_full.tocsr()[interior][:, interior])
     Si = SparseSymMatrix(S_full.tocsr()[interior][:, interior])
-    return FemSpace(mesh=mesh, interior_map=interior_map, M=Mi, S=Si, M_full=M_full, S_full=S_full)
+    return FemSpace(mesh=mesh, M=Mi, S=Si, M_full=M_full, S_full=S_full)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +337,6 @@ def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t:
         l2_sq, h1_sq = _error_2d(space, numeric, exact, t)
     l2 = math.sqrt(max(l2_sq, 0.0))
     h1 = math.sqrt(max(h1_sq, 0.0))
-    norm_v = exact.datum_l2()
+    norm_v = exact.datum_norm
     scale = norm_v if norm_v else 1.0
     return ErrorNorms(l2=l2, h1=h1, l2_normalized=l2 / scale, h1_normalized=h1 / scale, datum_norm=norm_v)

@@ -236,12 +236,6 @@ class _Runner:
         return error_norms(space, traj.final, self.oracle(alpha), t)
 
 
-def _norm_pair(cfg: ExperimentConfig, en) -> tuple[float, float, bool]:
-    if cfg.example == "c":
-        return en.l2, en.h1, False
-    return en.l2_normalized, en.h1_normalized, True
-
-
 def _study_families(cfg: ExperimentConfig):
     """Yield (key, x name, alpha, [(K, N, t, x), ...]) for each study family."""
     meshes = _mesh_list(cfg)
@@ -276,10 +270,11 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                 raise ExperimentError(
                     {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
                 ) from exc
-            l2, h1, normed = _norm_pair(cfg, en)
+            # a datum outside L2 (Dirac) has no norm and is scaled by 1
+            normed = en.datum_norm is not None
             xs.append(x)
-            l2s.append(l2)
-            h1s.append(h1)
+            l2s.append(en.l2_normalized)
+            h1s.append(en.h1_normalized)
         for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)):
             report.rows.append(
                 ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, key, normed)

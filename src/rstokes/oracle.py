@@ -24,6 +24,10 @@ On the interval the truncated sine series is evaluated at P points by a
 Taylor-shifted FFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996): 19
 inverse FFTs of length 2L, L the power of two >= 2J, replace the P x J sin/cos
 sum, to within 1e-17 relative to the coefficient sum (`ModalSolution.eval_points`).
+
+One tail bound governs truncation: `build_modal_solution` keeps the fewest
+modes whose dropped part has a certified sup-norm bound below tol at the
+smallest observation time, and records that bound as `ModalSolution.tail_bound`.
 """
 
 from __future__ import annotations
@@ -43,30 +47,18 @@ __all__ = [
     "SymbolProbe",
     "SectorReport",
     "ModalSolution",
-    "TruncationError",
     "eigenbasis",
     "datum_coefficients",
     "uj_eval",
-    "exact_solution",
     "sector_probe",
     "limit_alpha1",
     "build_modal_solution",
 ]
 
 _CONTOUR_NODES = 32
-_HARD_CAP_1D = 10_000
-_HARD_CAP_2D = 10_000
+_MODE_CAP = 10_000          # modes (1D) or mode pairs (2D) of any non-Dirac reference
 _DIRAC_MODES = 400          # the Green's-function split leaves a lam^-2 residual
 _TAYLOR_TERMS = 18          # shift terms of eval_points: (pi/4)^18/18! e^(pi/4) < 1e-17
-
-
-class TruncationError(RuntimeError):
-    """Requested tolerance is unreachable at the mode cap."""
-
-    def __init__(self, bound: float, tol: float):
-        super().__init__(f"truncation tail bound {bound:.3e} exceeds requested tolerance {tol:.3e}")
-        self.bound = bound
-        self.tol = tol
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +283,6 @@ def sector_probe(sp: SymbolProbe, samples: np.ndarray) -> SectorReport:
 # ---------------------------------------------------------------------------
 # assembled modal solutions
 
-def _green_interval(x: np.ndarray, x0: float) -> np.ndarray:
-    return np.where(x <= x0, x * (1.0 - x0), x0 * (1.0 - x))
-
-
-def _green_interval_dx(x: np.ndarray, x0: float) -> np.ndarray:
-    return np.where(x <= x0, 1.0 - x0, -x0)
-
-
 def _factor_bound_coef(alpha: float, gamma: float) -> float:
     # rigorous u_j(t) <= kappa t^(alpha-1) / (gamma lam_j) with
     # kappa = 1 / (Gamma(alpha) sin^2(alpha pi)); from K_j <= 1/(pi gamma lam s r^alpha).
@@ -312,15 +296,20 @@ class ModalSolution:
     For Dirac data the factor u_j is split as beta1(t)/lam_j + rho_j(t); the
     beta1 part is summed over all modes at once through the Green's function,
     so `coeffs` are paired with the residual factors rho_j only.
+
+    `tail_bound` bounds the sup norm of the dropped modes at every t >= t_min
+    (see `build_modal_solution`; None when no bound is certified), and
+    `datum_norm` is the exact L2 norm of the initial datum (None when it is
+    not in L2).
     """
 
-    domain: str
     alpha: float
     gamma: float
     modes: ModeSet
     coeffs: np.ndarray
-    kind: str
     green_point: float | None = None
+    tail_bound: float | None = None
+    datum_norm: float | None = None
     _factors: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
     _beta1: dict[float, float] = field(default_factory=dict, repr=False)
 
@@ -344,29 +333,6 @@ class ModalSolution:
             self._beta1[t] = cached
         return cached
 
-    def mode_amplitudes(self, t: float) -> np.ndarray:
-        """Full Parseval amplitudes c_j * u_j(t), reconstructing the split."""
-        u = self.factors(t)
-        if self.green_point is not None:
-            u = u + self.beta1(t) / self.modes.lam
-        return self.coeffs * u
-
-    # -- tail control ------------------------------------------------------
-    def sup_tail(self, t: float) -> float:
-        """Bound on the truncated remainder of the pointwise value sum."""
-        if self.kind == "smooth_sine":
-            return 0.0
-        kappa = _factor_bound_coef(self.alpha, self.gamma)
-        bound = kappa * t ** (self.alpha - 1.0) / self.gamma
-        if self.green_point is not None:
-            rho = np.abs(self.factors(t))
-            lam_J = self.modes.lam[-1]
-            # empirical lam^-2 decay of the residual, 3x safety margin
-            tail_density = 3.0 * max(rho[-8:].max(), 1e-300) * lam_J**2
-            j_last = float(self.modes.jx[-1])
-            return 2.0 * tail_density / (3.0 * math.pi**4 * j_last**3)
-        return _remainder(self.kind, self.modes, self.coeffs, bound)
-
     # -- evaluation --------------------------------------------------------
     def eval_points(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives on the interval at the given points.
@@ -385,7 +351,7 @@ class ModalSolution:
         (pi/4)^S / S! e^(pi/4) < 1e-17 times sum_j |a_j| (times sum_j |a_j| j pi
         for derivatives).  Work is S (P + 2L log 2L) and memory O(L + P).  Any
         finite x gives the odd, 2-periodic extension; nan or inf raise."""
-        if self.domain != "interval":
+        if self.modes.domain != "interval":
             raise ValueError("eval_points applies to interval solutions")
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
@@ -412,14 +378,16 @@ class ModalSolution:
         vals *= math.sqrt(2.0)
         grads *= math.sqrt(2.0) * np.pi * L
         if self.green_point is not None:
+            # Green's function of -d^2/dx^2 with pole x0, and its slope
             b1 = self.beta1(t)
-            vals += b1 * _green_interval(x, self.green_point)
-            grads += b1 * _green_interval_dx(x, self.green_point)
+            x0 = self.green_point
+            vals += b1 * np.where(x <= x0, x * (1.0 - x0), x0 * (1.0 - x))
+            grads += b1 * np.where(x <= x0, 1.0 - x0, -x0)
         return vals, grads
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values, d/dx and d/dy on the tensor grid ys x xs (shape ny, nx)."""
-        if self.domain != "square":
+        if self.modes.domain != "square":
             raise ValueError("eval_grid applies to square solutions")
         a = self.coeffs * self.factors(t)
         A = np.zeros((int(self.modes.jx.max()), int(self.modes.jy.max())))
@@ -436,25 +404,19 @@ class ModalSolution:
         return vals, gx, gy
 
     # -- norms -------------------------------------------------------------
-    def datum_l2(self) -> float | None:
-        """Exact L2 norm of the initial datum; None when it is not in L2."""
-        if self.kind == "dirac":
-            return None
-        return self._datum_norm
-
-    _datum_norm: float | None = None
-
     def l2_norm_sq(self, t: float) -> float:
-        """Parseval sum of the truncated solution at time t."""
-        amp = self.mode_amplitudes(t)
-        total = float(amp @ amp)
+        """Parseval sum of the truncated solution at time t.
+
+        For Dirac data the beta1/lam_j part is summed over all modes in closed
+        form, sum_j c_j^2 / lam_j^2 = ||G(., x0)||^2 = x0^2 (1 - x0)^2 / 3, so
+        only the kept modes carry the residual factors rho_j."""
+        a = self.coeffs * self.factors(t)
+        total = float(a @ a)
         if self.green_point is not None:
-            # closed tail of the beta1/lam part beyond the kept modes
             b1 = self.beta1(t)
-            j_last = int(self.modes.jx[-1])
-            jt = np.arange(j_last + 1, j_last + 200_001)
-            cj2 = 2.0 * np.sin(jt * np.pi * self.green_point) ** 2
-            total += float(np.sum(cj2 * (b1 / (jt * np.pi) ** 2) ** 2))
+            x0 = self.green_point
+            total += 2.0 * b1 * float(a @ (self.coeffs / self.modes.lam))
+            total += b1**2 * x0**2 * (1.0 - x0) ** 2 / 3.0
         return total
 
     @property
@@ -464,24 +426,6 @@ class ModalSolution:
     def singular_breaks(self) -> list[float]:
         """Interior points where the value has a derivative kink (quadrature splits)."""
         return [self.green_point] if self.green_point is not None else []
-
-
-def exact_solution(ms: ModalSolution, x, t: float, tol: float | None = None):
-    """Point evaluation (value, gradient) with a certified tail bound."""
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got t={t}")
-    bound = ms.sup_tail(t)
-    if tol is not None and bound > tol:
-        raise TruncationError(bound, tol)
-    if ms.domain == "interval":
-        xv = float(x)
-        if not 0.0 <= xv <= 1.0:
-            raise ValueError("point outside the domain")
-        vals, grads = ms.eval_points(np.array([xv]), t)
-        return float(vals[0]), float(grads[0])
-    xv, yv = float(x[0]), float(x[1])
-    vals, gx, gy = ms.eval_grid(np.array([xv]), np.array([yv]), t)
-    return float(vals[0, 0]), (float(gx[0, 0]), float(gy[0, 0]))
 
 
 def _remainder(kind: str, modes: ModeSet, coeffs: np.ndarray, bound: float) -> float:
@@ -504,52 +448,51 @@ def build_modal_solution(
     *,
     tol: float = 1e-8,
     t_min: float = 1e-3,
-    max_modes: int | None = None,
 ) -> ModalSolution:
-    """Assemble the expansion with enough modes for a sup-tail below tol at t_min."""
+    """Assemble the expansion with the fewest modes whose sup tail is below tol.
+
+    With B = kappa t_min^(alpha-1) / gamma (`_factor_bound_coef`), every
+    factor obeys |u_j(t)| <= min(1, B / lam_j) for t >= t_min, because
+    0 < u_j <= 1 and kappa t^(alpha-1) / gamma decreases in t.  The sup norm of
+    the dropped modes is then at most the sum of |c_j| sup|phi_j| min(1, B/lam_j)
+    over the dropped modes up to _MODE_CAP plus `_remainder` beyond it.  The
+    kept count is the first at which that bound is below tol (or the cap), and
+    the bound met is recorded as `tail_bound`; it exceeds tol only when the cap
+    binds.  The sine datum is exact (bound 0.0); Dirac data keeps _DIRAC_MODES
+    modes and has no certified bound (None).
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     domain = "square" if datum.kind == "step2d" else "interval"
-    cap = max_modes or (_HARD_CAP_2D if domain == "square" else _HARD_CAP_1D)
-
-    kappa = _factor_bound_coef(alpha, gamma)
-    t_bound = kappa * t_min ** (alpha - 1.0) / gamma
 
     if datum.kind == "smooth_sine":
         modes = eigenbasis(domain, max(datum.frequency, 2))
         coeffs = datum_coefficients(datum, modes)
-        ms = ModalSolution(domain, alpha, gamma, modes, coeffs, datum.kind)
-        ms._datum_norm = 1.0 / math.sqrt(2.0)
-        return ms
+        return ModalSolution(alpha, gamma, modes, coeffs, tail_bound=0.0, datum_norm=1.0 / math.sqrt(2.0))
 
     if datum.kind == "dirac":
-        modes = eigenbasis(domain, min(_DIRAC_MODES, cap))
+        modes = eigenbasis(domain, _DIRAC_MODES)
         coeffs = datum_coefficients(datum, modes)
-        ms = ModalSolution(
-            domain, alpha, gamma, modes, coeffs, datum.kind, green_point=datum.location
-        )
-        return ms
+        return ModalSolution(alpha, gamma, modes, coeffs, green_point=datum.location)
 
-    modes = eigenbasis(domain, cap)
+    t_bound = _factor_bound_coef(alpha, gamma) * t_min ** (alpha - 1.0) / gamma
+    modes = eigenbasis(domain, _MODE_CAP)
     coeffs = datum_coefficients(datum, modes)
     phi_sup = 2.0 if domain == "square" else math.sqrt(2.0)
     contrib = np.abs(coeffs) * phi_sup * np.minimum(1.0, t_bound / modes.lam)
     suffix = np.cumsum(contrib[::-1])[::-1]
-    remainder = _remainder(datum.kind, modes, coeffs, t_bound)
-    keep = len(modes)
-    meets = np.flatnonzero(np.concatenate([suffix[1:], [0.0]]) + remainder < tol)
-    if len(meets):
-        keep = int(meets[0]) + 1
-    order = slice(0, keep)
-    kept = ModeSet(domain, modes.jx[order], modes.jy[order], modes.lam[order])
-    ms = ModalSolution(domain, alpha, gamma, kept, coeffs[order], datum.kind)
-    if datum.kind in ("step", "step2d"):
-        ms._datum_norm = math.sqrt(datum.location)
-    elif datum.kind == "custom_coefficients":
+    # tails[i]: the bound when the first i + 1 modes are kept
+    tails = np.concatenate([suffix[1:], [0.0]]) + _remainder(datum.kind, modes, coeffs, t_bound)
+    meets = np.flatnonzero(tails < tol)
+    keep = int(meets[0]) + 1 if len(meets) else len(modes)
+    if datum.kind == "custom_coefficients":
         vals = np.asarray(datum.values, dtype=float)
         h = 1.0 / (len(vals) - 1)
         prods = vals[:-1] ** 2 + vals[:-1] * vals[1:] + vals[1:] ** 2
-        ms._datum_norm = math.sqrt(h * float(np.sum(prods)) / 3.0)
-    return ms
+        norm = math.sqrt(h * float(np.sum(prods)) / 3.0)
+    else:  # step and step2d: the indicator of a set of measure `location`
+        norm = math.sqrt(datum.location)
+    kept = ModeSet(domain, modes.jx[:keep], modes.jy[:keep], modes.lam[:keep])
+    return ModalSolution(alpha, gamma, kept, coeffs[:keep], tail_bound=float(tails[keep - 1]), datum_norm=norm)

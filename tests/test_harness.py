@@ -208,6 +208,16 @@ def test_config_file_parser(tmp_path):
         read_config_file(str(f))
 
 
+def test_config_file_rejects_repeated_key(tmp_path, capsys):
+    # a second value for a key must not silently replace the first
+    f = tmp_path / "dup.cfg"
+    f.write_text("example = a\nalpha = 0.1\n# comment\nalpha = 0.5\n")
+    with pytest.raises(ValueError, match=rf"dup\.cfg:4: repeated key 'alpha'"):
+        read_config_file(str(f))
+    assert main(["--config", str(f), "--study", "temporal", "--k", "3", "--N", "4", "--t", "0.1"]) == 1
+    assert "repeated key 'alpha'" in capsys.readouterr().err
+
+
 def test_history_origin_flag_plumbs_through():
     base = ExperimentConfig(example="a", scheme="be", study="temporal",
                             alphas=(0.5,), ks=(4,), Ns=(8,), ts=(0.1,))

@@ -12,12 +12,10 @@ from rstokes.oracle import (
     KernelDensity,
     ModalSolution,
     SymbolProbe,
-    TruncationError,
     _uj_talbot,
     build_modal_solution,
     datum_coefficients,
     eigenbasis,
-    exact_solution,
     limit_alpha1,
     sector_probe,
     uj_eval,
@@ -276,32 +274,60 @@ def test_sector_probe_rejects_cut():
 
 def test_single_mode_solution_exact():
     ms = build_modal_solution(InitialDatum("smooth_sine", frequency=2), 0.5, 1.0, t_min=0.1)
+    assert ms.tail_bound == 0.0
     u2 = uj_eval(KernelDensity(4 * PI2, 1.0, 0.5), 0.1)
-    for x in (0.21, 0.5, 0.77):
-        val, grad = exact_solution(ms, x, 0.1)
-        assert abs(val - u2 * math.sin(2 * math.pi * x)) < 1e-10
-        assert abs(grad - u2 * 2 * math.pi * math.cos(2 * math.pi * x)) < 1e-9
-
-
-def test_exact_solution_validation():
-    ms = build_modal_solution(InitialDatum("smooth_sine", frequency=2), 0.5, 1.0)
-    with pytest.raises(ValueError):
-        exact_solution(ms, 0.3, 0.0)
-    with pytest.raises(ValueError):
-        exact_solution(ms, 1.7, 0.1)
-
-
-def test_truncation_failure_reports_bound():
-    ms = build_modal_solution(InitialDatum("step", location=0.5), 0.5, 1.0, t_min=1e-3, max_modes=64)
-    with pytest.raises(TruncationError) as err:
-        exact_solution(ms, 0.3, 1e-3, tol=1e-12)
-    assert err.value.bound > 1e-12
+    x = np.array([0.21, 0.5, 0.77])
+    vals, grads = ms.eval_points(x, 0.1)
+    assert np.max(np.abs(vals - u2 * np.sin(2 * math.pi * x))) < 1e-10
+    assert np.max(np.abs(grads - u2 * 2 * math.pi * np.cos(2 * math.pi * x))) < 1e-9
+    with pytest.raises(ValueError, match="positive"):
+        ms.eval_points(x, 0.0)
 
 
 def test_dirac_value_finite_at_misaligned_time():
     ms = build_modal_solution(InitialDatum("dirac", location=0.5), 0.5, 1.0, t_min=0.01)
-    val, _ = exact_solution(ms, 0.5, 0.01)
-    assert np.isfinite(val) and val > 0
+    assert ms.tail_bound is None
+    vals, _ = ms.eval_points(np.array([0.5]), 0.01)
+    assert np.isfinite(vals[0]) and vals[0] > 0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("t_min", [0.1, 1e-3, 1e-6, 1e-8])
+def test_tail_bound_dominates_dropped_modes(alpha, t_min):
+    # sup of the dropped modes at t >= t_min is at most the sum of
+    # |c_j| sqrt(2) min(1, B / lam_j), B = t_min^(alpha-1) / (Gamma(alpha) sin^2(alpha pi));
+    # summed directly here over J < j <= 4e6
+    tol = 1e-6
+    ms = build_modal_solution(InitialDatum("step", location=0.5), alpha, 1.0, tol=tol, t_min=t_min)
+    J = len(ms.modes)
+    B = t_min ** (alpha - 1.0) / (math.gamma(alpha) * math.sin(alpha * math.pi) ** 2)
+    direct = 0.0
+    for lo in range(J + 1, 4_000_001, 1_000_000):
+        j = np.arange(lo, min(lo + 1_000_000, 4_000_001), dtype=float)
+        c = math.sqrt(2.0) * (1.0 - np.cos(j * math.pi / 2)) / (j * math.pi)
+        direct += float(np.sum(c * math.sqrt(2.0) * np.minimum(1.0, B / (j * math.pi) ** 2)))
+    assert ms.tail_bound >= direct
+    if J < 10_000:
+        assert ms.tail_bound <= tol
+
+
+def _dirac_l2_norm_sq_loop(ms, t):
+    # the Parseval sum with the beta1/lam_j part beyond the kept modes summed
+    # over 200,000 further modes, term by term
+    b1 = ms.beta1(t)
+    amp = ms.coeffs * (ms.factors(t) + b1 / ms.modes.lam)
+    total = float(amp @ amp)
+    j_last = int(ms.modes.jx[-1])
+    jt = np.arange(j_last + 1, j_last + 200_001)
+    cj2 = 2.0 * np.sin(jt * np.pi * ms.green_point) ** 2
+    return total + float(np.sum(cj2 * (b1 / (jt * np.pi) ** 2) ** 2))
+
+
+@pytest.mark.parametrize("x0", [0.3, 0.5, 0.77])
+def test_dirac_l2_norm_sq_closed_form_matches_loop(x0):
+    ms = build_modal_solution(InitialDatum("dirac", location=x0), 0.5, 1.0, t_min=1e-3)
+    for t in (1e-3, 1e-2, 0.1):
+        assert ms.l2_norm_sq(t) == pytest.approx(_dirac_l2_norm_sq_loop(ms, t), rel=1e-14, abs=0.0)
 
 
 def test_parseval_matches_quadrature_for_step():
@@ -334,7 +360,7 @@ def test_dirac_residual_factors_decay():
 
 
 def test_eval_grid_matches_bruteforce(rng):
-    ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1, max_modes=500)
+    ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
     t = 0.1
     amp = ms.coeffs * ms.factors(t)
     xs = rng.uniform(0.05, 0.95, 3)
@@ -378,7 +404,7 @@ def test_eval_points_matches_direct_sum(J, seed, n):
     # random coefficients reach the sum undamped up to the highest mode
     rng = np.random.default_rng(seed)
     modes = eigenbasis("interval", J)
-    ms = ModalSolution("interval", 0.5, 1e-9, modes, rng.standard_normal(J), "custom_coefficients")
+    ms = ModalSolution(0.5, 1e-9, modes, rng.standard_normal(J))
     t = 1e-12
     assert ms.factors(t).min() > 0.99
     x = rng.uniform(0.0, 1.0, n)
@@ -405,15 +431,18 @@ def test_eval_points_outside_interval_and_nonfinite():
 
 
 def test_datum_norms():
-    assert build_modal_solution(InitialDatum("smooth_sine"), 0.5, 1.0).datum_l2() == pytest.approx(2**-0.5)
-    assert build_modal_solution(InitialDatum("step"), 0.5, 1.0, t_min=0.1).datum_l2() == pytest.approx(2**-0.5)
-    assert build_modal_solution(InitialDatum("dirac"), 0.5, 1.0).datum_l2() is None
+    assert build_modal_solution(InitialDatum("smooth_sine"), 0.5, 1.0).datum_norm == pytest.approx(2**-0.5)
+    assert build_modal_solution(InitialDatum("step"), 0.5, 1.0, t_min=0.1).datum_norm == pytest.approx(2**-0.5)
+    assert build_modal_solution(InitialDatum("dirac"), 0.5, 1.0).datum_norm is None
 
 
 def test_mode_cap_binds_for_tiny_times():
-    # the tail rule cannot reach tol at t=1e-8, so the hard cap binds
+    # the tail rule cannot reach tol at t=1e-8, so the hard cap binds and the
+    # recorded bound says so
     ms = build_modal_solution(InitialDatum("step", location=0.5), 0.5, 1.0,
                               t_min=1e-8, tol=1e-6)
     assert len(ms.modes) == 10_000
+    assert ms.tail_bound > 1e-6
     ms2 = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
     assert len(ms2.modes) == 10_000
+    assert ms2.tail_bound > 1e-8
