@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import SparseSymMatrix, solve_spd
+from .linalg import SparseSymMatrix, SymTridiagonalMatrix, solve_spd
 from .mesh import Mesh
 
 if TYPE_CHECKING:
@@ -74,10 +74,10 @@ class FemSpace:
     """Assembled P1 space: interior matrices plus the full (pre-elimination) pair."""
 
     mesh: Mesh
-    M: SparseSymMatrix
-    S: SparseSymMatrix
-    M_full: SparseSymMatrix
-    S_full: SparseSymMatrix
+    M: SymTridiagonalMatrix | SparseSymMatrix
+    S: SymTridiagonalMatrix | SparseSymMatrix
+    M_full: SymTridiagonalMatrix | SparseSymMatrix
+    S_full: SymTridiagonalMatrix | SparseSymMatrix
 
     @property
     def n_dof(self) -> int:
@@ -94,17 +94,25 @@ class FemSpace:
         return full
 
 
-def _assemble_1d(mesh: Mesh):
-    h = np.diff(mesh.nodes)
-    if np.any(h <= 0):
-        raise AssemblyError("degenerate interval element")
-    e0 = mesh.elements[:, 0]
-    e1 = mesh.elements[:, 1]
-    rows = np.concatenate([e0, e0, e1, e1])
-    cols = np.concatenate([e0, e1, e0, e1])
-    mvals = np.concatenate([h / 3.0, h / 6.0, h / 6.0, h / 3.0])
-    svals = np.concatenate([1.0 / h, -1.0 / h, -1.0 / h, 1.0 / h])
-    return rows, cols, mvals, svals
+def _tridiagonal(n: int, diag: float, off: float, corner: float | None = None, eigenvalues=None):
+    d = np.full(n, diag)
+    if corner is not None:
+        d[[0, -1]] = corner
+    return SymTridiagonalMatrix(d, np.full(n - 1, off), eigenvalues)
+
+
+def _assemble_1d(mesh: Mesh) -> FemSpace:
+    # closed-form P1 matrices of the uniform mesh; the interior pair carries
+    # its DST-I eigenvalues, with s_k = sin(pi k / 2K), k = 1..K-1
+    K, h = mesh.n_elements, mesh.h
+    if not np.allclose(np.diff(mesh.nodes), h, rtol=1e-9, atol=0.0):
+        raise AssemblyError("1D assembly needs a uniform mesh of positive spacing")
+    s2 = np.sin(np.pi * np.arange(1, K) / (2 * K)) ** 2
+    M = _tridiagonal(K - 1, 4.0 * h / 6.0, h / 6.0, eigenvalues=h * (1.0 - (2.0 / 3.0) * s2))
+    S = _tridiagonal(K - 1, 2.0 / h, -1.0 / h, eigenvalues=(4.0 / h) * s2)
+    M_full = _tridiagonal(K + 1, 4.0 * h / 6.0, h / 6.0, corner=h / 3.0)
+    S_full = _tridiagonal(K + 1, 2.0 / h, -1.0 / h, corner=1.0 / h)
+    return FemSpace(mesh=mesh, M=M, S=S, M_full=M_full, S_full=S_full)
 
 
 def _assemble_2d(mesh: Mesh):
@@ -129,11 +137,16 @@ def _assemble_2d(mesh: Mesh):
 
 
 def assemble(mesh: Mesh) -> FemSpace:
-    """Exact element integration of the P1 mass and stiffness matrices."""
+    """Exact element integration of the P1 mass and stiffness matrices.
+
+    In 1D the matrices are tridiagonal in closed form and need numpy alone:
+    interior M = (h/6)[1, 4, 1] and S = (1/h)[-1, 2, -1], the full pair with
+    corners h/3 and 1/h.  In 2D the element matrices are summed into scipy
+    CSR matrices, and the interior pair is cut out of the full one.
+    """
     if mesh.dim == 1:
-        rows, cols, mvals, svals = _assemble_1d(mesh)
-    else:
-        rows, cols, mvals, svals = _assemble_2d(mesh)
+        return _assemble_1d(mesh)
+    rows, cols, mvals, svals = _assemble_2d(mesh)
     n = mesh.n_nodes
     M_full = SparseSymMatrix.from_coo(n, rows, cols, mvals)
     S_full = SparseSymMatrix.from_coo(n, rows, cols, svals)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -217,9 +218,14 @@ class _Runner:
 
     def oracle(self, alpha: float) -> ModalSolution:
         if alpha not in self._oracles:
-            self._oracles[alpha] = build_modal_solution(
+            ms = build_modal_solution(
                 self.datum, alpha, self.cfg.gamma, tol=self.cfg.oracle_tol, t_min=self.t_min
             )
+            if ms.tail_bound is not None and ms.tail_bound > self.cfg.oracle_tol:
+                print(f"rstokes: warning: reference for alpha={alpha:g} at t_min={self.t_min:g} keeps "
+                      f"{len(ms.modes)} modes; its tail bound {ms.tail_bound:.3g} exceeds oracle_tol "
+                      f"{self.cfg.oracle_tol:g}", file=sys.stderr)
+            self._oracles[alpha] = ms
         return self._oracles[alpha]
 
     def solve_point(self, alpha: float, K: int, N: int, t: float):

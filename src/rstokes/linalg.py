@@ -1,19 +1,27 @@
-"""Symmetric sparse matrices and SPD solves for assembly, projections and stepping.
+"""Symmetric matrices and SPD solves for assembly, projections and stepping.
 
-Storage and the sparse product are delegated to scipy's CSR format; the SPD
-solve is a Jacobi-preconditioned conjugate gradient with an iteration cap and
-a direct dense fallback for small systems.  Time steppers, which solve the
-same matrix thousands of times, use :class:`SpdFactorization` instead so the
-factorization is built once per run.
+`SymTridiagonalMatrix` holds the P1 matrices of the uniform 1D mesh in numpy
+alone.  The interior mass and stiffness matrices are tridiagonal Toeplitz, so
+the DST-I diagonalises both, and any linear combination of them is solved
+exactly by two sine transforms.  `SparseSymMatrix` is scipy's CSR format, used
+in 2D, with a Jacobi-preconditioned CG `solve_spd` and a sparse LU.  scipy is
+imported only where a CSR matrix is built or factored, so a 1D run loads
+numpy alone.  Time steppers, which solve the same matrix thousands of times,
+use `SpdFactorization` so the work per matrix is done once per run.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-__all__ = ["SparseSymMatrix", "SolverError", "matvec", "solve_spd", "SpdFactorization"]
+__all__ = [
+    "SymTridiagonalMatrix",
+    "SparseSymMatrix",
+    "SolverError",
+    "matvec",
+    "solve_spd",
+    "SpdFactorization",
+]
 
 _DENSE_FALLBACK_N = 64
 _SYMMETRY_TOL = 1e-14
@@ -28,10 +36,53 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+class SymTridiagonalMatrix:
+    """Symmetric tridiagonal matrix held as its diagonal and off-diagonal.
+
+    `eigenvalues`, when given, are lambda_k (k = 1..n) of a matrix that the
+    DST-I vectors sin(pi j k / (n+1)) diagonalise; only such a matrix can be
+    solved (`SpdFactorization`).  `scaled_sum` combines the eigenvalues with
+    the same coefficients as the entries, so they are never recomputed from
+    entries in which large terms cancel.
+    """
+
+    def __init__(self, diag, off, eigenvalues=None):
+        self.diag = np.asarray(diag, dtype=float)
+        self.off = np.asarray(off, dtype=float)
+        self.eigenvalues = None if eigenvalues is None else np.asarray(eigenvalues, dtype=float)
+        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
+            raise ValueError("matrix entries must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.diag.size
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+
+    def scaled_sum(self, a: float, other: "SymTridiagonalMatrix", b: float) -> "SymTridiagonalMatrix":
+        """Return a*self + b*other as a new matrix."""
+        eig = None
+        if self.eigenvalues is not None and other.eigenvalues is not None:
+            eig = a * self.eigenvalues + b * other.eigenvalues
+        return SymTridiagonalMatrix(a * self.diag + b * other.diag, a * self.off + b * other.off, eig)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        # row i summed left to right, as a CSR product would
+        y = np.zeros_like(x)
+        y[1:] = self.off * x[:-1]
+        y += self.diag * x
+        y[:-1] += self.off * x[1:]
+        return y
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return matvec(self, x)
+
+
 class SparseSymMatrix:
     """Compressed-sparse-row symmetric matrix; symmetry is checked on construction."""
 
-    def __init__(self, csr: sp.csr_matrix):
+    def __init__(self, csr):
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         csr = csr.tocsr()
@@ -47,46 +98,52 @@ class SparseSymMatrix:
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, values) -> "SparseSymMatrix":
+        import scipy.sparse as sp
+
         coo = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
         return cls(coo.tocsr())
 
     @classmethod
     def identity(cls, n: int) -> "SparseSymMatrix":
+        import scipy.sparse as sp
+
         return cls(sp.identity(n, format="csr"))
 
     @property
     def n(self) -> int:
         return self._csr.shape[0]
 
-    def tocsr(self) -> sp.csr_matrix:
+    def tocsr(self):
         return self._csr
 
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
     def scaled_sum(self, a: float, other: "SparseSymMatrix", b: float) -> "SparseSymMatrix":
         """Return a*self + b*other as a new matrix."""
         return SparseSymMatrix((a * self._csr + b * other._csr).tocsr())
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        return self._csr @ x
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
 
 
-def matvec(A: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
+def matvec(A: SymTridiagonalMatrix | SparseSymMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, vector has shape {x.shape}")
-    return A.tocsr() @ x
+    return A._product(x)
 
 
-def solve_spd(A: SparseSymMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve Ax=b for SPD A to a relative residual <= 1e-13.
+def solve_spd(A: SymTridiagonalMatrix | SparseSymMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve Ax=b for SPD A.
 
-    Jacobi-preconditioned CG capped at 10n iterations; systems with n <= 64
-    are solved densely.  A zero right-hand side short-circuits to zero.
+    A 1D matrix is solved exactly by two sine transforms (`SpdFactorization`).
+    A CSR matrix goes to Jacobi-preconditioned CG, run to a relative residual
+    <= 1e-13 and capped at 10n iterations; systems with n <= 64 are solved
+    densely.  A zero right-hand side short-circuits to zero.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
@@ -94,6 +151,8 @@ def solve_spd(A: SparseSymMatrix, b: np.ndarray) -> np.ndarray:
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
+    if isinstance(A, SymTridiagonalMatrix):
+        return SpdFactorization(A).solve(b)
     if A.n <= _DENSE_FALLBACK_N:
         return np.linalg.solve(A.toarray(), b)
 
@@ -124,15 +183,44 @@ def solve_spd(A: SparseSymMatrix, b: np.ndarray) -> np.ndarray:
     raise SolverError(f"CG did not converge within {max_iter} iterations", residual=res)
 
 
-class SpdFactorization:
-    """Sparse LU of an SPD matrix, reused across many solves of one stepping run."""
+def _dst_scaled(x: np.ndarray) -> np.ndarray:
+    """-2 times the DST-I sum_j x_j sin(pi j k / (n+1)), k = 1..n, of x.
 
-    def __init__(self, A: SparseSymMatrix):
-        self._lu = spla.splu(A.tocsr().tocsc())
+    It is the imaginary part of one real FFT of the odd extension of x.
+    """
+    n = x.size
+    ext = np.zeros(2 * n + 2)
+    ext[1 : n + 1] = x
+    ext[n + 2 :] = -x[::-1]
+    return np.fft.rfft(ext)[1 : n + 1].imag
+
+
+class SpdFactorization:
+    """Solver of one SPD matrix, set up once and reused across a stepping run.
+
+    A `SymTridiagonalMatrix` with eigenvalues is solved exactly, as
+    x = (2/(n+1)) DST(DST(b) / lambda).  A CSR matrix is factored once by
+    scipy's sparse LU with a symmetric fill-reducing ordering.
+    """
+
+    def __init__(self, A: SymTridiagonalMatrix | SparseSymMatrix):
         self.n = A.n
+        if isinstance(A, SymTridiagonalMatrix):
+            if A.eigenvalues is None:
+                raise ValueError("tridiagonal matrix carries no DST-I eigenvalues to solve with")
+            if not np.all(A.eigenvalues > 0.0):
+                raise ValueError("matrix is not positive definite: a DST-I eigenvalue is <= 0")
+            # both transforms return -2 DST, so the factor is (2/(n+1)) / 4
+            scale = 0.5 / (self.n + 1) / A.eigenvalues
+            self._solve = lambda b: _dst_scaled(_dst_scaled(b) * scale)
+        else:
+            from scipy.sparse.linalg import splu
+
+            lu = splu(A.tocsr().tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+            self._solve = lu.solve
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"dimension mismatch: system is {self.n}x{self.n}, rhs {b.shape}")
-        return self._lu.solve(b)
+        return self._solve(b)

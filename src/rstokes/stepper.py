@@ -16,6 +16,10 @@ stored states, so one (N+1) x dof array is kept.  SBD's first step is the
 corrected start (weight 3/2 on the startup sequence and a half-weighted
 initial stiffness term) that restores second-order accuracy for
 nonvanishing initial data.
+
+One stepper serves both dimensions: the system matrix is set up once per
+run by `SpdFactorization` (two exact sine transforms per solve in 1D, a
+sparse LU in 2D), and products with M and S go through the matrices' `@`.
 """
 
 from __future__ import annotations
@@ -98,8 +102,6 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
     solver = SpdFactorization(space.M.scaled_sum(c[0] / tau, space.S, diag))
-    Mcsr = space.M.tocsr()
-    Scsr = space.S.tocsr()
     # theta[n]: weight of U^0 in the history of step n
     if cfg.scheme == "sbd":
         theta = np.concatenate(([0.0], 0.5 * w[:-1]))
@@ -111,11 +113,11 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     for n in range(1, N + 1):
         if cfg.scheme == "sbd" and n == 1:
             # corrected first step: half-weighted initial stiffness term
-            rhs = (c[0] / tau) * (Mcsr @ U[0]) - 0.5 * diag * (Scsr @ U[0])
+            rhs = (c[0] / tau) * (space.M @ U[0]) - 0.5 * diag * (space.S @ U[0])
         else:
             past = sum(c[k] * U[n - k] for k in range(1, len(c)))
-            rhs = -(Mcsr @ past) / tau
-            rhs -= frac * (Scsr @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
+            rhs = -(space.M @ past) / tau
+            rhs -= frac * (space.S @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
         try:
             U[n] = solver.solve(rhs)
         except Exception as exc:  # propagate with the failing step index

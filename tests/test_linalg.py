@@ -4,8 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rstokes.fem import assemble, l2_project, InitialDatum
-from rstokes.linalg import SolverError, SparseSymMatrix, SpdFactorization, matvec, solve_spd
-from rstokes.mesh import build_interval_mesh
+from rstokes.linalg import (
+    SolverError,
+    SparseSymMatrix,
+    SpdFactorization,
+    SymTridiagonalMatrix,
+    matvec,
+    solve_spd,
+)
+from rstokes.mesh import build_interval_mesh, build_square_mesh
 
 
 def _random_sym(n, rng, density=0.4):
@@ -74,7 +81,8 @@ def test_solve_against_dense_cholesky():
 
 
 def test_solve_large_uses_cg_path():
-    space = assemble(build_interval_mesh(128))   # 127 unknowns, above dense fallback
+    # 1D solves are direct (DST-I); a 2D matrix with 121 unknowns is above the dense fallback
+    space = assemble(build_square_mesh(12))
     rng = np.random.default_rng(3)
     b = rng.standard_normal(space.n_dof)
     x = solve_spd(space.S, b)
@@ -112,9 +120,46 @@ def test_solver_failure_reports_residual():
 
 
 def test_factorization_matches_iterative():
-    space = assemble(build_interval_mesh(64))
+    # sparse LU against CG on a 2D (CSR) matrix with 121 unknowns
+    space = assemble(build_square_mesh(12))
     rng = np.random.default_rng(5)
     b = rng.standard_normal(space.n_dof)
     direct = SpdFactorization(space.M).solve(b)
     iterative = solve_spd(space.M, b)
     assert np.max(np.abs(direct - iterative)) < 1e-10
+
+
+def _interval_systems(K):
+    # interior M, S and the stepping matrix of SBD at tau = 2e-4, alpha = 0.5
+    space = assemble(build_interval_mesh(K))
+    d = 1.0 + (2e-4) ** -0.5 * 1.5**0.5
+    return space, (space.M, space.S, space.M.scaled_sum(1.5 / 2e-4, space.S, d))
+
+
+@pytest.mark.parametrize("K", [2, 3, 64, 2048])
+def test_dst_eigenvalues_match_dense(K):
+    _, systems = _interval_systems(K)
+    for A in systems:
+        dense = np.linalg.eigvalsh(A.toarray())
+        assert np.max(np.abs(np.sort(A.eigenvalues) - dense)) <= 1e-14 * dense.max()
+
+
+@pytest.mark.parametrize("K", [2, 3, 64, 2048])
+def test_dst_solve_matches_dense(K):
+    # both solves are backward stable, so they differ by at most a small multiple
+    # of kappa(A) eps relative; kappa comes from the exact eigenvalues (up to 1.7e6)
+    space, systems = _interval_systems(K)
+    rng = np.random.default_rng(K)
+    for A in systems:
+        assert isinstance(A, SymTridiagonalMatrix)
+        b = rng.standard_normal(space.n_dof)
+        expect = np.linalg.solve(A.toarray(), b)
+        bound = 4.0 * (A.eigenvalues.max() / A.eigenvalues.min()) * np.finfo(float).eps
+        for x in (SpdFactorization(A).solve(b), solve_spd(A, b)):
+            assert np.max(np.abs(x - expect)) <= bound * np.max(np.abs(expect))
+
+
+def test_dst_solve_needs_eigenvalues():
+    space = assemble(build_interval_mesh(8))
+    with pytest.raises(ValueError, match="eigenvalues"):
+        SpdFactorization(space.M_full)

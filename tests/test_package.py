@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +23,32 @@ def test_star_import():
     namespace: dict = {}
     exec("from rstokes import *", namespace)
     assert set(rstokes.__all__) <= set(namespace)
+
+
+_LOADED_SCIPY = """
+import sys
+from rstokes.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+def _scipy_modules_after_study(tmp_path, argv) -> set[str]:
+    # a fresh interpreter, so no module loaded by another test counts
+    src = Path(rstokes.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv, "--out", str(tmp_path / "rows.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_1d_study_loads_no_scipy(tmp_path):
+    argv = ["--example", "b", "--scheme", "sbd", "--study", "blowup", "--k", "3", "--N", "20", "--t", "1e-3"]
+    assert _scipy_modules_after_study(tmp_path, argv) == set()
+
+
+def test_2d_study_loads_sparse_lu(tmp_path):
+    argv = ["--example", "d", "--scheme", "be", "--study", "temporal", "--k", "2", "--N", "2,4", "--t", "0.1"]
+    assert "scipy.sparse.linalg" in _scipy_modules_after_study(tmp_path, argv)

@@ -88,6 +88,23 @@ def test_mode_decoupling_all_modes(mesh_builder, K):
                 assert diff < 1e-10
 
 
+@pytest.mark.parametrize("scheme,scalar", [("be", scalar_trajectory_be), ("sbd", scalar_trajectory_sbd)])
+def test_fine_mesh_sine_mode_matches_scalar_recurrence(scheme, scalar):
+    # fine_tau size: K = 2048, N = 500, the nodal sine mode j = 2, which is an
+    # exact discrete eigenvector with lambda_h = sigma_2 / mu_2 (DST-I eigenvalues
+    # of S and M, free of cancellation).  Every snapshot matches the scalar
+    # recurrence to 1e-12 relative to its own size.
+    K, N, tau = 2048, 500, 0.1 / 500
+    space = assemble(build_interval_mesh(K))
+    v = np.sin(2 * math.pi * space.mesh.nodes[space.interior_nodes])
+    s2 = math.sin(math.pi * 2 / (2 * K)) ** 2
+    lam_h = (4.0 * K * s2) / ((1.0 - (2.0 / 3.0) * s2) / K)
+    traj = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, tau, N), v)
+    ref = scalar(lam_h, 0.5, 1.0, tau, N)
+    gap = np.max(np.abs(traj.snapshots - np.outer(ref, v)), axis=1) / (np.abs(ref) * np.max(np.abs(v)))
+    assert np.max(gap) < 1e-12
+
+
 def test_trajectory_linearity(rng):
     space = assemble(build_interval_mesh(12))
     v1 = rng.standard_normal(space.n_dof)
