@@ -4,7 +4,7 @@ from .mesh import Mesh, build_interval_mesh, build_square_mesh
 from .fem import InitialDatum, FemSpace, assemble, l2_project, ritz_project, error_norms
 from .cq import weights
 from .stepper import SchemeConfig, run_scheme
-from .oracle import build_modal_solution, uj_eval, KernelDensity
+from .oracle import build_modal_solution
 
 __all__ = [
     "Mesh",
@@ -20,6 +20,4 @@ __all__ = [
     "SchemeConfig",
     "run_scheme",
     "build_modal_solution",
-    "uj_eval",
-    "KernelDensity",
 ]

@@ -335,9 +335,9 @@ def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t:
     Composite Gauss quadrature with at least 4 points per element;
     the point count grows with the highest retained oracle mode so that the
     oscillatory part of the integrand stays resolved.  In 1D the elements are
-    split at `singular_breaks` and all points go to one `eval_points` call,
-    which sums the reference by shifted FFTs in O(S (P + L log L)) work for P
-    points and L ~ 2J instead of P J sin/cos pairs (`ModalSolution.eval_points`).
+    split at `singular_breaks` (step edge, Dirac pole) and all points go to one
+    `eval_points` call: the closed-form beta1(t) w plus J residual modes summed
+    by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got t={t}")

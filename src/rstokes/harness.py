@@ -221,7 +221,7 @@ class _Runner:
             ms = build_modal_solution(
                 self.datum, alpha, self.cfg.gamma, tol=self.cfg.oracle_tol, t_min=self.t_min
             )
-            if ms.tail_bound is not None and ms.tail_bound > self.cfg.oracle_tol:
+            if ms.tail_bound > self.cfg.oracle_tol:
                 print(f"rstokes: warning: reference for alpha={alpha:g} at t_min={self.t_min:g} keeps "
                       f"{len(ms.modes)} modes; its tail bound {ms.tail_bound:.3g} exceeds oracle_tol "
                       f"{self.cfg.oracle_tol:g}", file=sys.stderr)

@@ -10,24 +10,26 @@ Laplace transform 1/(z + gamma lam z^alpha + lam) is inverted for all modes at
 once by one fixed rule: the trapezoid rule on the parabolic Bromwich contour
 z = mu (1 + iu)^2 of Weideman & Trefethen (Math. Comp. 76, 2007) with n = 32,
 h = 3/n and mu = pi n / (12 t).  Roundoff sets its accuracy ceiling, about
-3e-13 absolute on u_j and 5e-11 relative on the Dirac amplitude beta1.  Along
+3e-13 absolute on u_j and 5e-11 relative on the split amplitude beta1.  Along
 the branch cut the factor has the completely monotone representation
 
     u_j(t) = int_0^infty exp(-r t) K_j(r) dr
 
 with a positive density K_j, kept here as an independent reference for the
-tests.  For Dirac data the slowly converging 1/lam_j part of the series is
-summed in closed form through the Green's function of -d^2/dx^2, which keeps
-the truncated remainder rapidly convergent.
+tests.  On the interval every reference splits u_j = beta1(t)/lam_j + rho_j(t):
+the slowly converging 1/lam_j part sums to beta1(t) (-d^2/dx^2)^-1 v, in
+closed form for each datum, and the truncated remainder converges like
+lam_j^-2 with a certified constant.
 
 On the interval the truncated sine series is evaluated at P points by a
 Taylor-shifted FFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996): 19
 inverse FFTs of length 2L, L the power of two >= 2J, replace the P x J sin/cos
 sum, to within 1e-17 relative to the coefficient sum (`ModalSolution.eval_points`).
 
-One tail bound governs truncation: `build_modal_solution` keeps the fewest
-modes whose dropped part has a certified sup-norm bound below tol at the
-smallest observation time, and records that bound as `ModalSolution.tail_bound`.
+One selection rule governs truncation in both dimensions:
+`build_modal_solution` keeps the fewest modes whose dropped part has a
+certified sup-norm bound below tol at the smallest observation time, and
+records that bound as `ModalSolution.tail_bound`.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ __all__ = [
 ]
 
 _CONTOUR_NODES = 32
-_MODE_CAP = 10_000          # modes (1D) or mode pairs (2D) of any non-Dirac reference
-_DIRAC_MODES = 400          # the Green's-function split leaves a lam^-2 residual
+_MODE_CAP = 10_000          # modes (1D) or mode pairs (2D) of any reference
 _TAYLOR_TERMS = 18          # shift terms of eval_points: (pi/4)^18/18! e^(pi/4) < 1e-17
 
 
@@ -98,15 +99,6 @@ def eigenbasis(domain: str, J: int) -> ModeSet:
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def _hat_sine_coefficients(values: np.ndarray, h: float, j: np.ndarray) -> np.ndarray:
-    # (u_h, sqrt(2) sin(j pi x)) for piecewise linear u_h on a uniform mesh,
-    # via the exact tent-function transform 2(1-cos(j pi h))/(h j^2 pi^2).
-    x = np.arange(len(values)) * h
-    weights = 2.0 * (1.0 - np.cos(j * np.pi * h)) / (h * (j * np.pi) ** 2)
-    s = np.sin(np.outer(j, np.pi * x)) @ values
-    return math.sqrt(2.0) * weights * s
-
-
 def datum_coefficients(v: "InitialDatum", modes: ModeSet) -> np.ndarray:
     """Closed-form expansion coefficients (v, phi_j) for the supported data."""
     j = modes.jx.astype(float)
@@ -131,12 +123,6 @@ def datum_coefficients(v: "InitialDatum", modes: ModeSet) -> np.ndarray:
         cx = math.sqrt(2.0) * (1.0 - np.cos(j * np.pi * v.location)) / (j * np.pi)
         cy = math.sqrt(2.0) * (1.0 - np.cos(k * np.pi)) / (k * np.pi)
         return cx * cy
-    if v.kind == "custom_coefficients":
-        if modes.domain != "interval":
-            raise ValueError("custom nodal data supported on the interval only")
-        vals = np.asarray(v.values, dtype=float)
-        h = 1.0 / (len(vals) - 1)
-        return _hat_sine_coefficients(vals, h, modes.jx)
     raise ValueError(f"unsupported datum kind {v.kind!r}")
 
 
@@ -176,7 +162,7 @@ def _bromwich(lams: np.ndarray, t: float, gamma: float, alpha: float, variant: s
 
     variant 'plain' inverts 1/(z + lam (1 + gamma z^alpha)); 'limit' inverts
     1/(1 + gamma z^alpha) (lams is ignored, one value returned); 'residual'
-    inverts the Dirac-split remainder plain - limit/lam, written without
+    inverts the split remainder plain - limit/lam, written without
     cancellation as -z / (lam (1 + gamma z^alpha) (z + lam (1 + gamma z^alpha))).
     """
     n = _CONTOUR_NODES
@@ -283,50 +269,86 @@ def sector_probe(sp: SymbolProbe, samples: np.ndarray) -> SectorReport:
 # ---------------------------------------------------------------------------
 # assembled modal solutions
 
-def _factor_bound_coef(alpha: float, gamma: float) -> float:
-    # rigorous u_j(t) <= kappa t^(alpha-1) / (gamma lam_j) with
-    # kappa = 1 / (Gamma(alpha) sin^2(alpha pi)); from K_j <= 1/(pi gamma lam s r^alpha).
-    return 1.0 / (math.gamma(alpha) * math.sin(alpha * math.pi) ** 2)
+def _residual_bound_coef(alpha: float, gamma: float, t: float) -> float:
+    """C(t) with |rho_j(t)| <= C(t) / lam_j^2 for every mode; C decreases in t.
+
+    On the cut z = -r the residual symbol -z / (lam q (z + lam q)), with
+    q = 1 + gamma z^alpha, has |q| >= gamma r^alpha s and |z + lam q| >=
+    lam gamma r^alpha s (their imaginary parts, s = sin(alpha pi)), so
+    |rho_j(t)| <= int_0^infty exp(-rt) r^(1-2 alpha) dr / (pi gamma^2 s^2 lam_j^2).
+    """
+    s = math.sin(alpha * math.pi)
+    return math.gamma(2.0 - 2.0 * alpha) * t ** (2.0 * alpha - 2.0) / (math.pi * gamma**2 * s**2)
+
+
+# |c_j| <= A j^-p for every j past the mode cap, as (A, p) per 1D datum kind
+# (a sine datum of frequency up to the cap has no coefficient there)
+_ENVELOPE = {"smooth_sine": (0.0, 0.0), "step": (2.0 * math.sqrt(2.0) / math.pi, 1.0), "dirac": (math.sqrt(2.0), 0.0)}
+
+
+def _inverse_laplacian(v: "InitialDatum", x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w = (-d^2/dx^2)^-1 v with w(0) = w(1) = 0, and w', in closed form.
+
+    w is sum_j c_j phi_j / lam_j; finite x outside [0, 1] get the odd,
+    2-periodic extension of that series."""
+    y = np.mod(x, 2.0)
+    odd = y > 1.0
+    y = np.where(odd, 2.0 - y, y)
+    a = v.location
+    left = y <= a
+    if v.kind == "smooth_sine":
+        k = v.frequency * np.pi
+        w, dw = np.sin(k * y) / k**2, np.cos(k * y) / k
+    elif v.kind == "step":  # -w'' = 1 on (0, a), 0 on (a, 1)
+        w = np.where(left, y * (a - 0.5 * a * a) - 0.5 * y * y, 0.5 * a * a * (1.0 - y))
+        dw = np.where(left, a - 0.5 * a * a - y, -0.5 * a * a)
+    else:  # dirac: the Green's function with pole a
+        w = np.where(left, y * (1.0 - a), a * (1.0 - y))
+        dw = np.where(left, 1.0 - a, -a)
+    return np.where(odd, -w, w), dw
 
 
 @dataclass
 class ModalSolution:
     """Truncated eigenfunction expansion of the exact solution.
 
-    For Dirac data the factor u_j is split as beta1(t)/lam_j + rho_j(t); the
-    beta1 part is summed over all modes at once through the Green's function,
-    so `coeffs` are paired with the residual factors rho_j only.
+    With `datum` set (every 1D reference) the factor u_j is split as
+    beta1(t)/lam_j + rho_j(t).  The beta1 part sums over all modes to
+    beta1(t) w, w = (-Laplace)^-1 v in closed form (`_inverse_laplacian`), so
+    `coeffs` pair with the residual factors rho_j = O(lam_j^-2) only.  With
+    `datum` None (2D, or coefficients built by hand) the expansion is unsplit
+    and `coeffs` pair with the plain factors u_j.
 
     `tail_bound` bounds the sup norm of the dropped modes at every t >= t_min
-    (see `build_modal_solution`; None when no bound is certified), and
-    `datum_norm` is the exact L2 norm of the initial datum (None when it is
-    not in L2).
+    (see `build_modal_solution`; 0.0 for a hand-built expansion, which drops
+    nothing), and `datum_norm` is the exact L2 norm of the initial datum (None
+    when it is not in L2).
     """
 
     alpha: float
     gamma: float
     modes: ModeSet
     coeffs: np.ndarray
-    green_point: float | None = None
-    tail_bound: float | None = None
+    datum: InitialDatum | None = None
+    tail_bound: float = 0.0
     datum_norm: float | None = None
     _factors: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
     _beta1: dict[float, float] = field(default_factory=dict, repr=False)
 
     # -- time factors ------------------------------------------------------
     def factors(self, t: float) -> np.ndarray:
-        """u_j(t) per mode (residual rho_j for the Dirac split)."""
+        """Per mode: rho_j(t) for a split expansion, u_j(t) otherwise."""
         if t <= 0.0:
             raise ValueError(f"time must be positive, got t={t}")
         cached = self._factors.get(t)
         if cached is None:
-            variant = "residual" if self.green_point is not None else "plain"
+            variant = "residual" if self.datum is not None else "plain"
             cached = _bromwich(self.modes.lam, t, self.gamma, self.alpha, variant)
             self._factors[t] = cached
         return cached
 
     def beta1(self, t: float) -> float:
-        """Closed-kink amplitude: inverse transform of 1/(1 + gamma z^alpha)."""
+        """Split amplitude: inverse transform of 1/(1 + gamma z^alpha)."""
         cached = self._beta1.get(t)
         if cached is None:
             cached = float(_bromwich(None, t, self.gamma, self.alpha, "limit")[0])
@@ -377,12 +399,11 @@ class ModalSolution:
             b *= step
         vals *= math.sqrt(2.0)
         grads *= math.sqrt(2.0) * np.pi * L
-        if self.green_point is not None:
-            # Green's function of -d^2/dx^2 with pole x0, and its slope
+        if self.datum is not None:
             b1 = self.beta1(t)
-            x0 = self.green_point
-            vals += b1 * np.where(x <= x0, x * (1.0 - x0), x0 * (1.0 - x))
-            grads += b1 * np.where(x <= x0, 1.0 - x0, -x0)
+            w, dw = _inverse_laplacian(self.datum, x)
+            vals += b1 * w
+            grads += b1 * dw
         return vals, grads
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,42 +424,15 @@ class ModalSolution:
         gy = CY @ (A.T @ SX)
         return vals, gx, gy
 
-    # -- norms -------------------------------------------------------------
-    def l2_norm_sq(self, t: float) -> float:
-        """Parseval sum of the truncated solution at time t.
-
-        For Dirac data the beta1/lam_j part is summed over all modes in closed
-        form, sum_j c_j^2 / lam_j^2 = ||G(., x0)||^2 = x0^2 (1 - x0)^2 / 3, so
-        only the kept modes carry the residual factors rho_j."""
-        a = self.coeffs * self.factors(t)
-        total = float(a @ a)
-        if self.green_point is not None:
-            b1 = self.beta1(t)
-            x0 = self.green_point
-            total += 2.0 * b1 * float(a @ (self.coeffs / self.modes.lam))
-            total += b1**2 * x0**2 * (1.0 - x0) ** 2 / 3.0
-        return total
-
     @property
     def max_frequency(self) -> tuple[int, int]:
         return int(self.modes.jx.max()), int(self.modes.jy.max(initial=0))
 
     def singular_breaks(self) -> list[float]:
-        """Interior points where the value has a derivative kink (quadrature splits)."""
-        return [self.green_point] if self.green_point is not None else []
-
-
-def _remainder(kind: str, modes: ModeSet, coeffs: np.ndarray, bound: float) -> float:
-    """Sup bound on the sum over the modes beyond `modes`, given |u_j(t)| <= bound / lam_j."""
-    if kind == "step":
-        M = float(modes.jx[-1])
-        return 4.0 * bound / (math.pi**3 * M**2)
-    if kind == "step2d":
-        M = float(max(modes.jx.max(), modes.jy.max()))
-        return 64.0 * bound * (1.0 + math.log(M)) / (math.pi**4 * M**2)
-    # custom nodal data on the interval: coefficients decay like j^-2
-    M = float(modes.jx[-1])
-    return float(np.abs(coeffs[-32:]).max()) * M**2 * 2.0 * math.sqrt(2.0) / M
+        """Interior points where the closed-form part beta1 w is not smooth (quadrature splits)."""
+        if self.datum is None or self.datum.kind == "smooth_sine":
+            return []
+        return [self.datum.location]
 
 
 def build_modal_solution(
@@ -451,48 +445,51 @@ def build_modal_solution(
 ) -> ModalSolution:
     """Assemble the expansion with the fewest modes whose sup tail is below tol.
 
-    With B = kappa t_min^(alpha-1) / gamma (`_factor_bound_coef`), every
-    factor obeys |u_j(t)| <= min(1, B / lam_j) for t >= t_min, because
-    0 < u_j <= 1 and kappa t^(alpha-1) / gamma decreases in t.  The sup norm of
-    the dropped modes is then at most the sum of |c_j| sup|phi_j| min(1, B/lam_j)
-    over the dropped modes up to _MODE_CAP plus `_remainder` beyond it.  The
-    kept count is the first at which that bound is below tol (or the cap), and
-    the bound met is recorded as `tail_bound`; it exceeds tol only when the cap
-    binds.  The sine datum is exact (bound 0.0); Dirac data keeps _DIRAC_MODES
-    modes and has no certified bound (None).
+    Every 1D reference is split (see `ModalSolution`): its kept modes carry
+    the residual factors, and |rho_j(t)| <= b_j = C(t_min) / lam_j^2 for
+    t >= t_min (`_residual_bound_coef`).  The 2D `step2d` reference is
+    unsplit: with B = kappa t_min^(alpha-1) / gamma, |u_j(t)| <= b_j =
+    min(1, B / lam_j) for t >= t_min, because 0 < u_j <= 1 and
+    kappa t^(alpha-1) / gamma decreases in t.  The sup norm of the dropped
+    modes is then at most the sum of |c_j| sup|phi_j| b_j over the dropped
+    modes up to _MODE_CAP plus a remainder beyond it: in 1D, from the envelope
+    |c_j| <= A j^-p (`_ENVELOPE`), sqrt(2) A C / (pi^4 (3 + p) M^(3 + p)) at
+    M = _MODE_CAP.  The kept count is the first at which that bound is below
+    tol (or the cap), and the bound met is recorded as `tail_bound`; it
+    exceeds tol only when the cap binds.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     domain = "square" if datum.kind == "step2d" else "interval"
-
-    if datum.kind == "smooth_sine":
-        modes = eigenbasis(domain, max(datum.frequency, 2))
-        coeffs = datum_coefficients(datum, modes)
-        return ModalSolution(alpha, gamma, modes, coeffs, tail_bound=0.0, datum_norm=1.0 / math.sqrt(2.0))
-
-    if datum.kind == "dirac":
-        modes = eigenbasis(domain, _DIRAC_MODES)
-        coeffs = datum_coefficients(datum, modes)
-        return ModalSolution(alpha, gamma, modes, coeffs, green_point=datum.location)
-
-    t_bound = _factor_bound_coef(alpha, gamma) * t_min ** (alpha - 1.0) / gamma
     modes = eigenbasis(domain, _MODE_CAP)
     coeffs = datum_coefficients(datum, modes)
-    phi_sup = 2.0 if domain == "square" else math.sqrt(2.0)
-    contrib = np.abs(coeffs) * phi_sup * np.minimum(1.0, t_bound / modes.lam)
+    if domain == "square":
+        # kappa = 1 / (Gamma(alpha) sin^2(alpha pi)), from K_j <= 1/(pi gamma lam s r^alpha)
+        B = 1.0 / (math.gamma(alpha) * math.sin(alpha * math.pi) ** 2) * t_min ** (alpha - 1.0) / gamma
+        bound = np.minimum(1.0, B / modes.lam)
+        M = float(max(modes.jx.max(), modes.jy.max()))
+        rest = 64.0 * B * (1.0 + math.log(M)) / (math.pi**4 * M**2)
+        phi_sup, split = 2.0, None
+    else:
+        C = _residual_bound_coef(alpha, gamma, t_min)
+        bound = C / modes.lam**2
+        A, p = _ENVELOPE[datum.kind]
+        rest = math.sqrt(2.0) * A * C / (math.pi**4 * (3.0 + p) * float(_MODE_CAP) ** (3.0 + p))
+        phi_sup, split = math.sqrt(2.0), datum
+    contrib = np.abs(coeffs) * phi_sup * bound
     suffix = np.cumsum(contrib[::-1])[::-1]
     # tails[i]: the bound when the first i + 1 modes are kept
-    tails = np.concatenate([suffix[1:], [0.0]]) + _remainder(datum.kind, modes, coeffs, t_bound)
+    tails = np.concatenate([suffix[1:], [0.0]]) + rest
     meets = np.flatnonzero(tails < tol)
     keep = int(meets[0]) + 1 if len(meets) else len(modes)
-    if datum.kind == "custom_coefficients":
-        vals = np.asarray(datum.values, dtype=float)
-        h = 1.0 / (len(vals) - 1)
-        prods = vals[:-1] ** 2 + vals[:-1] * vals[1:] + vals[1:] ** 2
-        norm = math.sqrt(h * float(np.sum(prods)) / 3.0)
+    if datum.kind == "dirac":
+        norm = None
+    elif datum.kind == "smooth_sine":
+        norm = 1.0 / math.sqrt(2.0)
     else:  # step and step2d: the indicator of a set of measure `location`
         norm = math.sqrt(datum.location)
     kept = ModeSet(domain, modes.jx[:keep], modes.jy[:keep], modes.lam[:keep])
-    return ModalSolution(alpha, gamma, kept, coeffs[:keep], tail_bound=float(tails[keep - 1]), datum_norm=norm)
+    return ModalSolution(alpha, gamma, kept, coeffs[:keep], datum=split, tail_bound=float(tails[keep - 1]),
+                         datum_norm=norm)

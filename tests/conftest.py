@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rstokes.oracle import _inverse_laplacian
+
 
 @pytest.fixture
 def rng():
@@ -23,8 +25,8 @@ def direct_eval_points(ms, x, t):
 
     Points go in blocks of max(1, 2**14 // J) against all J modes, so a phase
     matrix holds at most max(2**14, J) entries.  For any finite x the sine
-    series gives the odd, 2-periodic extension; the Dirac Green's-function term
-    is the same closed form the fast path adds.
+    series gives the odd, 2-periodic extension; a split expansion adds the same
+    closed-form beta1(t) w as the fast path.
     """
     x = np.asarray(x, dtype=float)
     a = ms.coeffs * ms.factors(t)
@@ -38,9 +40,9 @@ def direct_eval_points(ms, x, t):
         grads[lo : lo + block] = np.cos(phase) @ (a * k)
     vals *= np.sqrt(2.0)
     grads *= np.sqrt(2.0)
-    if ms.green_point is not None:
-        x0 = ms.green_point
+    if ms.datum is not None:
         b1 = ms.beta1(t)
-        vals += b1 * np.where(x <= x0, x * (1.0 - x0), x0 * (1.0 - x))
-        grads += b1 * np.where(x <= x0, 1.0 - x0, -x0)
+        w, dw = _inverse_laplacian(ms.datum, x)
+        vals += b1 * w
+        grads += b1 * dw
     return vals, grads

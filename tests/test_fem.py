@@ -248,12 +248,12 @@ class _DirectModalSolution(ModalSolution):
 
 @pytest.mark.parametrize("kind,K,t", [("step", 64, 1e-6), ("dirac", 9, 1e-3)])
 def test_error_norms_fast_reference_matches_direct(kind, K, t):
-    # T5(b) at t = 1e-6 (6,330 modes) and Dirac data on a misaligned mesh,
+    # T5(b) at t = 1e-6 (151 split modes) and Dirac data on a misaligned mesh,
     # SBD with N = 1000 as in the acceptance studies
     datum = InitialDatum(kind, location=0.5)
     ms = build_modal_solution(datum, 0.5, 1.0, tol=1e-6, t_min=t)
     if kind == "step":
-        assert len(ms.modes) == 6330
+        assert len(ms.modes) == 151
     direct = _DirectModalSolution(**{f.name: getattr(ms, f.name) for f in dataclasses.fields(ms)})
     space = assemble(build_interval_mesh(K))
     U = run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, t / 1000, 1000), l2_project(space, datum)).final

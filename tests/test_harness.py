@@ -176,7 +176,7 @@ def test_cli_runs_and_writes(tmp_path, capsys):
 
 def test_cli_warns_when_reference_misses_oracle_tol(tmp_path, capsys):
     # at t_min = 1e-8 and alpha = 0.1 the step reference stops at the 10^4-mode
-    # cap with a tail bound of 2.25e-2 against oracle_tol 1e-6
+    # cap with a tail bound of 2.55e-4 against oracle_tol 1e-6
     out = tmp_path / "blowup.csv"
     argv = ["--example", "b", "--scheme", "sbd", "--study", "blowup", "--k", "3", "--N", "20",
             "--out", str(out)]
@@ -186,10 +186,10 @@ def test_cli_warns_when_reference_misses_oracle_tol(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "t_min=1e-08" in lines[0] and "keeps 10000 modes" in lines[0]
-    assert "tail bound 0.0225 exceeds oracle_tol 1e-06" in lines[0]
+    assert "tail bound 0.000255 exceeds oracle_tol 1e-06" in lines[0]
     assert len(read_report_csv(str(out))) == 1
 
-    # a reference that meets the tolerance (766 modes at t_min = 1e-3) says nothing
+    # a reference that meets the tolerance (26 modes at t_min = 1e-3) says nothing
     assert main([*argv, "--alpha", "0.5", "--t", "1e-3"]) == 0
     assert capsys.readouterr().err == ""
 
