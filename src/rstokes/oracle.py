@@ -7,29 +7,16 @@ The solution with initial datum v is the eigenfunction expansion
 where (lam_j, phi_j) are Dirichlet eigenpairs of -Laplace and the modal time
 factor solves  u_j' + lam_j (1 + gamma d_t^alpha) u_j = 0, u_j(0) = 1.  Its
 Laplace transform 1/(z + gamma lam z^alpha + lam) is inverted for all modes at
-once by one fixed rule: the trapezoid rule on the parabolic Bromwich contour
-z = mu (1 + iu)^2 of Weideman & Trefethen (Math. Comp. 76, 2007) with n = 32,
-h = 3/n and mu = pi n / (12 t).  Roundoff sets its accuracy ceiling, about
-3e-13 absolute on u_j and 5e-11 relative on the split amplitude beta1.  Along
-the branch cut the factor has the completely monotone representation
+once by one fixed contour rule (`_bromwich`).  Along the branch cut the factor
+has the completely monotone representation
 
     u_j(t) = int_0^infty exp(-r t) K_j(r) dr
 
 with a positive density K_j, kept here as an independent reference for the
-tests.  On the interval every reference splits u_j = beta1(t)/lam_j + rho_j(t):
-the slowly converging 1/lam_j part sums to beta1(t) (-d^2/dx^2)^-1 v, in
-closed form for each datum, and the truncated remainder converges like
-lam_j^-2 with a certified constant.
-
-On the interval the truncated sine series is evaluated at P points by a
-Taylor-shifted FFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996): 19
-inverse FFTs of length 2L, L the power of two >= 2J, replace the P x J sin/cos
-sum, to within 1e-17 relative to the coefficient sum (`ModalSolution.eval_points`).
-
-One selection rule governs truncation in both dimensions:
-`build_modal_solution` keeps the fewest modes whose dropped part has a
-certified sup-norm bound below tol at the smallest observation time, and
-records that bound as `ModalSolution.tail_bound`.
+tests.  On the interval every reference is split (`ModalSolution`), and one
+rule truncates in both dimensions: `build_modal_solution` keeps the fewest
+modes whose dropped part has a certified sup-norm bound below tol at the
+smallest observation time, and records it as `ModalSolution.tail_bound`.
 """
 
 from __future__ import annotations
@@ -158,7 +145,8 @@ def _bromwich(lams: np.ndarray, t: float, gamma: float, alpha: float, variant: s
     with a half weight at u = 0 and twice the real part by conjugate symmetry,
     n = 32, h = 3/n, mu = pi n / (12 t).  The branch cut maps to Im u = +-1 and
     |exp(zt)| < 1e-29 at u = 3, so roundoff, amplified by exp(mu t) ~ 4e3,
-    sets the accuracy ceiling; a larger n raises that amplification.
+    sets the accuracy ceiling (about 3e-13 absolute on u_j); a larger n raises
+    that amplification.
 
     variant 'plain' inverts 1/(z + lam (1 + gamma z^alpha)); 'limit' inverts
     1/(1 + gamma z^alpha) (lams is ignored, one value returned); 'residual'
@@ -272,11 +260,10 @@ def sector_probe(sp: SymbolProbe, samples: np.ndarray) -> SectorReport:
 def _residual_bound_coef(alpha: float, gamma: float, t: float) -> float:
     """C(t) with |rho_j(t)| <= C(t) / lam_j^2 for every mode; C decreases in t.
 
-    On the cut z = -r the residual symbol -z / (lam q (z + lam q)), with
-    q = 1 + gamma z^alpha, has |q| >= gamma r^alpha s and |z + lam q| >=
-    lam gamma r^alpha s (their imaginary parts, s = sin(alpha pi)), so
-    |rho_j(t)| <= int_0^infty exp(-rt) r^(1-2 alpha) dr / (pi gamma^2 s^2 lam_j^2).
-    """
+    On the cut z = -r, with q = 1 + gamma z^alpha and s = sin(alpha pi),
+    |q| >= gamma r^alpha s and |z + lam q| >= lam gamma r^alpha s (imaginary
+    parts), so the residual symbol -z / (lam q (z + lam q)) gives
+    |rho_j(t)| <= int_0^infty exp(-rt) r^(1-2 alpha) dr / (pi gamma^2 s^2 lam_j^2)."""
     s = math.sin(alpha * math.pi)
     return math.gamma(2.0 - 2.0 * alpha) * t ** (2.0 * alpha - 2.0) / (math.pi * gamma**2 * s**2)
 
@@ -312,17 +299,18 @@ def _inverse_laplacian(v: "InitialDatum", x: np.ndarray) -> tuple[np.ndarray, np
 class ModalSolution:
     """Truncated eigenfunction expansion of the exact solution.
 
-    With `datum` set (every 1D reference) the factor u_j is split as
-    beta1(t)/lam_j + rho_j(t).  The beta1 part sums over all modes to
-    beta1(t) w, w = (-Laplace)^-1 v in closed form (`_inverse_laplacian`), so
-    `coeffs` pair with the residual factors rho_j = O(lam_j^-2) only.  With
-    `datum` None (2D, or coefficients built by hand) the expansion is unsplit
-    and `coeffs` pair with the plain factors u_j.
+    With `datum` set (every 1D reference) u_j = beta1(t)/lam_j + rho_j(t): the
+    beta1 part sums over all modes to beta1(t) w, w = (-Laplace)^-1 v in closed
+    form (`_inverse_laplacian`), and `coeffs` pair with rho_j = O(lam_j^-2).
+    beta1 carries up to 8e-11 relative roundoff (alpha = 0.05; 3e-11 at 0.1,
+    1.5e-12 at 0.5), so the split adds an absolute floor near that times
+    beta1(t) sup|w|, which `tail_bound` does not count: 2.3e-6 for the step at
+    alpha = 0.1, t = 1e-8, and 3e-8 at t = 1e-6.  With `datum` None (2D, or
+    coefficients built by hand) `coeffs` pair with the plain factors u_j.
 
     `tail_bound` bounds the sup norm of the dropped modes at every t >= t_min
-    (see `build_modal_solution`; 0.0 for a hand-built expansion, which drops
-    nothing), and `datum_norm` is the exact L2 norm of the initial datum (None
-    when it is not in L2).
+    (0.0 when nothing is dropped); `datum_norm` is the exact L2 norm of v (None
+    when v is not in L2).
     """
 
     alpha: float
@@ -445,18 +433,14 @@ def build_modal_solution(
 ) -> ModalSolution:
     """Assemble the expansion with the fewest modes whose sup tail is below tol.
 
-    Every 1D reference is split (see `ModalSolution`): its kept modes carry
-    the residual factors, and |rho_j(t)| <= b_j = C(t_min) / lam_j^2 for
-    t >= t_min (`_residual_bound_coef`).  The 2D `step2d` reference is
-    unsplit: with B = kappa t_min^(alpha-1) / gamma, |u_j(t)| <= b_j =
-    min(1, B / lam_j) for t >= t_min, because 0 < u_j <= 1 and
-    kappa t^(alpha-1) / gamma decreases in t.  The sup norm of the dropped
-    modes is then at most the sum of |c_j| sup|phi_j| b_j over the dropped
-    modes up to _MODE_CAP plus a remainder beyond it: in 1D, from the envelope
-    |c_j| <= A j^-p (`_ENVELOPE`), sqrt(2) A C / (pi^4 (3 + p) M^(3 + p)) at
-    M = _MODE_CAP.  The kept count is the first at which that bound is below
-    tol (or the cap), and the bound met is recorded as `tail_bound`; it
-    exceeds tol only when the cap binds.
+    For t >= t_min each kept factor obeys |factor_j(t)| <= b_j: in 1D (split)
+    b_j = C(t_min) / lam_j^2 (`_residual_bound_coef`); for the unsplit 2D
+    `step2d`, b_j = min(1, B / lam_j) with B = kappa t_min^(alpha-1) / gamma,
+    as 0 < u_j <= 1 and kappa t^(alpha-1) / gamma decreases in t.  The dropped
+    part is at most the sum of |c_j| sup|phi_j| b_j up to _MODE_CAP plus a
+    remainder beyond it (in 1D over the envelope |c_j| <= A j^-p, `_ENVELOPE`).
+    The first count whose bound is below tol, or the cap, is kept, and the
+    bound met is recorded as `tail_bound`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -484,12 +468,8 @@ def build_modal_solution(
     tails = np.concatenate([suffix[1:], [0.0]]) + rest
     meets = np.flatnonzero(tails < tol)
     keep = int(meets[0]) + 1 if len(meets) else len(modes)
-    if datum.kind == "dirac":
-        norm = None
-    elif datum.kind == "smooth_sine":
-        norm = 1.0 / math.sqrt(2.0)
-    else:  # step and step2d: the indicator of a set of measure `location`
-        norm = math.sqrt(datum.location)
+    # step and step2d are the indicator of a set of measure `location`; Dirac is not in L2
+    norm = {"dirac": None, "smooth_sine": 1.0 / math.sqrt(2.0)}.get(datum.kind, math.sqrt(datum.location))
     kept = ModeSet(domain, modes.jx[:keep], modes.jy[:keep], modes.lam[:keep])
     return ModalSolution(alpha, gamma, kept, coeffs[:keep], datum=split, tail_bound=float(tails[keep - 1]),
                          datum_norm=norm)

@@ -12,6 +12,7 @@ from rstokes.oracle import (
     KernelDensity,
     ModalSolution,
     SymbolProbe,
+    _ENVELOPE,
     _bromwich,
     _inverse_laplacian,
     _residual_bound_coef,
@@ -337,10 +338,12 @@ def test_dirac_value_finite_at_misaligned_time():
 def test_tail_bound_dominates_dropped_modes(alpha, t_min):
     # sup of the dropped modes at t_min is at most sum |c_j| sqrt(2) |rho_j(t_min)|,
     # summed here from the contour residuals over J < j <= 1e5, plus the
-    # envelope |c_j| <= A j^-p with the certified |rho_j| <= C / lam_j^2 beyond
+    # envelope |c_j| <= A j^-p (checked on the way) with the certified
+    # |rho_j| <= C / lam_j^2 beyond
     tol, top = 1e-6, 100_000
     C = _residual_bound_coef(alpha, 1.0, t_min)
-    for kind, A, p in (("step", 2.0 * math.sqrt(2.0) / math.pi, 1.0), ("dirac", math.sqrt(2.0), 0.0)):
+    for kind in ("step", "dirac"):
+        A, p = _ENVELOPE[kind]
         datum = InitialDatum(kind, location=0.5)
         ms = build_modal_solution(datum, alpha, 1.0, tol=tol, t_min=t_min)
         J = len(ms.modes)
@@ -349,6 +352,7 @@ def test_tail_bound_dominates_dropped_modes(alpha, t_min):
             modes = eigenbasis("interval", min(lo + 9_999, top))
             lam = modes.lam[lo - 1:]
             c = datum_coefficients(datum, modes)[lo - 1:]
+            assert np.all(np.abs(c) <= A * modes.jx[lo - 1:] ** -p * (1.0 + 1e-12))
             rho = _bromwich(lam, t_min, 1.0, alpha, "residual")
             direct += float(np.sum(np.abs(c) * math.sqrt(2.0) * np.abs(rho)))
         assert ms.tail_bound >= direct
@@ -501,10 +505,19 @@ def test_eval_points_matches_bruteforce(kind, t_min, points):
     L = 1 << (2 * ms.max_frequency[0] - 1).bit_length()
     m = np.arange(0, L, max(1, L // 256))
     points = np.concatenate([points, [0.0, 1.0], m / L, (m + 0.5) / L])
+    # the split step residuals cancel against beta1 w at small t (their
+    # amplitudes sum to 993 and 7.4e4), so the summation is checked to 1e-12 on
+    # the unsplit step series over the same modes with the plain factors at
+    # alpha = 0.5, whose high modes stay small enough for the direct sum's own
+    # roundoff (sin of phases up to 3e4)
+    ref = ModalSolution(0.5, 1.0, ms.modes, ms.coeffs) if kind == "step" else ms
+    vals, grads = ref.eval_points(points, t)
+    v_ref, g_ref = direct_eval_points(ref, points, t)
+    assert vals == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
+    assert grads == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
+    # the split reference differs from the direct sum by its sine series alone
     vals, grads = ms.eval_points(points, t)
     v_ref, g_ref = direct_eval_points(ms, points, t)
-    # both add the same beta1 w, so they differ by the sine series alone, whose
-    # residual amplitudes sum to 993 (4,265 modes) and 7.4e4 (10^4 modes)
     a = np.abs(ms.coeffs * ms.factors(t))
     assert np.max(np.abs(vals - v_ref)) <= 1e-13 * a.sum()
     assert np.max(np.abs(grads - g_ref)) <= 1e-13 * (a * ms.modes.jx * math.pi).sum()
