@@ -99,7 +99,7 @@ def _merged_settings(args: argparse.Namespace) -> dict:
             settings[flag] = float(val)
     hist = get("include_history_origin", "include-history-origin")
     if hist is not None:
-        settings["include_history_origin"] = _parse_bool(hist) if isinstance(hist, str) else hist
+        settings["include_history_origin"] = _parse_bool(hist)
     lists = {"alpha": ("alphas", float), "k": ("ks", int), "K": ("Ks", int), "N": ("Ns", int), "t": ("ts", float)}
     for flag, (dest, cast) in lists.items():
         val = get(flag, flag)

@@ -1,15 +1,17 @@
 """P1 Galerkin pieces: mass/stiffness assembly, projections, and error norms.
 
 Dirichlet conditions are imposed by eliminating boundary rows and columns, so
-the interior mass and stiffness matrices stay symmetric positive definite.
-Load vectors for the supported initial data are integrated exactly (closed
-forms for sine and step data, point evaluation for Dirac data), which keeps
-quadrature error out of the convergence studies.
+a space keeps only the interior mass and stiffness matrices, which stay
+symmetric positive definite.  Load vectors for the four initial data of the
+studies are integrated exactly (closed forms for sine and step data, point
+evaluation for Dirac data), which keeps quadrature error out of the
+convergence studies.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,38 +48,41 @@ class UnsupportedDatumError(ValueError):
 class InitialDatum:
     """Initial condition of one of the study families.
 
-    smooth_sine: sin(frequency * pi * x); step: indicator of (0, location];
-    dirac: point mass at location; step2d: indicator of (0, location] x (0,1);
-    custom_coefficients: nodal values of a mesh function (boundary included).
+    smooth_sine: sin(frequency * pi * x) for an integer frequency >= 1;
+    step: indicator of (0, location]; dirac: point mass at location;
+    step2d: indicator of (0, location] x (0,1), the only datum on the square.
     """
 
     kind: str
     frequency: int = 2
     location: float = 0.5
-    values: np.ndarray | None = None
 
     def __post_init__(self):
-        kinds = ("smooth_sine", "step", "dirac", "step2d", "custom_coefficients")
-        if self.kind not in kinds:
+        if self.kind not in ("smooth_sine", "step", "dirac", "step2d"):
             raise ValueError(f"unknown datum kind {self.kind!r}")
-        if self.kind in ("step", "dirac", "step2d") and not 0.0 < self.location < 1.0:
+        integer = isinstance(self.frequency, numbers.Integral)
+        if self.kind == "smooth_sine" and not (integer and self.frequency >= 1):
+            raise ValueError(f"sine frequency must be an integer >= 1, got {self.frequency!r}")
+        if self.kind != "smooth_sine" and not 0.0 < self.location < 1.0:
             raise ValueError(f"location must lie inside the domain, got {self.location}")
-        if self.kind == "custom_coefficients":
-            if self.values is None:
-                raise ValueError("custom datum needs nodal values")
-            if not np.all(np.isfinite(self.values)):
-                raise ValueError("custom nodal values must be finite")
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the datum's domain: 2 (the square) for step2d, else 1."""
+        return 2 if self.kind == "step2d" else 1
 
 
 @dataclass(frozen=True)
 class FemSpace:
-    """Assembled P1 space: interior matrices plus the full (pre-elimination) pair."""
+    """Assembled P1 space: the mesh and its interior mass and stiffness matrices.
+
+    Boundary rows and columns are eliminated, so M and S act on the interior
+    coefficients of a mesh function that vanishes on the boundary.
+    """
 
     mesh: Mesh
     M: SymTridiagonalMatrix | SparseSymMatrix
     S: SymTridiagonalMatrix | SparseSymMatrix
-    M_full: SymTridiagonalMatrix | SparseSymMatrix
-    S_full: SymTridiagonalMatrix | SparseSymMatrix
 
     @property
     def n_dof(self) -> int:
@@ -94,25 +99,20 @@ class FemSpace:
         return full
 
 
-def _tridiagonal(n: int, diag: float, off: float, corner: float | None = None, eigenvalues=None):
-    d = np.full(n, diag)
-    if corner is not None:
-        d[[0, -1]] = corner
-    return SymTridiagonalMatrix(d, np.full(n - 1, off), eigenvalues)
+def _tridiagonal(n: int, diag: float, off: float, eigenvalues: np.ndarray) -> SymTridiagonalMatrix:
+    return SymTridiagonalMatrix(np.full(n, diag), np.full(n - 1, off), eigenvalues)
 
 
 def _assemble_1d(mesh: Mesh) -> FemSpace:
-    # closed-form P1 matrices of the uniform mesh; the interior pair carries
-    # its DST-I eigenvalues, with s_k = sin(pi k / 2K), k = 1..K-1
+    # closed-form interior P1 matrices of the uniform mesh with their DST-I
+    # eigenvalues, s_k = sin(pi k / 2K), k = 1..K-1
     K, h = mesh.n_elements, mesh.h
     if not np.allclose(np.diff(mesh.nodes), h, rtol=1e-9, atol=0.0):
         raise AssemblyError("1D assembly needs a uniform mesh of positive spacing")
     s2 = np.sin(np.pi * np.arange(1, K) / (2 * K)) ** 2
-    M = _tridiagonal(K - 1, 4.0 * h / 6.0, h / 6.0, eigenvalues=h * (1.0 - (2.0 / 3.0) * s2))
-    S = _tridiagonal(K - 1, 2.0 / h, -1.0 / h, eigenvalues=(4.0 / h) * s2)
-    M_full = _tridiagonal(K + 1, 4.0 * h / 6.0, h / 6.0, corner=h / 3.0)
-    S_full = _tridiagonal(K + 1, 2.0 / h, -1.0 / h, corner=1.0 / h)
-    return FemSpace(mesh=mesh, M=M, S=S, M_full=M_full, S_full=S_full)
+    M = _tridiagonal(K - 1, 4.0 * h / 6.0, h / 6.0, h * (1.0 - (2.0 / 3.0) * s2))
+    S = _tridiagonal(K - 1, 2.0 / h, -1.0 / h, (4.0 / h) * s2)
+    return FemSpace(mesh=mesh, M=M, S=S)
 
 
 def _assemble_2d(mesh: Mesh):
@@ -140,9 +140,9 @@ def assemble(mesh: Mesh) -> FemSpace:
     """Exact element integration of the P1 mass and stiffness matrices.
 
     In 1D the matrices are tridiagonal in closed form and need numpy alone:
-    interior M = (h/6)[1, 4, 1] and S = (1/h)[-1, 2, -1], the full pair with
-    corners h/3 and 1/h.  In 2D the element matrices are summed into scipy
-    CSR matrices, and the interior pair is cut out of the full one.
+    interior M = (h/6)[1, 4, 1] and S = (1/h)[-1, 2, -1].  In 2D the element
+    matrices are summed into scipy CSR matrices over all nodes, and the
+    interior pair is cut out of them.
     """
     if mesh.dim == 1:
         return _assemble_1d(mesh)
@@ -154,7 +154,7 @@ def assemble(mesh: Mesh) -> FemSpace:
     interior = mesh.interior_nodes
     Mi = SparseSymMatrix(M_full.tocsr()[interior][:, interior])
     Si = SparseSymMatrix(S_full.tocsr()[interior][:, interior])
-    return FemSpace(mesh=mesh, M=Mi, S=Si, M_full=M_full, S_full=S_full)
+    return FemSpace(mesh=mesh, M=Mi, S=Si)
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +199,17 @@ def _step2d_load(space: FemSpace, a: float) -> np.ndarray:
     return b_full[space.interior_nodes]
 
 
+def _check_domain(space: FemSpace, v: InitialDatum) -> None:
+    if v.dim != space.mesh.dim:
+        raise UnsupportedDatumError(f"{v.kind} datum is {v.dim}D, the mesh {space.mesh.dim}D")
+
+
 def _load_vector(space: FemSpace, v: InitialDatum) -> np.ndarray:
+    _check_domain(space, v)
     if v.kind == "smooth_sine":
-        if space.mesh.dim != 1:
-            raise UnsupportedDatumError("sine datum is one-dimensional")
         return _sine_load_1d(space, v.frequency)
-    if v.kind == "step":
-        if space.mesh.dim != 1:
-            raise UnsupportedDatumError("step datum is one-dimensional")
-        return _step_load_1d(space, v.location)
-    if v.kind == "dirac":
-        if space.mesh.dim != 1:
-            raise UnsupportedDatumError("dirac datum is one-dimensional")
-        return _dirac_load_1d(space, v.location)
-    if v.kind == "step2d":
-        if space.mesh.dim != 2:
-            raise UnsupportedDatumError("step2d datum lives on the square")
-        return _step2d_load(space, v.location)
-    if v.kind == "custom_coefficients":
-        b_full = space.M_full @ np.asarray(v.values, dtype=float)
-        return b_full[space.interior_nodes]
-    raise UnsupportedDatumError(f"no load rule for kind {v.kind!r}")
+    load = {"step": _step_load_1d, "dirac": _dirac_load_1d, "step2d": _step2d_load}[v.kind]
+    return load(space, v.location)
 
 
 def l2_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
@@ -229,17 +219,13 @@ def l2_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
 
 def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     """Interior coefficients of the Ritz projection R_h v (gradient data required)."""
-    if v.kind == "smooth_sine":
-        if space.mesh.dim != 1:
-            raise UnsupportedDatumError("sine datum is one-dimensional")
-        nodes = space.mesh.nodes
-        vv = np.sin(v.frequency * math.pi * nodes)
-        idx = space.interior_nodes
-        c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
-    elif v.kind == "custom_coefficients":
-        c = (space.S_full @ np.asarray(v.values, dtype=float))[space.interior_nodes]
-    else:
+    _check_domain(space, v)
+    if v.kind != "smooth_sine":
         raise UnsupportedDatumError(f"datum kind {v.kind!r} has no gradient representation")
+    nodes = space.mesh.nodes
+    vv = np.sin(v.frequency * math.pi * nodes)
+    idx = space.interior_nodes
+    c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
     return solve_spd(space.S, c)
 
 

@@ -105,10 +105,11 @@ class ExperimentConfig:
 def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     ks, Ns, ts = cfg.ks, cfg.Ns, cfg.ts
     if not ks and not cfg.Ks:
+        square = _DATA[cfg.example].dim == 2
         if cfg.study == "temporal":
-            ks = (6,) if cfg.example == "d" else (11,)
+            ks = (6,) if square else (11,)
         elif cfg.study == "spatial":
-            ks = (3, 4, 5, 6) if cfg.example == "d" else (3, 4, 5, 6, 7)
+            ks = (3, 4, 5, 6) if square else (3, 4, 5, 6, 7)
         else:
             ks = (6,)
     if not Ns:
@@ -206,7 +207,7 @@ class _Runner:
 
     def space(self, K: int):
         if K not in self._spaces:
-            mesh = build_square_mesh(K) if self.cfg.example == "d" else build_interval_mesh(K)
+            mesh = build_square_mesh(K) if self.datum.dim == 2 else build_interval_mesh(K)
             self._spaces[K] = assemble(mesh)
         return self._spaces[K]
 

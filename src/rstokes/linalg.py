@@ -39,17 +39,17 @@ class SolverError(RuntimeError):
 class SymTridiagonalMatrix:
     """Symmetric tridiagonal matrix held as its diagonal and off-diagonal.
 
-    `eigenvalues`, when given, are lambda_k (k = 1..n) of a matrix that the
-    DST-I vectors sin(pi j k / (n+1)) diagonalise; only such a matrix can be
-    solved (`SpdFactorization`).  `scaled_sum` combines the eigenvalues with
+    `eigenvalues` are lambda_k (k = 1..n) of the matrix, which the DST-I
+    vectors sin(pi j k / (n+1)) diagonalise, as they do every interior P1
+    matrix of the uniform mesh.  `scaled_sum` combines the eigenvalues with
     the same coefficients as the entries, so they are never recomputed from
     entries in which large terms cancel.
     """
 
-    def __init__(self, diag, off, eigenvalues=None):
+    def __init__(self, diag, off, eigenvalues):
         self.diag = np.asarray(diag, dtype=float)
         self.off = np.asarray(off, dtype=float)
-        self.eigenvalues = None if eigenvalues is None else np.asarray(eigenvalues, dtype=float)
+        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
             raise ValueError("matrix entries must be finite")
 
@@ -62,10 +62,8 @@ class SymTridiagonalMatrix:
 
     def scaled_sum(self, a: float, other: "SymTridiagonalMatrix", b: float) -> "SymTridiagonalMatrix":
         """Return a*self + b*other as a new matrix."""
-        eig = None
-        if self.eigenvalues is not None and other.eigenvalues is not None:
-            eig = a * self.eigenvalues + b * other.eigenvalues
-        return SymTridiagonalMatrix(a * self.diag + b * other.diag, a * self.off + b * other.off, eig)
+        return SymTridiagonalMatrix(a * self.diag + b * other.diag, a * self.off + b * other.off,
+                                    a * self.eigenvalues + b * other.eigenvalues)
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         # row i summed left to right, as a CSR product would
@@ -102,12 +100,6 @@ class SparseSymMatrix:
 
         coo = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
         return cls(coo.tocsr())
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseSymMatrix":
-        import scipy.sparse as sp
-
-        return cls(sp.identity(n, format="csr"))
 
     @property
     def n(self) -> int:
@@ -198,7 +190,7 @@ def _dst_scaled(x: np.ndarray) -> np.ndarray:
 class SpdFactorization:
     """Solver of one SPD matrix, set up once and reused across a stepping run.
 
-    A `SymTridiagonalMatrix` with eigenvalues is solved exactly, as
+    A `SymTridiagonalMatrix` is solved exactly from its eigenvalues, as
     x = (2/(n+1)) DST(DST(b) / lambda).  A CSR matrix is factored once by
     scipy's sparse LU with a symmetric fill-reducing ordering.
     """
@@ -206,8 +198,6 @@ class SpdFactorization:
     def __init__(self, A: SymTridiagonalMatrix | SparseSymMatrix):
         self.n = A.n
         if isinstance(A, SymTridiagonalMatrix):
-            if A.eigenvalues is None:
-                raise ValueError("tridiagonal matrix carries no DST-I eigenvalues to solve with")
             if not np.all(A.eigenvalues > 0.0):
                 raise ValueError("matrix is not positive definite: a DST-I eigenvalue is <= 0")
             # both transforms return -2 DST, so the factor is (2/(n+1)) / 4

@@ -7,16 +7,13 @@ The solution with initial datum v is the eigenfunction expansion
 where (lam_j, phi_j) are Dirichlet eigenpairs of -Laplace and the modal time
 factor solves  u_j' + lam_j (1 + gamma d_t^alpha) u_j = 0, u_j(0) = 1.  Its
 Laplace transform 1/(z + gamma lam z^alpha + lam) is inverted for all modes at
-once by one fixed contour rule (`_bromwich`).  Along the branch cut the factor
-has the completely monotone representation
-
-    u_j(t) = int_0^infty exp(-r t) K_j(r) dr
-
-with a positive density K_j, kept here as an independent reference for the
-tests.  On the interval every reference is split (`ModalSolution`), and one
-rule truncates in both dimensions: `build_modal_solution` keeps the fewest
-modes whose dropped part has a certified sup-norm bound below tol at the
-smallest observation time, and records it as `ModalSolution.tail_bound`.
+once by one fixed contour rule (`_bromwich`).  On the interval every reference
+is split (`ModalSolution`), and one rule truncates in both dimensions:
+`build_modal_solution` keeps the fewest modes whose dropped part has a
+certified sup-norm bound below tol at the smallest observation time, and
+records it as `ModalSolution.tail_bound`.  The independent references this
+module is tested against (branch-cut density, Talbot rule, sector probe) live
+with the tests.
 """
 
 from __future__ import annotations
@@ -32,15 +29,9 @@ if TYPE_CHECKING:  # real import would be circular; fem only needs this module l
 
 __all__ = [
     "ModeSet",
-    "KernelDensity",
-    "SymbolProbe",
-    "SectorReport",
     "ModalSolution",
     "eigenbasis",
     "datum_coefficients",
-    "uj_eval",
-    "sector_probe",
-    "limit_alpha1",
     "build_modal_solution",
 ]
 
@@ -88,54 +79,25 @@ def eigenbasis(domain: str, J: int) -> ModeSet:
 
 def datum_coefficients(v: "InitialDatum", modes: ModeSet) -> np.ndarray:
     """Closed-form expansion coefficients (v, phi_j) for the supported data."""
+    if v.dim != (2 if modes.domain == "square" else 1):
+        raise ValueError(f"{v.kind} datum is {v.dim}D; modes live on the {modes.domain}")
     j = modes.jx.astype(float)
     if v.kind == "smooth_sine":
-        if modes.domain != "interval":
-            raise ValueError("sine datum is one-dimensional")
         c = np.zeros(len(modes))
         c[modes.jx == v.frequency] = 1.0 / math.sqrt(2.0)
         return c
-    if v.kind == "step":
-        if modes.domain != "interval":
-            raise ValueError("step datum is one-dimensional")
-        return math.sqrt(2.0) * (1.0 - np.cos(j * np.pi * v.location)) / (j * np.pi)
     if v.kind == "dirac":
-        if modes.domain != "interval":
-            raise ValueError("dirac datum is one-dimensional")
         return math.sqrt(2.0) * np.sin(j * np.pi * v.location)
-    if v.kind == "step2d":
-        if modes.domain != "square":
-            raise ValueError("step2d datum lives on the square")
-        k = modes.jy.astype(float)
-        cx = math.sqrt(2.0) * (1.0 - np.cos(j * np.pi * v.location)) / (j * np.pi)
-        cy = math.sqrt(2.0) * (1.0 - np.cos(k * np.pi)) / (k * np.pi)
-        return cx * cy
-    raise ValueError(f"unsupported datum kind {v.kind!r}")
+    cx = math.sqrt(2.0) * (1.0 - np.cos(j * np.pi * v.location)) / (j * np.pi)
+    if v.kind == "step":
+        return cx
+    k = modes.jy.astype(float)  # step2d: the x-step times the indicator of (0, 1) in y
+    cy = math.sqrt(2.0) * (1.0 - np.cos(k * np.pi)) / (k * np.pi)
+    return cx * cy
 
 
 # ---------------------------------------------------------------------------
-# modal time factor u_j(t): branch-cut density and the Bromwich contour rule
-
-@dataclass(frozen=True)
-class KernelDensity:
-    """Density K(r) with u(t) = int_0^infty exp(-rt) K(r) dr for one mode."""
-
-    lam: float
-    gamma: float
-    alpha: float
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return _density(np.asarray(r, dtype=float), self.lam, self.gamma, self.alpha)
-
-
-def _density(r: np.ndarray, lam: float, gamma: float, alpha: float) -> np.ndarray:
-    s = math.sin(alpha * math.pi)
-    c = math.cos(alpha * math.pi)
-    ra = r**alpha
-    num = (gamma / math.pi) * lam * ra * s
-    den = (lam + lam * gamma * ra * c - r) ** 2 + (lam * gamma * ra * s) ** 2
-    return num / den
-
+# modal time factor u_j(t): the Bromwich contour rule
 
 def _bromwich(lams: np.ndarray, t: float, gamma: float, alpha: float, variant: str = "plain") -> np.ndarray:
     """Inverse Laplace transform at time t, vectorized over eigenvalues.
@@ -169,89 +131,6 @@ def _bromwich(lams: np.ndarray, t: float, gamma: float, alpha: float, variant: s
     if variant == "plain":
         return (w @ (1.0 / den)).real
     return (w @ (-z[:, None] / (lams[None, :] * q[:, None] * den))).real
-
-
-def uj_eval(density: KernelDensity, t: float) -> float:
-    """Modal factor u_j(t) in (0, 1]; u_j(0) = 1 is the analytic limit."""
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got t={t}")
-    return float(_bromwich(np.array([density.lam]), t, density.gamma, density.alpha)[0])
-
-
-def limit_alpha1(lam: float, gamma: float, t: float) -> float:
-    """Closed-form modal factor exp(-lam t / (1 + gamma lam)) at alpha = 1."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got t={t}")
-    return math.exp(-lam * t / (1.0 + gamma * lam))
-
-
-def _uj_talbot(lam: float, alpha: float, gamma: float, t: float, M: int = 32) -> float:
-    # Fixed Talbot rule (test oracle): midpoint sampling of the deformed
-    # Bromwich contour z(theta) = r theta (cot theta + i), r = 2M/(5t).
-    r = 2.0 * M / (5.0 * t)
-
-    def F(z):
-        return 1.0 / (z + gamma * lam * z**alpha + lam)
-
-    total = 0.5 * F(complex(r, 0.0)).real * math.exp(r * t)
-    for k in range(1, M):
-        theta = k * math.pi / M
-        cot = math.cos(theta) / math.sin(theta)
-        z = r * theta * complex(cot, 1.0)
-        sigma = theta + (theta * cot - 1.0) * cot
-        total += (np.exp(z * t) * F(z) * complex(1.0, sigma)).real
-    return (r / M) * total
-
-
-# ---------------------------------------------------------------------------
-# sector diagnostics for g(z) = z / (1 + gamma z^alpha)
-
-@dataclass(frozen=True)
-class SymbolProbe:
-    alpha: float
-    gamma: float
-
-    def g(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        return z / (1.0 + self.gamma * z**self.alpha)
-
-    def H(self, z: np.ndarray, lam: float) -> np.ndarray:
-        g = self.g(z)
-        return g / (np.asarray(z, dtype=complex) * (g + lam))
-
-
-@dataclass(frozen=True)
-class SectorReport:
-    n_samples: int
-    violations: int
-    max_ratio_linear: float      # |g(z)| sin(a pi) / |z|
-    max_ratio_sublinear: float   # |g(z)| gamma sin(a pi) / |z|^(1-alpha)
-    max_arg_excess: float        # max(|arg g| - |arg z|)
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def sector_probe(sp: SymbolProbe, samples: np.ndarray) -> SectorReport:
-    """Check |g| <= |z|/sin(a pi), |g| <= |z|^(1-a)/(gamma sin(a pi)) and that
-    g stays within the sector of its argument, over the given samples."""
-    z = np.asarray(samples, dtype=complex)
-    if np.any(z == 0) or np.any(np.isclose(np.abs(np.angle(z)), np.pi)):
-        raise ValueError("samples must avoid the origin and the branch cut")
-    g = sp.g(z)
-    s = math.sin(sp.alpha * math.pi)
-    ratio1 = np.abs(g) * s / np.abs(z)
-    ratio2 = np.abs(g) * sp.gamma * s / np.abs(z) ** (1.0 - sp.alpha)
-    arg_excess = np.abs(np.angle(g)) - np.abs(np.angle(z))
-    bad = (ratio1 > 1.0 + 1e-12) | (ratio2 > 1.0 + 1e-12) | (arg_excess > 1e-12)
-    return SectorReport(
-        n_samples=len(z),
-        violations=int(np.count_nonzero(bad)),
-        max_ratio_linear=float(ratio1.max()),
-        max_ratio_sublinear=float(ratio2.max()),
-        max_arg_excess=float(arg_excess.max()),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +325,9 @@ def build_modal_solution(
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    domain = "square" if datum.kind == "step2d" else "interval"
+    if datum.kind == "smooth_sine" and datum.frequency > _MODE_CAP:
+        raise ValueError(f"sine frequency {datum.frequency} exceeds the {_MODE_CAP}-mode cap")
+    domain = "square" if datum.dim == 2 else "interval"
     modes = eigenbasis(domain, _MODE_CAP)
     coeffs = datum_coefficients(datum, modes)
     if domain == "square":

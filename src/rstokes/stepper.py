@@ -32,13 +32,7 @@ from .cq import DELTA, weights
 from .fem import FemSpace
 from .linalg import SpdFactorization
 
-__all__ = [
-    "SchemeConfig",
-    "DiscreteTrajectory",
-    "run_scheme",
-    "scalar_trajectory_be",
-    "scalar_trajectory_sbd",
-]
+__all__ = ["SchemeConfig", "DiscreteTrajectory", "run_scheme"]
 
 
 @dataclass(frozen=True)
@@ -124,41 +118,3 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
             raise StepFailure(n, exc) from exc
     return DiscreteTrajectory(config=cfg, snapshots=U)
 
-
-# ---------------------------------------------------------------------------
-# scalar (single-mode) recurrences; independent oracles for mode decoupling
-
-def scalar_trajectory_be(
-    lam: float,
-    alpha: float,
-    gamma: float,
-    tau: float,
-    n_steps: int,
-    u0: float = 1.0,
-    include_history_origin: bool = False,
-) -> np.ndarray:
-    w = weights("be", alpha, 1.0, n_steps)
-    frac = gamma * tau ** (-alpha)
-    u = np.empty(n_steps + 1)
-    u[0] = u0
-    j0 = 0 if include_history_origin else 1
-    denom = 1.0 / tau + frac * w[0] * lam + lam
-    for n in range(1, n_steps + 1):
-        hist = float(w[n - j0 : 0 : -1] @ u[j0:n]) if n - 1 >= j0 else 0.0
-        u[n] = (u[n - 1] / tau - frac * lam * hist) / denom
-    return u
-
-
-def scalar_trajectory_sbd(
-    lam: float, alpha: float, gamma: float, tau: float, n_steps: int, u0: float = 1.0
-) -> np.ndarray:
-    w = weights("sbd", alpha, 1.0, n_steps)
-    frac = gamma * tau ** (-alpha)
-    u = np.empty(n_steps + 1)
-    u[0] = u0
-    denom = 1.5 / tau + (1.0 + frac * w[0]) * lam
-    u[1] = (1.5 / tau - 0.5 * (1.0 + frac * w[0]) * lam) * u0 / denom
-    for n in range(2, n_steps + 1):
-        hist = float(w[n - 1 : 0 : -1] @ u[1:n]) + 0.5 * w[n - 1] * u0
-        u[n] = ((4.0 * u[n - 1] - u[n - 2]) / (2.0 * tau) - frac * lam * hist) / denom
-    return u

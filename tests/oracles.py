@@ -1,0 +1,227 @@
+"""Independent references that only the tests use.
+
+The package keeps what a study runs; the checks it is held to live here.
+
+Modal factor: along the branch cut the factor u_j(t) of `rstokes.oracle` has
+the completely monotone representation
+
+    u_j(t) = int_0^infty exp(-r t) K_j(r) dr
+
+with a positive density K_j (`KernelDensity`).  `uj_eval` reads one factor
+from the package's contour rule `rstokes.oracle._bromwich`, so the density
+quadrature and the fixed Talbot rule (`_uj_talbot`) check that rule, and
+`limit_alpha1` is the classical alpha = 1 factor.  `sector_probe` audits the
+sector bounds of the symbol g(z) = z / (1 + gamma z^alpha).
+
+Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
+both schemes, written out independently of `rstokes.stepper.run_scheme`.
+
+Evaluation and quadrature: `direct_eval_points` is the direct sin/cos sum that
+`ModalSolution.eval_points` is checked against, and `gauss_panels` gives
+composite Gauss-Legendre rules for test-side integrals.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from rstokes.cq import weights
+from rstokes.linalg import SparseSymMatrix
+from rstokes.oracle import _bromwich, _inverse_laplacian
+
+
+# ---------------------------------------------------------------------------
+# modal time factor u_j(t): branch-cut density and fixed contour rules
+
+@dataclass(frozen=True)
+class KernelDensity:
+    """Density K(r) with u(t) = int_0^infty exp(-rt) K(r) dr for one mode."""
+
+    lam: float
+    gamma: float
+    alpha: float
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return _density(np.asarray(r, dtype=float), self.lam, self.gamma, self.alpha)
+
+
+def _density(r: np.ndarray, lam: float, gamma: float, alpha: float) -> np.ndarray:
+    s = math.sin(alpha * math.pi)
+    c = math.cos(alpha * math.pi)
+    ra = r**alpha
+    num = (gamma / math.pi) * lam * ra * s
+    den = (lam + lam * gamma * ra * c - r) ** 2 + (lam * gamma * ra * s) ** 2
+    return num / den
+
+
+def uj_eval(density: KernelDensity, t: float) -> float:
+    """Modal factor u_j(t) in (0, 1]; u_j(0) = 1 is the analytic limit."""
+    if t <= 0.0:
+        raise ValueError(f"time must be positive, got t={t}")
+    return float(_bromwich(np.array([density.lam]), t, density.gamma, density.alpha)[0])
+
+
+def limit_alpha1(lam: float, gamma: float, t: float) -> float:
+    """Closed-form modal factor exp(-lam t / (1 + gamma lam)) at alpha = 1."""
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got t={t}")
+    return math.exp(-lam * t / (1.0 + gamma * lam))
+
+
+def _uj_talbot(lam: float, alpha: float, gamma: float, t: float, M: int = 32) -> float:
+    # Fixed Talbot rule (test oracle): midpoint sampling of the deformed
+    # Bromwich contour z(theta) = r theta (cot theta + i), r = 2M/(5t).
+    r = 2.0 * M / (5.0 * t)
+
+    def F(z):
+        return 1.0 / (z + gamma * lam * z**alpha + lam)
+
+    total = 0.5 * F(complex(r, 0.0)).real * math.exp(r * t)
+    for k in range(1, M):
+        theta = k * math.pi / M
+        cot = math.cos(theta) / math.sin(theta)
+        z = r * theta * complex(cot, 1.0)
+        sigma = theta + (theta * cot - 1.0) * cot
+        total += (np.exp(z * t) * F(z) * complex(1.0, sigma)).real
+    return (r / M) * total
+
+
+# ---------------------------------------------------------------------------
+# sector diagnostics for g(z) = z / (1 + gamma z^alpha)
+
+@dataclass(frozen=True)
+class SymbolProbe:
+    alpha: float
+    gamma: float
+
+    def g(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        return z / (1.0 + self.gamma * z**self.alpha)
+
+    def H(self, z: np.ndarray, lam: float) -> np.ndarray:
+        g = self.g(z)
+        return g / (np.asarray(z, dtype=complex) * (g + lam))
+
+
+@dataclass(frozen=True)
+class SectorReport:
+    n_samples: int
+    violations: int
+    max_ratio_linear: float      # |g(z)| sin(a pi) / |z|
+    max_ratio_sublinear: float   # |g(z)| gamma sin(a pi) / |z|^(1-alpha)
+    max_arg_excess: float        # max(|arg g| - |arg z|)
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
+
+def sector_probe(sp: SymbolProbe, samples: np.ndarray) -> SectorReport:
+    """Check |g| <= |z|/sin(a pi), |g| <= |z|^(1-a)/(gamma sin(a pi)) and that
+    g stays within the sector of its argument, over the given samples."""
+    z = np.asarray(samples, dtype=complex)
+    if np.any(z == 0) or np.any(np.isclose(np.abs(np.angle(z)), np.pi)):
+        raise ValueError("samples must avoid the origin and the branch cut")
+    g = sp.g(z)
+    s = math.sin(sp.alpha * math.pi)
+    ratio1 = np.abs(g) * s / np.abs(z)
+    ratio2 = np.abs(g) * sp.gamma * s / np.abs(z) ** (1.0 - sp.alpha)
+    arg_excess = np.abs(np.angle(g)) - np.abs(np.angle(z))
+    bad = (ratio1 > 1.0 + 1e-12) | (ratio2 > 1.0 + 1e-12) | (arg_excess > 1e-12)
+    return SectorReport(
+        n_samples=len(z),
+        violations=int(np.count_nonzero(bad)),
+        max_ratio_linear=float(ratio1.max()),
+        max_ratio_sublinear=float(ratio2.max()),
+        max_arg_excess=float(arg_excess.max()),
+    )
+
+
+# ---------------------------------------------------------------------------
+# scalar (single-mode) recurrences; independent oracles for mode decoupling
+
+def scalar_trajectory_be(
+    lam: float,
+    alpha: float,
+    gamma: float,
+    tau: float,
+    n_steps: int,
+    u0: float = 1.0,
+    include_history_origin: bool = False,
+) -> np.ndarray:
+    w = weights("be", alpha, 1.0, n_steps)
+    frac = gamma * tau ** (-alpha)
+    u = np.empty(n_steps + 1)
+    u[0] = u0
+    j0 = 0 if include_history_origin else 1
+    denom = 1.0 / tau + frac * w[0] * lam + lam
+    for n in range(1, n_steps + 1):
+        hist = float(w[n - j0 : 0 : -1] @ u[j0:n]) if n - 1 >= j0 else 0.0
+        u[n] = (u[n - 1] / tau - frac * lam * hist) / denom
+    return u
+
+
+def scalar_trajectory_sbd(
+    lam: float, alpha: float, gamma: float, tau: float, n_steps: int, u0: float = 1.0
+) -> np.ndarray:
+    w = weights("sbd", alpha, 1.0, n_steps)
+    frac = gamma * tau ** (-alpha)
+    u = np.empty(n_steps + 1)
+    u[0] = u0
+    denom = 1.5 / tau + (1.0 + frac * w[0]) * lam
+    u[1] = (1.5 / tau - 0.5 * (1.0 + frac * w[0]) * lam) * u0 / denom
+    for n in range(2, n_steps + 1):
+        hist = float(w[n - 1 : 0 : -1] @ u[1:n]) + 0.5 * w[n - 1] * u0
+        u[n] = ((4.0 * u[n - 1] - u[n - 2]) / (2.0 * tau) - frac * lam * hist) / denom
+    return u
+
+
+# ---------------------------------------------------------------------------
+# matrices, evaluation and quadrature
+
+def sparse_identity(n: int) -> SparseSymMatrix:
+    """The n x n identity as a CSR matrix."""
+    diag = np.arange(n)
+    return SparseSymMatrix.from_coo(n, diag, diag, np.ones(n))
+
+
+def gauss_panels(a: float, b: float, panels: int, order: int = 12):
+    """Composite Gauss-Legendre nodes/weights on [a, b] for test-side integrals."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def direct_eval_points(ms, x, t):
+    """Reference for `ModalSolution.eval_points`: the direct sin/cos sum.
+
+    Points go in blocks of max(1, 2**14 // J) against all J modes, so a phase
+    matrix holds at most max(2**14, J) entries.  For any finite x the sine
+    series gives the odd, 2-periodic extension; a split expansion adds the same
+    closed-form beta1(t) w as the fast path.
+    """
+    x = np.asarray(x, dtype=float)
+    a = ms.coeffs * ms.factors(t)
+    k = ms.modes.jx * np.pi
+    vals = np.empty_like(x)
+    grads = np.empty_like(x)
+    block = max(1, 2**14 // len(k))
+    for lo in range(0, len(x), block):
+        phase = np.outer(x[lo : lo + block], k)
+        vals[lo : lo + block] = np.sin(phase) @ a
+        grads[lo : lo + block] = np.cos(phase) @ (a * k)
+    vals *= np.sqrt(2.0)
+    grads *= np.sqrt(2.0)
+    if ms.datum is not None:
+        b1 = ms.beta1(t)
+        w, dw = _inverse_laplacian(ms.datum, x)
+        vals += b1 * w
+        grads += b1 * dw
+    return vals, grads

