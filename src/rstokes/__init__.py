@@ -1,4 +1,4 @@
-"""Finite elements + convolution quadrature for the fractional Rayleigh-Stokes problem."""
+"""P1 finite-element Galerkin and convolution quadrature for the fractional Rayleigh-Stokes problem."""
 
 from .mesh import Mesh, build_interval_mesh, build_square_mesh
 from .fem import InitialDatum, FemSpace, assemble, l2_project, ritz_project, error_norms

@@ -1,10 +1,11 @@
 """Convolution-quadrature weights for fractional powers of multistep symbols.
 
-The weights {w_j} are the power-series coefficients of (delta(xi)/tau)^mu,
-where delta is the generating polynomial of the backward Euler method
-(1 - xi) or of the second-order backward difference method
+The weights {w_j} are the power-series coefficients of delta(xi)^mu, where
+delta is the generating polynomial of the backward Euler method (1 - xi) or
+of the second-order backward difference method
 (1 - xi) + (1 - xi)^2/2 = 3/2 - 2 xi + xi^2/2.  A discrete convolution with
-these weights approximates the fractional derivative/integral of order mu.
+the weights times tau^-mu approximates the fractional derivative/integral of
+order mu at step size tau.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ DELTA = {
 }
 
 
-def weights(scheme: str, mu: float, tau: float, N: int) -> np.ndarray:
-    """Weights w_0..w_N with sum_j w_j xi^j = (delta(xi)/tau)^mu.
+def weights(scheme: str, mu: float, N: int) -> np.ndarray:
+    """Weights w_0..w_N with sum_j w_j xi^j = delta(xi)^mu.
+
+    The step size enters as the factor tau^-mu, which the caller applies.
 
     J.C.P. Miller's recurrence for a power of a polynomial:
     a_0 = c_0^mu, a_n = (1/(n c_0)) sum_{k=1}^{min(n, deg)} (k(mu+1) - n) c_k a_{n-k};
@@ -29,8 +32,6 @@ def weights(scheme: str, mu: float, tau: float, N: int) -> np.ndarray:
     """
     if scheme not in DELTA:
         raise ValueError(f"unknown scheme {scheme!r}; expected 'be' or 'sbd'")
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got tau={tau}")
     if N < 0:
         raise ValueError(f"weight count must be nonnegative, got N={N}")
     c = DELTA[scheme]
@@ -41,7 +42,6 @@ def weights(scheme: str, mu: float, tau: float, N: int) -> np.ndarray:
         for k in range(1, min(n, len(c) - 1) + 1):
             acc += (k * (mu + 1.0) - n) * c[k] * a[n - k]
         a[n] = acc / (n * c[0])
-    values = a * tau ** (-mu)
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("weight recurrence produced non-finite values")
-    return values
+    return a

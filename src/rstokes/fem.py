@@ -1,11 +1,11 @@
-"""P1 Galerkin pieces: mass/stiffness assembly, projections, and error norms.
+"""P1 Galerkin pieces: mass/stiffness matrices, projections, and error norms.
 
-Dirichlet conditions are imposed by eliminating boundary rows and columns, so
-a space keeps only the interior mass and stiffness matrices, which stay
-symmetric positive definite.  Load vectors for the four initial data of the
-studies are integrated exactly (closed forms for sine and step data, point
-evaluation for Dirac data), which keeps quadrature error out of the
-convergence studies.
+Dirichlet conditions leave only the interior unknowns, so a space keeps the
+interior mass and stiffness matrices, which are symmetric positive definite
+and written in closed form for both uniform grids.  Load vectors for the four
+initial data of the studies are integrated exactly (closed forms for sine and
+step data, point evaluation for Dirac data), which keeps quadrature error out
+of the convergence studies.
 """
 
 from __future__ import annotations
@@ -27,17 +27,12 @@ __all__ = [
     "InitialDatum",
     "FemSpace",
     "ErrorNorms",
-    "AssemblyError",
     "UnsupportedDatumError",
     "assemble",
     "l2_project",
     "ritz_project",
     "error_norms",
 ]
-
-
-class AssemblyError(RuntimeError):
-    pass
 
 
 class UnsupportedDatumError(ValueError):
@@ -106,55 +101,40 @@ def _tridiagonal(n: int, diag: float, off: float, eigenvalues: np.ndarray) -> Sy
 def _assemble_1d(mesh: Mesh) -> FemSpace:
     # closed-form interior P1 matrices of the uniform mesh with their DST-I
     # eigenvalues, s_k = sin(pi k / 2K), k = 1..K-1
-    K, h = mesh.n_elements, mesh.h
-    if not np.allclose(np.diff(mesh.nodes), h, rtol=1e-9, atol=0.0):
-        raise AssemblyError("1D assembly needs a uniform mesh of positive spacing")
+    K, h = mesh.K, mesh.h
     s2 = np.sin(np.pi * np.arange(1, K) / (2 * K)) ** 2
     M = _tridiagonal(K - 1, 4.0 * h / 6.0, h / 6.0, h * (1.0 - (2.0 / 3.0) * s2))
     S = _tridiagonal(K - 1, 2.0 / h, -1.0 / h, (4.0 / h) * s2)
     return FemSpace(mesh=mesh, M=M, S=S)
 
 
-def _assemble_2d(mesh: Mesh):
-    p = mesh.nodes[mesh.elements]          # (ne, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    if np.any(area <= 0):
-        raise AssemblyError("degenerate or inverted triangle")
-    # gradients of barycentric functions: grad l_i = rot(edge opposite i) / (2 area)
-    grads = np.empty((len(area), 3, 2))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    s_local = np.einsum("eid,ejd->eij", grads, grads) * area[:, None, None]
-    m_local = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    return rows, cols, m_local.ravel(), s_local.ravel()
+def _assemble_2d(mesh: Mesh) -> FemSpace:
+    # Kronecker forms on the (y, x)-ordered interior grid: E couples the two
+    # neighbours on a line, U.U and U^T.U^T the ends of a cell's diagonal
+    import scipy.sparse as sp
+
+    n, h = mesh.K - 1, mesh.h
+    I = sp.identity(n, format="csr")
+    U = sp.eye(n, k=1, format="csr")
+    E = U + U.T
+    T = 2.0 * I - E
+    S = sp.kron(I, T) + sp.kron(T, I)
+    M = (h * h / 12.0) * (6.0 * sp.kron(I, I) + sp.kron(I, E) + sp.kron(E, I)
+                          + sp.kron(U, U) + sp.kron(U.T, U.T))
+    return FemSpace(mesh=mesh, M=SparseSymMatrix(M), S=SparseSymMatrix(S))
 
 
 def assemble(mesh: Mesh) -> FemSpace:
-    """Exact element integration of the P1 mass and stiffness matrices.
+    """Interior P1 mass and stiffness matrices of the mesh, in closed form.
 
-    In 1D the matrices are tridiagonal in closed form and need numpy alone:
-    interior M = (h/6)[1, 4, 1] and S = (1/h)[-1, 2, -1].  In 2D the element
-    matrices are summed into scipy CSR matrices over all nodes, and the
-    interior pair is cut out of them.
+    In 1D they are tridiagonal and need numpy alone: M = (h/6)[1, 4, 1] and
+    S = (1/h)[-1, 2, -1].  On the square, with n = K-1, T = tridiag(-1, 2, -1),
+    U the unit superdiagonal and E = U + U^T, they are scipy CSR matrices:
+    S = I(x)T + T(x)I, the 5-point stencil, and
+    M = (h^2/12)(6 I(x)I + I(x)E + E(x)I + U(x)U + U^T(x)U^T), whose 7-point
+    stencil follows the cell diagonals.
     """
-    if mesh.dim == 1:
-        return _assemble_1d(mesh)
-    rows, cols, mvals, svals = _assemble_2d(mesh)
-    n = mesh.n_nodes
-    M_full = SparseSymMatrix.from_coo(n, rows, cols, mvals)
-    S_full = SparseSymMatrix.from_coo(n, rows, cols, svals)
-
-    interior = mesh.interior_nodes
-    Mi = SparseSymMatrix(M_full.tocsr()[interior][:, interior])
-    Si = SparseSymMatrix(S_full.tocsr()[interior][:, interior])
-    return FemSpace(mesh=mesh, M=Mi, S=Si)
+    return _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +160,21 @@ def _step_load_1d(space: FemSpace, a: float) -> np.ndarray:
 
 def _dirac_load_1d(space: FemSpace, x0: float) -> np.ndarray:
     mesh = space.mesh
-    if np.any(np.isclose(mesh.nodes[mesh.boundary_mask], x0)):
+    if np.any(np.isclose([0.0, 1.0], x0)):
         raise ValueError("Dirac located on a Dirichlet boundary node")
     x = mesh.nodes[space.interior_nodes]
     return np.maximum(0.0, 1.0 - np.abs(x0 - x) / mesh.h)
 
 
 def _step2d_load(space: FemSpace, a: float) -> np.ndarray:
-    mesh = space.mesh
-    K = int(round(math.sqrt(mesh.n_elements / 2)))
-    if not np.isclose(a * K, round(a * K)):
+    # a hat integrates to h^2, half of it on either side of its column line:
+    # h^2 left of the cut x = a, h^2/2 on it and 0 right of it
+    K, h = space.mesh.K, space.mesh.h
+    cut = round(a * K)
+    if not np.isclose(a * K, cut):
         raise UnsupportedDatumError("2D step cut must align with a mesh line")
-    xmax = mesh.nodes[mesh.elements, 0].max(axis=1)
-    inside = xmax <= a + 1e-12
-    areas = mesh.element_measures()
-    b_full = np.zeros(mesh.n_nodes)
-    np.add.at(b_full, mesh.elements[inside].ravel(), np.repeat(areas[inside] / 3.0, 3))
-    return b_full[space.interior_nodes]
+    ix = np.tile(np.arange(1, K), K - 1)   # column of each (y, x)-ordered interior node
+    return (0.5 * h * h) * (1.0 + np.sign(cut - ix))
 
 
 def _check_domain(space: FemSpace, v: InitialDatum) -> None:
@@ -256,7 +234,7 @@ def _error_1d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
     full = space.expand(numeric)
     p = _points_per_element(exact.max_frequency[0], space.mesh.h)
     g, gw = _gauss01(p)
-    # pieces: the elements, split where the exact solution has a kink
+    # pieces: the mesh cells, split where the exact solution has a kink
     cuts = np.union1d(nodes, [b for b in exact.singular_breaks() if 0.0 < b < 1.0])
     lo, width = cuts[:-1], np.diff(cuts)
     xq = (lo[:, None] + width[:, None] * g).ravel()
@@ -270,9 +248,7 @@ def _error_1d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
 
 
 def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float):
-    mesh = space.mesh
-    K = int(round(math.sqrt(mesh.n_elements / 2)))
-    h = 1.0 / K
+    K, h = space.mesh.K, space.mesh.h
     grid = np.arange(K) * h
     V = space.expand(numeric).reshape(K + 1, K + 1)   # [iy, ix]
     Va, Vb = V[:-1, :-1], V[:-1, 1:]
@@ -320,7 +296,7 @@ def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t:
 
     Composite Gauss quadrature with at least 4 points per element;
     the point count grows with the highest retained oracle mode so that the
-    oscillatory part of the integrand stays resolved.  In 1D the elements are
+    oscillatory part of the integrand stays resolved.  In 1D the cells are
     split at `singular_breaks` (step edge, Dirac pole) and all points go to one
     `eval_points` call: the closed-form beta1(t) w plus J residual modes summed
     by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.

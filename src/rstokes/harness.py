@@ -32,7 +32,6 @@ __all__ = [
     "ErrorReport",
     "ExperimentError",
     "run_experiment",
-    "blowup_study",
     "emit_report",
     "read_report_csv",
     "pair_rates",
@@ -290,11 +289,6 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
             Family(key, x_name, tuple(xs), tuple(l2s), tuple(h1s), fit(xs, l2s), fit(xs, h1s))
         )
     return report
-
-
-def blowup_study(cfg: ExperimentConfig) -> ErrorReport:
-    """L2 error against t -> 0 at fixed mesh with tau = t/N; log-log slope."""
-    return run_experiment(replace(cfg, study="blowup"))
 
 
 # ---------------------------------------------------------------------------

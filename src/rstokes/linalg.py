@@ -23,7 +23,6 @@ __all__ = [
     "SpdFactorization",
 ]
 
-_DENSE_FALLBACK_N = 64
 _SYMMETRY_TOL = 1e-14
 _SOLVE_TOL = 1e-13
 
@@ -94,13 +93,6 @@ class SparseSymMatrix:
             raise ValueError("matrix is not symmetric: A != A^T")
         self._csr = csr
 
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, values) -> "SparseSymMatrix":
-        import scipy.sparse as sp
-
-        coo = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
-        return cls(coo.tocsr())
-
     @property
     def n(self) -> int:
         return self._csr.shape[0]
@@ -134,8 +126,8 @@ def solve_spd(A: SymTridiagonalMatrix | SparseSymMatrix, b: np.ndarray) -> np.nd
 
     A 1D matrix is solved exactly by two sine transforms (`SpdFactorization`).
     A CSR matrix goes to Jacobi-preconditioned CG, run to a relative residual
-    <= 1e-13 and capped at 10n iterations; systems with n <= 64 are solved
-    densely.  A zero right-hand side short-circuits to zero.
+    <= 1e-13 and capped at 10n iterations.  A zero right-hand side
+    short-circuits to zero.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
@@ -145,8 +137,6 @@ def solve_spd(A: SymTridiagonalMatrix | SparseSymMatrix, b: np.ndarray) -> np.nd
         return np.zeros_like(b)
     if isinstance(A, SymTridiagonalMatrix):
         return SpdFactorization(A).solve(b)
-    if A.n <= _DENSE_FALLBACK_N:
-        return np.linalg.solve(A.toarray(), b)
 
     csr = A.tocsr()
     inv_diag = 1.0 / csr.diagonal()

@@ -1,13 +1,14 @@
-"""Uniform meshes of the unit interval and structured triangulations of the unit square.
+"""Uniform meshes of the unit interval and of the unit square.
 
-Both constructors produce conforming P1-ready meshes with homogeneous
-Dirichlet boundary flags.  Squares are split along the lower-left to
-upper-right diagonal of every cell, which keeps the assembled matrices
-reproducible and gives every interior node valence 6.
+A mesh is its grid: the dimension and the number K of cells per side.  The
+interval is cut into K equal cells; the square into K x K cells, each split
+along its lower-left to upper-right diagonal.  `rstokes.fem` writes the P1
+matrices and loads of both grids in closed form, so no element list is kept.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,88 +18,51 @@ __all__ = ["Mesh", "build_interval_mesh", "build_square_mesh"]
 
 @dataclass(frozen=True)
 class Mesh:
-    """Simplicial mesh of (0,1) or (0,1)^2.
+    """Uniform mesh of (0,1) (dim 1) or (0,1)^2 (dim 2) with K cells per side.
 
-    nodes has shape (n_nodes,) in 1D and (n_nodes, 2) in 2D; elements holds
-    node-index tuples (2 per segment, 3 per triangle) with positive signed
-    measure; boundary_mask flags Dirichlet nodes; h is the largest element
-    diameter.
+    nodes has shape (n_nodes,) in 1D and (n_nodes, 2) in 2D, square nodes
+    ordered by (y, x); the boundary nodes carry the Dirichlet condition and
+    interior_nodes indexes the others.  h = 1/K is the cell side.
     """
 
     dim: int
-    nodes: np.ndarray
-    elements: np.ndarray
-    boundary_mask: np.ndarray
-    h: float
+    K: int
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError(f"mesh dimension must be 1 or 2, got dim={self.dim!r}")
+        if not (isinstance(self.K, numbers.Integral) and self.K >= 2):
+            raise ValueError(f"need an integer K >= 2 cells per side, got K={self.K!r}")
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.K
+
+    @property
+    def nodes(self) -> np.ndarray:
+        side = np.linspace(0.0, 1.0, self.K + 1)
+        if self.dim == 1:
+            return side
+        xg, yg = np.meshgrid(side, side)  # row index = y, col index = x
+        return np.column_stack([xg.ravel(), yg.ravel()])
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def n_elements(self) -> int:
-        return self.elements.shape[0]
+        return (self.K + 1) ** self.dim
 
     @property
     def interior_nodes(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_mask)
-
-    def element_measures(self) -> np.ndarray:
-        """Signed length (1D) or signed area (2D) of every element."""
+        inner = np.arange(1, self.K)
         if self.dim == 1:
-            x = self.nodes[self.elements]
-            return x[:, 1] - x[:, 0]
-        p = self.nodes[self.elements]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            return inner
+        return (inner[:, None] * (self.K + 1) + inner[None, :]).ravel()
 
 
 def build_interval_mesh(K: int) -> Mesh:
     """Divide (0,1) into K equal subintervals (K+1 nodes, h = 1/K)."""
-    if K < 2:
-        raise ValueError(f"need at least 2 subintervals, got K={K}")
-    nodes = np.linspace(0.0, 1.0, K + 1)
-    elements = np.column_stack([np.arange(K), np.arange(1, K + 1)])
-    boundary = np.zeros(K + 1, dtype=bool)
-    boundary[[0, -1]] = True
-    return Mesh(dim=1, nodes=nodes, elements=elements, boundary_mask=boundary, h=1.0 / K)
+    return Mesh(dim=1, K=K)
 
 
 def build_square_mesh(K: int) -> Mesh:
-    """Triangulate (0,1)^2: K x K cells, each cut along its main diagonal.
-
-    Nodes are ordered lexicographically by (y, x).  Cell (ix, iy) with corners
-    a=(ix,iy), b=(ix+1,iy), c=(ix+1,iy+1), d=(ix,iy+1) becomes triangles
-    (a,b,c) and (a,c,d), both counterclockwise.
-    """
-    if K < 2:
-        raise ValueError(f"need at least 2 subdivisions per side, got K={K}")
-    side = np.linspace(0.0, 1.0, K + 1)
-    xg, yg = np.meshgrid(side, side)  # row index = y, col index = x
-    nodes = np.column_stack([xg.ravel(), yg.ravel()])
-
-    ix, iy = np.meshgrid(np.arange(K), np.arange(K))
-    ix = ix.ravel()
-    iy = iy.ravel()
-    a = iy * (K + 1) + ix
-    b = a + 1
-    c = a + K + 2
-    d = a + K + 1
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
-    elements = np.vstack([lower, upper])
-
-    boundary = (
-        (nodes[:, 0] == 0.0)
-        | (nodes[:, 0] == 1.0)
-        | (nodes[:, 1] == 0.0)
-        | (nodes[:, 1] == 1.0)
-    )
-    return Mesh(
-        dim=2,
-        nodes=nodes,
-        elements=elements,
-        boundary_mask=boundary,
-        h=float(np.sqrt(2.0) / K),
-    )
+    """Divide (0,1)^2 into K x K cells, each cut along its main diagonal (h = 1/K)."""
+    return Mesh(dim=2, K=K)

@@ -92,7 +92,7 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
         raise ValueError(f"initial vector must have {space.n_dof} entries")
     N, tau = cfg.n_steps, cfg.tau
     c = DELTA[cfg.scheme]
-    w = weights(cfg.scheme, cfg.alpha, 1.0, N)
+    w = weights(cfg.scheme, cfg.alpha, N)
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
     solver = SpdFactorization(space.M.scaled_sum(c[0] / tau, space.S, diag))

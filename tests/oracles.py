@@ -16,6 +16,11 @@ sector bounds of the symbol g(z) = z / (1 + gamma z^alpha).
 Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
 both schemes, written out independently of `rstokes.stepper.run_scheme`.
 
+Square: `square_triangles` is the diagonal split of Mesh(2, K), and
+`element_matrices`/`element_step_load` integrate P1 element by element over
+it, the reference for the closed-form 2D matrices and step load of
+`rstokes.fem`.
+
 Evaluation and quadrature: `direct_eval_points` is the direct sin/cos sum that
 `ModalSolution.eval_points` is checked against, and `gauss_panels` gives
 composite Gauss-Legendre rules for test-side integrals.
@@ -152,7 +157,7 @@ def scalar_trajectory_be(
     u0: float = 1.0,
     include_history_origin: bool = False,
 ) -> np.ndarray:
-    w = weights("be", alpha, 1.0, n_steps)
+    w = weights("be", alpha, n_steps)
     frac = gamma * tau ** (-alpha)
     u = np.empty(n_steps + 1)
     u[0] = u0
@@ -167,7 +172,7 @@ def scalar_trajectory_be(
 def scalar_trajectory_sbd(
     lam: float, alpha: float, gamma: float, tau: float, n_steps: int, u0: float = 1.0
 ) -> np.ndarray:
-    w = weights("sbd", alpha, 1.0, n_steps)
+    w = weights("sbd", alpha, n_steps)
     frac = gamma * tau ** (-alpha)
     u = np.empty(n_steps + 1)
     u[0] = u0
@@ -184,8 +189,74 @@ def scalar_trajectory_sbd(
 
 def sparse_identity(n: int) -> SparseSymMatrix:
     """The n x n identity as a CSR matrix."""
-    diag = np.arange(n)
-    return SparseSymMatrix.from_coo(n, diag, diag, np.ones(n))
+    import scipy.sparse as sp
+
+    return SparseSymMatrix(sp.identity(n, format="csr"))
+
+
+def square_triangles(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points (ix, iy) of Mesh(2, K) in its node order, and its triangles.
+
+    Node (ix, iy) lies at (ix h, iy h).  Cell (ix, iy) with corners
+    a=(ix,iy), b=(ix+1,iy), c=(ix+1,iy+1), d=(ix,iy+1) becomes the
+    counterclockwise triangles (a,b,c) and (a,c,d).
+    """
+    ix, iy = np.meshgrid(np.arange(K + 1), np.arange(K + 1))
+    lattice = np.column_stack([ix.ravel(), iy.ravel()]).astype(float)
+    a = (iy[:-1, :-1] * (K + 1) + ix[:-1, :-1]).ravel()
+    b, c, d = a + 1, a + K + 2, a + K + 1
+    return lattice, np.vstack([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+
+
+def triangle_areas(lattice: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Signed areas of the triangles in lattice units (multiply by h^2)."""
+    p = lattice[tri]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def element_matrices(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense P1 mass and stiffness matrices over all nodes of Mesh(2, K).
+
+    Summed element by element from the exact triangle integrals, before the
+    boundary is eliminated: the reference for the closed forms of `assemble`.
+    The geometry is in lattice units, where S is the same as on the mesh
+    and M is h^-2 times its value, so no node roundoff enters the sums.
+    """
+    lattice, tri = square_triangles(K)
+    p = lattice[tri]                        # (ne, 3, 2)
+    area = triangle_areas(lattice, tri)
+    # gradients of barycentric functions: grad l_i = rot(edge opposite i) / (2 area)
+    grads = np.empty((len(area), 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * area)[:, None, None]
+    s_local = np.einsum("eid,ejd->eij", grads, grads) * area[:, None, None]
+    m_local = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / (12.0 * K * K))[:, None, None]
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    n = len(lattice)
+    M, S = np.zeros((n, n)), np.zeros((n, n))
+    np.add.at(M, (rows, cols), m_local.ravel())
+    np.add.at(S, (rows, cols), s_local.ravel())
+    return M, S
+
+
+def element_step_load(K: int, a: float) -> np.ndarray:
+    """Load of the indicator of x < a on all nodes of Mesh(2, K), element by element.
+
+    Exact when the cut x = a is a mesh line: each hat is linear on a triangle,
+    so a triangle left of the cut adds a third of its area to its three nodes.
+    """
+    lattice, tri = square_triangles(K)
+    inside = lattice[tri][:, :, 0].max(axis=1) <= a * K + 1e-9
+    load = np.zeros(len(lattice))
+    area = triangle_areas(lattice, tri[inside]) / (K * K)
+    np.add.at(load, tri[inside].ravel(), np.repeat(area / 3.0, 3))
+    return load
 
 
 def gauss_panels(a: float, b: float, panels: int, order: int = 12):

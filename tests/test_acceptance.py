@@ -25,7 +25,7 @@ from oracles import (
     uj_eval,
 )
 from rstokes.fem import assemble
-from rstokes.harness import ExperimentConfig, blowup_study, run_experiment
+from rstokes.harness import ExperimentConfig, run_experiment
 from rstokes.linalg import solve_spd
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.stepper import SchemeConfig, run_scheme
@@ -182,7 +182,7 @@ def t4_report():
 def t5_reports():
     ts = tuple(10.0 ** (-e) for e in range(3, 9))
     return {
-        ex: blowup_study(
+        ex: run_experiment(
             ExperimentConfig(example=ex, scheme="sbd", study="blowup",
                              alphas=(0.5,), ks=(6,), Ns=(1000,), ts=ts)
         )
@@ -372,7 +372,7 @@ def test_criterion_9a_cq_weight_oracles():
     ok = True
     with mpmath.workdps(40):
         for mu in (0.1, 0.5, 0.9):
-            w = weights("be", mu, 1.0, 30)
+            w = weights("be", mu, 30)
             oracle = np.array([float((-1) ** j * mpmath.binomial(mu, j)) for j in range(31)])
             ok &= bool(np.max(np.abs(w - oracle)) < 1e-12)
     for m in (1, 2, 3):
@@ -380,7 +380,7 @@ def test_criterion_9a_cq_weight_oracles():
         acc = np.array([1.0])
         for _ in range(m):
             acc = np.convolve(acc, poly)
-        w = weights("sbd", float(m), 1.0, len(acc) - 1)
+        w = weights("sbd", float(m), len(acc) - 1)
         ok &= bool(np.max(np.abs(w - acc)) < 1e-12)
     _announce(9, "property: CQ weights vs binomial/integer-power oracles", ok, "tolerance 1e-12")
 

@@ -40,51 +40,43 @@ def miller_mpmath_oracle(mu: float, count: int) -> np.ndarray:
 
 def test_generating_polynomials():
     with pytest.raises(ValueError):
-        weights("cn", 0.5, 1.0, 4)
+        weights("cn", 0.5, 4)
 
 
 def test_be_half_power_table():
-    w = weights("be", 0.5, 1.0, 3)
+    w = weights("be", 0.5, 3)
     assert np.allclose(w, [1.0, -0.5, -0.125, -0.0625], atol=1e-15)
 
 
 def test_be_weights_match_binomial_oracle():
     for mu in (0.1, 0.5, 0.9, -0.5, -1.0):
-        w = weights("be", mu, 1.0, 30)
+        w = weights("be", mu, 30)
         oracle = binomial_weights_oracle(mu, 31)
         assert np.max(np.abs(w - oracle)) < 1e-14
 
 
 def test_sbd_half_power_leading_weights():
-    w = weights("sbd", 0.5, 1.0, 2)
+    w = weights("sbd", 0.5, 2)
     assert abs(w[0] - math.sqrt(1.5)) < 1e-14
     assert abs(w[1] - (-2.0 / math.sqrt(6.0))) < 1e-14
 
 
 def test_sbd_integer_powers_match_polynomial_oracle():
     for m in (1, 2, 3):
-        w = weights("sbd", float(m), 1.0, 12)
+        w = weights("sbd", float(m), 12)
         assert np.max(np.abs(w - sbd_power_oracle(m, 13))) < 1e-12
 
 
 def test_mu_one_reproduces_generating_polynomial():
     for scheme, coeffs in (("be", (1.0, -1.0)), ("sbd", (1.5, -2.0, 0.5))):
-        w = weights(scheme, 1.0, 1.0, 8)
+        w = weights(scheme, 1.0, 8)
         expect = np.zeros(9)
         expect[: len(coeffs)] = coeffs
         assert np.allclose(w, expect, atol=1e-15)
 
 
-def test_tau_scaling():
-    tau = 0.02
-    w = weights("be", 0.5, tau, 4)
-    base = weights("be", 0.5, 1.0, 4)
-    assert np.allclose(w, base * tau**-0.5, rtol=1e-14)
-    assert w[0] > 0.0
-
-
 def test_be_sign_pattern_and_partial_sums():
-    w = weights("be", 0.5, 1.0, 10_000)
+    w = weights("be", 0.5, 10_000)
     assert w[0] > 0
     assert np.all(w[1:] < 0)
     partial = np.cumsum(w)
@@ -94,14 +86,14 @@ def test_be_sign_pattern_and_partial_sums():
 
 
 def test_sbd_partial_sums_decay():
-    w = weights("sbd", 0.5, 1.0, 10_000)
+    w = weights("sbd", 0.5, 10_000)
     partial = np.cumsum(w)
     assert abs(partial[-1]) < 0.05
 
 
 def test_doubled_precision_recomputation():
     for mu in (0.3, 0.5, 0.9):
-        w = weights("sbd", mu, 1.0, 200)
+        w = weights("sbd", mu, 200)
         oracle = miller_mpmath_oracle(mu, 201)
         scale = np.maximum(np.abs(oracle), 1e-30)
         assert np.max(np.abs(w - oracle) / scale) < 1e-13
@@ -109,8 +101,4 @@ def test_doubled_precision_recomputation():
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        weights("be", 0.5, 0.0, 4)
-    with pytest.raises(ValueError):
-        weights("be", 0.5, -1.0, 4)
-    with pytest.raises(ValueError):
-        weights("be", 0.5, 1.0, -1)
+        weights("be", 0.5, -1)

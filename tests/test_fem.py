@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import KernelDensity, direct_eval_points, gauss_panels, uj_eval
+from oracles import (
+    KernelDensity,
+    direct_eval_points,
+    element_matrices,
+    element_step_load,
+    gauss_panels,
+    uj_eval,
+)
 from rstokes.fem import (
     InitialDatum,
     UnsupportedDatumError,
-    _assemble_2d,
+    _step2d_load,
     assemble,
     error_norms,
     l2_project,
@@ -43,13 +50,23 @@ def test_square_k2_interior_stiffness_diag():
     assert space.M.toarray()[0, 0] == pytest.approx(0.125)
 
 
-def test_full_mass_row_sums_are_basis_integrals():
-    # the element triplets over all nodes, before the boundary is eliminated;
-    # the 1D entries are checked by test_interval_mass_stencil
-    mesh = build_square_mesh(4)
-    rows, _, mvals, _ = _assemble_2d(mesh)
-    row_sums = np.bincount(rows, weights=mvals, minlength=mesh.n_nodes)
-    assert abs(row_sums.sum() - 1.0) < 1e-12
+def test_closed_form_2d_matches_element_oracle():
+    # the Kronecker-form M and S and the step load of the square against the
+    # element-by-element integrals of tests/oracles.py; odd K puts no mesh
+    # line at 1/2, and the 1D entries are checked by the stencil tests above
+    for K in (2, 3, 8, 17):
+        space = assemble(build_square_mesh(K))
+        M_full, S_full = element_matrices(K)
+        # row sums of the full mass matrix are the hat integrals; they add up to 1
+        assert abs(M_full.sum(axis=1).sum() - 1.0) < 1e-12
+        inner = np.ix_(space.interior_nodes, space.interior_nodes)
+        for got, full in ((space.M, M_full), (space.S, S_full)):
+            expect = full[inner]
+            assert np.max(np.abs(got.toarray() - expect)) <= 1e-15 * np.max(np.abs(expect))
+        for cut in range(1, K):
+            load = _step2d_load(space, cut / K)
+            expect = element_step_load(K, cut / K)[space.interior_nodes]
+            assert np.max(np.abs(load - expect)) <= 1e-15 * space.mesh.h**2
 
 
 def test_matrices_positive_definite():

@@ -9,7 +9,6 @@ from rstokes.harness import (
     ErrorReport,
     ExperimentConfig,
     ExperimentError,
-    blowup_study,
     emit_report,
     fitted_rate,
     loglog_slope,
@@ -100,13 +99,13 @@ def test_dirac_rows_absolute():
 
 def test_blowup_requires_second_order_scheme():
     with pytest.raises(ValueError):
-        blowup_study(ExperimentConfig(example="a", scheme="be", study="blowup"))
+        run_experiment(ExperimentConfig(example="a", scheme="be", study="blowup"))
 
 
 def test_blowup_slope_sign():
     cfg = ExperimentConfig(example="b", scheme="sbd", study="blowup",
                            alphas=(0.5,), ks=(4,), Ns=(64,), ts=(1e-3, 1e-4, 1e-5))
-    rep = blowup_study(cfg)
+    rep = run_experiment(cfg)
     assert len(rep.rows) == 3
     assert rep.families[0].l2_rate < 0.0          # error grows as t -> 0
     assert rep.rows[0].t > rep.rows[-1].t          # sorted from large to small t
@@ -118,7 +117,7 @@ def test_one_time_blowup_slope_is_nan():
                            alphas=(0.5,), ks=(3,), Ns=(20,), ts=(1e-3,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = blowup_study(cfg)
+        rep = run_experiment(cfg)
     assert math.isnan(rep.families[0].l2_rate)
     assert math.isnan(rep.families[0].h1_rate)
 

@@ -1,15 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rstokes.mesh import build_interval_mesh, build_square_mesh
+from oracles import square_triangles, triangle_areas
+from rstokes.mesh import Mesh, build_interval_mesh, build_square_mesh
+
+
+def test_mesh_fields_are_dim_and_k():
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["dim", "K"]
+    assert build_interval_mesh(5) == Mesh(1, 5)
+    assert build_square_mesh(5) == Mesh(2, 5)
 
 
 def test_interval_k2_nodes_and_boundary():
     mesh = build_interval_mesh(2)
     assert np.allclose(mesh.nodes, [0.0, 0.5, 1.0])
-    assert mesh.boundary_mask.tolist() == [True, False, True]
+    assert mesh.interior_nodes.tolist() == [1]
     assert mesh.h == 0.5
 
 
@@ -30,55 +39,80 @@ def test_interval_rejects_small_k():
         build_interval_mesh(1)
 
 
+@pytest.mark.parametrize("dim", [0, 3])
+def test_mesh_rejects_other_dimensions(dim):
+    with pytest.raises(ValueError, match="dimension"):
+        Mesh(dim, 4)
+
+
+@pytest.mark.parametrize("K", [1, 0, -3, 4.0])
+def test_mesh_rejects_k_below_two_or_fractional(K):
+    with pytest.raises(ValueError, match="K >= 2"):
+        Mesh(1, K)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=64))
 def test_interval_counting_invariants(K):
     mesh = build_interval_mesh(K)
-    assert mesh.n_nodes == K + 1
-    assert mesh.n_elements == K
-    assert int(mesh.boundary_mask.sum()) == 2
-    measures = mesh.element_measures()
-    assert np.all(measures > 0)
-    assert abs(measures.sum() - 1.0) < 1e-12
-    assert abs(mesh.h - 1.0 / K) < 1e-15
+    assert mesh.n_nodes == K + 1 == len(mesh.nodes)
+    assert np.array_equal(mesh.nodes, np.linspace(0.0, 1.0, K + 1))
+    assert mesh.interior_nodes.tolist() == list(range(1, K))
+    assert mesh.h == 1.0 / K
 
 
 def test_square_k2_counts():
     mesh = build_square_mesh(2)
     assert mesh.n_nodes == 9
-    assert mesh.n_elements == 8
-    assert int(mesh.boundary_mask.sum()) == 8
-    assert len(mesh.interior_nodes) == 1
+    assert mesh.interior_nodes.tolist() == [4]
+    assert mesh.nodes[4].tolist() == [0.5, 0.5]
+
+
+def test_square_nodes_ordered_by_y_then_x():
+    mesh = build_square_mesh(3)
+    side = np.linspace(0.0, 1.0, 4)
+    expect = [(x, y) for y in side for x in side]
+    assert np.array_equal(mesh.nodes, np.array(expect))
 
 
 def test_square_k4_partition_of_unity():
-    mesh = build_square_mesh(4)
-    assert abs(mesh.element_measures().sum() - 1.0) < 1e-12
+    # the triangles of the diagonal split, which the 2D closed forms integrate
+    # over (tests/oracles.py), tile the square
+    lattice, tri = square_triangles(4)
+    assert np.allclose(lattice / 4, build_square_mesh(4).nodes, rtol=0.0, atol=1e-15)
+    areas = triangle_areas(lattice, tri) / 16
+    assert np.all(areas > 0)
+    assert abs(areas.sum() - 1.0) < 1e-12
 
 
 def test_square_k64_for_fine_runs():
     mesh = build_square_mesh(64)
     assert mesh.n_nodes == 65**2
-    assert mesh.n_elements == 2 * 64**2
-    assert abs(mesh.h - np.sqrt(2.0) / 64) < 1e-15
+    assert len(mesh.interior_nodes) == 63**2
+    assert mesh.h == 1.0 / 64
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=2, max_value=12))
 def test_square_counting_invariants(K):
     mesh = build_square_mesh(K)
-    assert mesh.n_nodes == (K + 1) ** 2
-    assert mesh.n_elements == 2 * K**2
-    assert int(mesh.boundary_mask.sum()) == 4 * K
-    measures = mesh.element_measures()
-    assert np.all(measures > 0)
-    assert abs(measures.sum() - 1.0) < 1e-12
+    assert mesh.n_nodes == (K + 1) ** 2 == len(mesh.nodes)
+    interior = mesh.interior_nodes
+    assert len(interior) == (K - 1) ** 2
+    assert np.all(np.diff(interior) > 0)
+    x, y = mesh.nodes[interior].T
+    assert np.all((x > 0) & (x < 1) & (y > 0) & (y < 1))
+    boundary = np.setdiff1d(np.arange(mesh.n_nodes), interior)
+    x, y = mesh.nodes[boundary].T
+    assert np.all((x == 0) | (x == 1) | (y == 0) | (y == 1))
+    assert mesh.h == 1.0 / K
 
 
 def test_square_interior_valence_is_six():
     mesh = build_square_mesh(5)
+    _, tri = square_triangles(5)
     counts = np.zeros(mesh.n_nodes, dtype=int)
-    np.add.at(counts, mesh.elements.ravel(), 1)
+    np.add.at(counts, tri.ravel(), 1)
     assert np.all(counts[mesh.interior_nodes] == 6)
 
 
