@@ -17,6 +17,17 @@ corrected start (weight 3/2 on the startup sequence and a half-weighted
 initial stiffness term) that restores second-order accuracy for
 nonvanishing initial data.
 
+The weighted sum is split by the blocked FFT convolution of Hairer, Lubich
+and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  The steps 1..N are
+halved recursively: the left half is solved first, its part of the sum for
+every step of the right half is added by one real-FFT convolution, and then
+the right half is solved.  That far part is accumulated in the right half's
+own, not yet solved, rows of the snapshot array.  Blocks of at most
+`_DIRECT_BLOCK` steps sum their near part directly, so a run of at most that
+many steps does the direct sum's arithmetic, and a longer one costs
+O(N log^2 N dof) instead of O(N^2 dof).  Steps are still solved one at a
+time in order 1..N.
+
 One stepper serves both dimensions: the system matrix is set up once per
 run by `SpdFactorization` (two exact sine transforms per solve in 1D, a
 sparse LU in 2D), and products with M and S go through the matrices' `@`.
@@ -102,19 +113,63 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     else:
         theta = w if cfg.include_history_origin else np.zeros(N + 1)
 
-    U = np.empty((N + 1, space.n_dof))
-    U[0] = v
-    for n in range(1, N + 1):
+    def step(n: int, history: np.ndarray) -> np.ndarray:
+        # history: sum_{j=1}^{n-1} w_{n-j} U^j
         if cfg.scheme == "sbd" and n == 1:
             # corrected first step: half-weighted initial stiffness term
             rhs = (c[0] / tau) * (space.M @ U[0]) - 0.5 * diag * (space.S @ U[0])
         else:
             past = sum(c[k] * U[n - k] for k in range(1, len(c)))
             rhs = -(space.M @ past) / tau
-            rhs -= frac * (space.S @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
+            rhs -= frac * (space.S @ (history + theta[n] * U[0]))
         try:
-            U[n] = solver.solve(rhs)
+            return solver.solve(rhs)
         except Exception as exc:  # propagate with the failing step index
             raise StepFailure(n, exc) from exc
+
+    # rows 1..N start at zero: each holds the far history until it is solved
+    U = np.zeros((N + 1, space.n_dof))
+    U[0] = v
+    _solve_steps(step, U, w, 1, N + 1)
     return DiscreteTrajectory(config=cfg, snapshots=U)
 
+
+# steps per block whose history is summed directly
+_DIRECT_BLOCK = 128
+# bytes of one column block of an FFT convolution's spectrum
+_FFT_BLOCK_BYTES = 1 << 17
+
+
+def _solve_steps(step, U: np.ndarray, w: np.ndarray, lo: int, hi: int) -> None:
+    """Solve steps lo..hi-1 in order, U[n] = step(n, history of step n).
+
+    On entry U[lo:hi] holds the history of those steps from U^1..U^{lo-1}.
+    A module-level function, not a nested one, so that the recursion forms
+    no reference cycle that would keep U alive after the run.
+    """
+    if hi - lo <= _DIRECT_BLOCK:
+        for n in range(lo, hi):
+            U[n] = step(n, U[n] + w[n - lo : 0 : -1] @ U[lo:n])
+        return
+    mid = (lo + hi) // 2
+    _solve_steps(step, U, w, lo, mid)
+    _add_history(U, w, lo, mid, hi)
+    _solve_steps(step, U, w, mid, hi)
+
+
+def _add_history(U: np.ndarray, w: np.ndarray, lo: int, mid: int, hi: int) -> None:
+    """U[n] += sum_{lo <= j < mid} w_{n-j} U^j for every n in [mid, hi).
+
+    One circular convolution of length P >= hi - lo per column block.  The
+    lags n - j of the kept rows lie in 1..hi-lo-1, so the wrap-around lands
+    only in discarded rows.  The spectrum of w[:hi-lo] is one short FFT per
+    call, negligible beside the dof columns, so it is not cached.
+    """
+    size = hi - lo
+    P = 1 << (size - 1).bit_length()
+    kernel = np.fft.rfft(w[:size], P)[:, None]
+    cols = max(1, _FFT_BLOCK_BYTES // kernel.nbytes)
+    for c0 in range(0, U.shape[1], cols):
+        spectrum = np.fft.rfft(U[lo:mid, c0 : c0 + cols], P, axis=0)
+        spectrum *= kernel
+        U[mid:hi, c0 : c0 + cols] += np.fft.irfft(spectrum, P, axis=0)[mid - lo : size]

@@ -14,7 +14,9 @@ quadrature and the fixed Talbot rule (`_uj_talbot`) check that rule, and
 sector bounds of the symbol g(z) = z / (1 + gamma z^alpha).
 
 Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
-both schemes, written out independently of `rstokes.stepper.run_scheme`.
+both schemes, written out independently of `rstokes.stepper.run_scheme`, and
+`direct_run_scheme` is the march that sums the whole fractional history
+directly at every step, the reference for the stepper's blocked FFT history.
 
 Square: `square_triangles` is the diagonal split of Mesh(2, K), and
 `element_matrices`/`element_step_load` integrate P1 element by element over
@@ -33,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rstokes.cq import weights
-from rstokes.linalg import SparseSymMatrix
+from rstokes.cq import DELTA, weights
+from rstokes.linalg import SparseSymMatrix, SpdFactorization
 from rstokes.oracle import _bromwich, _inverse_laplacian
+from rstokes.stepper import StepFailure
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +185,37 @@ def scalar_trajectory_sbd(
         hist = float(w[n - 1 : 0 : -1] @ u[1:n]) + 0.5 * w[n - 1] * u0
         u[n] = ((4.0 * u[n - 1] - u[n - 2]) / (2.0 * tau) - frac * lam * hist) / denom
     return u
+
+
+def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
+    """Snapshots U^0..U^N of `run_scheme`, each history summed directly, O(N^2 dof)."""
+    N, tau = cfg.n_steps, cfg.tau
+    c = DELTA[cfg.scheme]
+    w = weights(cfg.scheme, cfg.alpha, N)
+    frac = cfg.gamma * tau ** (-cfg.alpha)
+    diag = 1.0 + frac * w[0]
+    solver = SpdFactorization(space.M.scaled_sum(c[0] / tau, space.S, diag))
+    # theta[n]: weight of U^0 in the history of step n
+    if cfg.scheme == "sbd":
+        theta = np.concatenate(([0.0], 0.5 * w[:-1]))
+    else:
+        theta = w if cfg.include_history_origin else np.zeros(N + 1)
+
+    U = np.empty((N + 1, space.n_dof))
+    U[0] = v
+    for n in range(1, N + 1):
+        if cfg.scheme == "sbd" and n == 1:
+            # corrected first step: half-weighted initial stiffness term
+            rhs = (c[0] / tau) * (space.M @ U[0]) - 0.5 * diag * (space.S @ U[0])
+        else:
+            past = sum(c[k] * U[n - k] for k in range(1, len(c)))
+            rhs = -(space.M @ past) / tau
+            rhs -= frac * (space.S @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
+        try:
+            U[n] = solver.solve(rhs)
+        except Exception as exc:  # propagate with the failing step index
+            raise StepFailure(n, exc) from exc
+    return U
 
 
 # ---------------------------------------------------------------------------

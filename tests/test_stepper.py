@@ -1,12 +1,14 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import KernelDensity, scalar_trajectory_be, scalar_trajectory_sbd, uj_eval
+from oracles import KernelDensity, direct_run_scheme, scalar_trajectory_be, scalar_trajectory_sbd, uj_eval
 from rstokes.fem import InitialDatum, assemble, l2_project
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.stepper import SchemeConfig, StepFailure, run_scheme
@@ -168,6 +170,65 @@ def test_solver_failure_carries_step_index(monkeypatch):
     assert err.value.step == 3
 
 
+def test_solver_failure_past_the_direct_block_carries_step_index(monkeypatch):
+    # step 200 lies in the second half of a 300-step run, after an FFT history update
+    space = assemble(build_interval_mesh(8))
+    cfg = SchemeConfig("be", 0.5, 1.0, 0.1 / 300, 300)
+    calls = {"n": 0}
+
+    import rstokes.stepper as stepper_mod
+
+    class FlakySolver:
+        def __init__(self, A):
+            self.n = A.n
+
+        def solve(self, b):
+            calls["n"] += 1
+            if calls["n"] == 200:
+                raise RuntimeError("synthetic breakdown")
+            return np.zeros_like(b)
+
+    monkeypatch.setattr(stepper_mod, "SpdFactorization", FlakySolver)
+    with pytest.raises(StepFailure) as err:
+        run_scheme(space, cfg, np.ones(space.n_dof))
+    assert err.value.step == 200
+
+
+@pytest.mark.parametrize("mesh_builder,K,N", [(build_interval_mesh, 64, N) for N in (127, 128, 129, 300, 1000)]
+                         + [(build_square_mesh, 8, 300)])
+def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
+    # runs of at most 128 steps do the direct sum's arithmetic; longer ones add
+    # the far history by FFT convolutions, exact to roundoff
+    space = assemble(mesh_builder(K))
+    v = rng.standard_normal(space.n_dof)
+    for alpha in (0.3, 0.7):
+        for scheme, origin in (("be", False), ("be", True), ("sbd", False)):
+            cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N, include_history_origin=origin)
+            U = run_scheme(space, cfg, v).snapshots
+            ref = direct_run_scheme(space, cfg, v)
+            if N <= 128:
+                assert np.array_equal(U, ref)
+            gap = np.max(np.abs(U - ref), axis=1) / np.max(np.abs(ref), axis=1)
+            assert np.max(gap) < 1e-12
+
+
+@pytest.mark.parametrize("mesh_builder,K", [(build_interval_mesh, 16), (build_square_mesh, 4)])
+def test_run_leaves_no_reference_cycle(mesh_builder, K):
+    # the snapshots are freed by reference counting alone, with no wait for the
+    # garbage collector, after a run long enough to take the blocked history
+    space = assemble(mesh_builder(K))
+    cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / 300, 300)
+    gc.collect()
+    gc.disable()
+    try:
+        traj = run_scheme(space, cfg, np.ones(space.n_dof))
+        snapshots = weakref.ref(traj.snapshots)
+        del traj
+        assert snapshots() is None
+    finally:
+        gc.enable()
+
+
 def test_trajectory_metadata():
     space = assemble(build_interval_mesh(8))
     cfg = SchemeConfig("sbd", 0.5, 1.0, 0.05, 4)
@@ -186,6 +247,22 @@ def test_stepper_stores_one_history_array(scheme):
     space = assemble(build_interval_mesh(512))
     v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
     cfg = SchemeConfig(scheme, 0.5, 1.0, 0.1 / 400, 400)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        traj = run_scheme(space, cfg, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traj.snapshots.nbytes
+
+
+def test_stepper_memory_at_fine_tau_scale():
+    # K = 2^11, N = 2000: the FFT temporaries are blocked over columns, so the
+    # peak stays within half the snapshot array above it
+    space = assemble(build_interval_mesh(2048))
+    v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
+    cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / 2000, 2000)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
