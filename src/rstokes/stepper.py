@@ -23,10 +23,11 @@ halved recursively: the left half is solved first, its part of the sum for
 every step of the right half is added by one real-FFT convolution, and then
 the right half is solved.  That far part is accumulated in the right half's
 own, not yet solved, rows of the snapshot array.  Blocks of at most
-`_DIRECT_BLOCK` steps sum their near part directly, so a run of at most that
-many steps does the direct sum's arithmetic, and a longer one costs
-O(N log^2 N dof) instead of O(N^2 dof).  Steps are still solved one at a
-time in order 1..N.
+`_DIRECT_BLOCK` steps sum their near part directly, one BLAS product per
+step.  So a run of at most that many steps sums directly, though in another
+order than the plain march of the tests (`direct_run_scheme`), and a longer
+one costs O(N log^2 N dof) instead of O(N^2 dof).  Steps are still solved
+one at a time in order 1..N.
 
 One stepper serves both dimensions: the system matrix is set up once per
 run by `SpdFactorization` (two exact sine transforms per solve in 1D, a
@@ -148,8 +149,11 @@ def _solve_steps(step, U: np.ndarray, w: np.ndarray, lo: int, hi: int) -> None:
     no reference cycle that would keep U alive after the run.
     """
     if hi - lo <= _DIRECT_BLOCK:
+        # w_{hi-lo-1}..w_1, copied once: numpy's matmul skips BLAS for a
+        # negative-stride operand such as w[n-lo:0:-1]
+        rev = w[hi - lo - 1 : 0 : -1].copy()
         for n in range(lo, hi):
-            U[n] = step(n, U[n] + w[n - lo : 0 : -1] @ U[lo:n])
+            U[n] = step(n, U[n] + rev[hi - n - 1 :] @ U[lo:n])
         return
     mid = (lo + hi) // 2
     _solve_steps(step, U, w, lo, mid)

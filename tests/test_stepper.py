@@ -194,11 +194,13 @@ def test_solver_failure_past_the_direct_block_carries_step_index(monkeypatch):
     assert err.value.step == 200
 
 
-@pytest.mark.parametrize("mesh_builder,K,N", [(build_interval_mesh, 64, N) for N in (127, 128, 129, 300, 1000)]
-                         + [(build_square_mesh, 8, 300)])
+@pytest.mark.parametrize("mesh_builder,K,N", [(build_interval_mesh, 64, N) for N in (1, 2, 127, 128, 129, 300, 1000)]
+                         + [(build_square_mesh, 8, N) for N in (40, 300)])
 def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
-    # runs of at most 128 steps do the direct sum's arithmetic; longer ones add
-    # the far history by FFT convolutions, exact to roundoff
+    # runs of at most 128 steps sum directly in another order than the oracle;
+    # longer ones add the far history by FFT convolutions, exact to roundoff.
+    # BE with the origin term at alpha = 0.7 is the worst conditioned case:
+    # there both orders lie about 1e-13 per row from a long-double march.
     space = assemble(mesh_builder(K))
     v = rng.standard_normal(space.n_dof)
     for alpha in (0.3, 0.7):
@@ -206,10 +208,8 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
             cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N, include_history_origin=origin)
             U = run_scheme(space, cfg, v).snapshots
             ref = direct_run_scheme(space, cfg, v)
-            if N <= 128:
-                assert np.array_equal(U, ref)
             gap = np.max(np.abs(U - ref), axis=1) / np.max(np.abs(ref), axis=1)
-            assert np.max(gap) < 1e-12
+            assert np.max(gap) < (3e-13 if N <= 128 else 1e-12)
 
 
 @pytest.mark.parametrize("mesh_builder,K", [(build_interval_mesh, 16), (build_square_mesh, 4)])
