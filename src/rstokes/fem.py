@@ -144,7 +144,8 @@ def _sine_load_1d(space: FemSpace, m: int) -> np.ndarray:
     mesh = space.mesh
     h = mesh.h
     x = mesh.nodes[space.interior_nodes]
-    w = 2.0 * (1.0 - math.cos(m * math.pi * h)) / (h * (m * math.pi) ** 2)
+    # 2 (1 - cos(m pi h)), written without the cancellation
+    w = 4.0 * math.sin(m * math.pi * h / 2.0) ** 2 / (h * (m * math.pi) ** 2)
     return np.sin(m * math.pi * x) * w
 
 

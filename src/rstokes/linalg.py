@@ -2,12 +2,14 @@
 
 `SymTridiagonalMatrix` holds the P1 matrices of the uniform 1D mesh in numpy
 alone.  The interior mass and stiffness matrices are tridiagonal Toeplitz, so
-the DST-I diagonalises both, and any linear combination of them is solved
-exactly by two sine transforms.  `SparseSymMatrix` is scipy's CSR format, used
-in 2D, with a Jacobi-preconditioned CG `solve_spd` and a sparse LU.  scipy is
-imported only where a CSR matrix is built or factored, so a 1D run loads
-numpy alone.  Time steppers, which solve the same matrix thousands of times,
-use `SpdFactorization` so the work per matrix is done once per run.
+the orthonormal DST-I `dst` diagonalises both, and any linear combination of
+them.  In those coordinates a 1D system is solved by one division by its
+eigenvalues (`SpdFactorization`), and a nodal right-hand side by two sine
+transforms around it (`solve_spd`).  `SparseSymMatrix` is scipy's CSR format,
+used in 2D, with a Jacobi-preconditioned CG `solve_spd` and a sparse LU.
+scipy is imported only where a CSR matrix is built or factored, so a 1D run
+loads numpy alone.  Time steppers, which solve the same matrix thousands of
+times, use `SpdFactorization` so the work per matrix is done once per run.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "SymTridiagonalMatrix",
     "SparseSymMatrix",
     "SolverError",
+    "dst",
     "matvec",
     "solve_spd",
     "SpdFactorization",
@@ -124,7 +127,8 @@ def matvec(A: SymTridiagonalMatrix | SparseSymMatrix, x: np.ndarray) -> np.ndarr
 def solve_spd(A: SymTridiagonalMatrix | SparseSymMatrix, b: np.ndarray) -> np.ndarray:
     """Solve Ax=b for SPD A.
 
-    A 1D matrix is solved exactly by two sine transforms (`SpdFactorization`).
+    A 1D matrix is solved exactly by a division in DST-I coordinates, between
+    two sine transforms.
     A CSR matrix goes to Jacobi-preconditioned CG, run to a relative residual
     <= 1e-13 and capped at 10n iterations.  A zero right-hand side
     short-circuits to zero.
@@ -136,7 +140,7 @@ def solve_spd(A: SymTridiagonalMatrix | SparseSymMatrix, b: np.ndarray) -> np.nd
     if bnorm == 0.0:
         return np.zeros_like(b)
     if isinstance(A, SymTridiagonalMatrix):
-        return SpdFactorization(A).solve(b)
+        return dst(SpdFactorization(A).solve(dst(b)))
 
     csr = A.tocsr()
     inv_diag = 1.0 / csr.diagonal()
@@ -165,24 +169,28 @@ def solve_spd(A: SymTridiagonalMatrix | SparseSymMatrix, b: np.ndarray) -> np.nd
     raise SolverError(f"CG did not converge within {max_iter} iterations", residual=res)
 
 
-def _dst_scaled(x: np.ndarray) -> np.ndarray:
-    """-2 times the DST-I sum_j x_j sin(pi j k / (n+1)), k = 1..n, of x.
+def dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I, sqrt(2/(n+1)) sum_j x_j sin(pi j k / (n+1)), k = 1..n.
 
-    It is the imaginary part of one real FFT of the odd extension of x.
+    It acts along the last axis, so it takes a vector or a block of rows, and
+    it is its own inverse.  It is the imaginary part of one real FFT of the
+    odd extension of x, scaled.
     """
-    n = x.size
-    ext = np.zeros(2 * n + 2)
-    ext[1 : n + 1] = x
-    ext[n + 2 :] = -x[::-1]
-    return np.fft.rfft(ext)[1 : n + 1].imag
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    ext[..., 1 : n + 1] = x
+    ext[..., n + 2 :] = -x[..., ::-1]
+    return np.fft.rfft(ext)[..., 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
 
 
 class SpdFactorization:
     """Solver of one SPD matrix, set up once and reused across a stepping run.
 
-    A `SymTridiagonalMatrix` is solved exactly from its eigenvalues, as
-    x = (2/(n+1)) DST(DST(b) / lambda).  A CSR matrix is factored once by
-    scipy's sparse LU with a symmetric fill-reducing ordering.
+    A `SymTridiagonalMatrix` is diagonal in orthonormal DST-I coordinates, so
+    there `solve` takes and returns DST coefficients (`dst` of nodal vectors)
+    and is one division by the eigenvalues.  A CSR matrix is factored once by
+    scipy's sparse LU with a symmetric fill-reducing ordering, and `solve`
+    acts on nodal vectors.
     """
 
     def __init__(self, A: SymTridiagonalMatrix | SparseSymMatrix):
@@ -190,9 +198,8 @@ class SpdFactorization:
         if isinstance(A, SymTridiagonalMatrix):
             if not np.all(A.eigenvalues > 0.0):
                 raise ValueError("matrix is not positive definite: a DST-I eigenvalue is <= 0")
-            # both transforms return -2 DST, so the factor is (2/(n+1)) / 4
-            scale = 0.5 / (self.n + 1) / A.eigenvalues
-            self._solve = lambda b: _dst_scaled(_dst_scaled(b) * scale)
+            eigenvalues = A.eigenvalues
+            self._solve = lambda b: b / eigenvalues
         else:
             from scipy.sparse.linalg import splu
 

@@ -29,20 +29,27 @@ order than the plain march of the tests (`direct_run_scheme`), and a longer
 one costs O(N log^2 N dof) instead of O(N^2 dof).  Steps are still solved
 one at a time in order 1..N.
 
-One stepper serves both dimensions: the system matrix is set up once per
-run by `SpdFactorization` (two exact sine transforms per solve in 1D, a
-sparse LU in 2D), and products with M and S go through the matrices' `@`.
+One stepper serves both dimensions; only the coordinates differ.  The
+system matrix is set up once per run by `SpdFactorization`.  In 2D it is a
+sparse LU, and products with M and S go through the matrices' `@`.  On the
+uniform 1D mesh the orthonormal DST-I diagonalises M, S and the system, so a
+1D run transforms v once, marches on DST coefficients (products with the
+eigenvalue vectors, with 1/tau and gamma tau^-a folded in once per run, and
+one division per solve) and transforms the snapshots back to nodal values
+after the last step, a block of rows at a time.  The blocked history acts on
+DST columns as it does on nodal ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cq import DELTA, weights
 from .fem import FemSpace
-from .linalg import SpdFactorization
+from .linalg import SpdFactorization, dst
 
 __all__ = ["SchemeConfig", "DiscreteTrajectory", "run_scheme"]
 
@@ -113,16 +120,32 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
         theta = np.concatenate(([0.0], 0.5 * w[:-1]))
     else:
         theta = w if cfg.include_history_origin else np.zeros(N + 1)
+    dst_coordinates = space.mesh.dim == 1
+    if dst_coordinates:
+        # M and S are diagonal in orthonormal DST-I coordinates, and so is the
+        # system that `solver` divides by
+        mass = partial(np.multiply, space.M.eigenvalues / tau)
+        stiffness = partial(np.multiply, frac * space.S.eigenvalues)
+        v = dst(v)
+    else:
+        mass = lambda x: (space.M @ x) / tau
+        stiffness = lambda x: frac * (space.S @ x)
 
     def step(n: int, history: np.ndarray) -> np.ndarray:
         # history: sum_{j=1}^{n-1} w_{n-j} U^j
         if cfg.scheme == "sbd" and n == 1:
             # corrected first step: half-weighted initial stiffness term
-            rhs = (c[0] / tau) * (space.M @ U[0]) - 0.5 * diag * (space.S @ U[0])
+            # 0.5 diag S U^0, where stiffness(x) is frac S x
+            rhs = c[0] * mass(U[0]) - (0.5 * diag / frac) * stiffness(U[0])
         else:
-            past = sum(c[k] * U[n - k] for k in range(1, len(c)))
-            rhs = -(space.M @ past) / tau
-            rhs -= frac * (space.S @ (history + theta[n] * U[0]))
+            # minus the multistep part sum_{k>=1} c_k U^{n-k}
+            past = -c[1] * U[n - 1]
+            for k in range(2, len(c)):
+                past -= c[k] * U[n - k]
+            if theta[n]:
+                history = history + theta[n] * U[0]
+            rhs = mass(past)
+            rhs -= stiffness(history)
         try:
             return solver.solve(rhs)
         except Exception as exc:  # propagate with the failing step index
@@ -132,6 +155,12 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     U = np.zeros((N + 1, space.n_dof))
     U[0] = v
     _solve_steps(step, U, w, 1, N + 1)
+    if dst_coordinates:
+        # back to nodal values in place, a block of rows at a time; the odd
+        # extension that `dst` transforms takes 16 (n_dof + 1) bytes per row
+        rows = max(1, _FFT_BLOCK_BYTES // (16 * (space.n_dof + 1)))
+        for r0 in range(0, N + 1, rows):
+            U[r0 : r0 + rows] = dst(U[r0 : r0 + rows])
     return DiscreteTrajectory(config=cfg, snapshots=U)
 
 

@@ -15,8 +15,9 @@ sector bounds of the symbol g(z) = z / (1 + gamma z^alpha).
 
 Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
 both schemes, written out independently of `rstokes.stepper.run_scheme`, and
-`direct_run_scheme` is the march that sums the whole fractional history
-directly at every step, the reference for the stepper's blocked FFT history.
+`direct_run_scheme` is the plain nodal march that sums the whole fractional
+history directly at every step, the reference for the stepper's blocked FFT
+history and its 1D march in DST-I coordinates.
 
 Square: `square_triangles` is the diagonal split of Mesh(2, K), and
 `element_matrices`/`element_step_load` integrate P1 element by element over
@@ -32,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from rstokes.cq import DELTA, weights
-from rstokes.linalg import SparseSymMatrix, SpdFactorization
+from rstokes.linalg import SparseSymMatrix, SpdFactorization, solve_spd
 from rstokes.oracle import _bromwich, _inverse_laplacian
 from rstokes.stepper import StepFailure
 
@@ -188,13 +190,18 @@ def scalar_trajectory_sbd(
 
 
 def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
-    """Snapshots U^0..U^N of `run_scheme`, each history summed directly, O(N^2 dof)."""
+    """Snapshots U^0..U^N of `run_scheme`, each history summed directly, O(N^2 dof).
+
+    The plain nodal march: in 1D each step is solved by `solve_spd` (two sine
+    transforms around the division), in 2D by the sparse LU.
+    """
     N, tau = cfg.n_steps, cfg.tau
     c = DELTA[cfg.scheme]
     w = weights(cfg.scheme, cfg.alpha, N)
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
-    solver = SpdFactorization(space.M.scaled_sum(c[0] / tau, space.S, diag))
+    system = space.M.scaled_sum(c[0] / tau, space.S, diag)
+    solve = partial(solve_spd, system) if space.mesh.dim == 1 else SpdFactorization(system).solve
     # theta[n]: weight of U^0 in the history of step n
     if cfg.scheme == "sbd":
         theta = np.concatenate(([0.0], 0.5 * w[:-1]))
@@ -212,7 +219,7 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
             rhs = -(space.M @ past) / tau
             rhs -= frac * (space.S @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
         try:
-            U[n] = solver.solve(rhs)
+            U[n] = solve(rhs)
         except Exception as exc:  # propagate with the failing step index
             raise StepFailure(n, exc) from exc
     return U

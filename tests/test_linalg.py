@@ -11,6 +11,7 @@ from rstokes.linalg import (
     SparseSymMatrix,
     SpdFactorization,
     SymTridiagonalMatrix,
+    dst,
     matvec,
     solve_spd,
 )
@@ -144,9 +145,40 @@ def test_dst_eigenvalues_match_dense(K):
 
 
 @pytest.mark.parametrize("K", [2, 3, 64, 2048])
+def test_dst_is_an_involution(K):
+    rng = np.random.default_rng(K)
+    x = rng.standard_normal(K - 1)
+    assert np.max(np.abs(dst(dst(x)) - x)) <= 8 * np.finfo(float).eps * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("K", [2, 3, 64, 2048])
+def test_dst_diagonalises_interval_systems(K):
+    # DST-I coordinates turn M, S and the SBD system into their eigenvalues
+    space, systems = _interval_systems(K)
+    rng = np.random.default_rng(K + 1)
+    x = rng.standard_normal(space.n_dof)
+    for A in systems:
+        got = dst(A.toarray() @ dst(x))
+        expect = A.eigenvalues * x
+        scale = np.max(np.abs(A.eigenvalues)) * np.max(np.abs(x))
+        assert np.max(np.abs(got - expect)) <= 16 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("K", [2, 3, 64, 2048])
+def test_dst_of_a_row_block_matches_rows(K):
+    rng = np.random.default_rng(K + 2)
+    X = rng.standard_normal((5, K - 1))
+    block = dst(X)
+    assert block.shape == X.shape
+    for row, x in zip(block, X):
+        assert np.array_equal(row, dst(x))
+
+
+@pytest.mark.parametrize("K", [2, 3, 64, 2048])
 def test_dst_solve_matches_dense(K):
     # both solves are backward stable, so they differ by at most a small multiple
-    # of kappa(A) eps relative; kappa comes from the exact eigenvalues (up to 1.7e6)
+    # of kappa(A) eps relative; kappa comes from the exact eigenvalues (up to 1.7e6).
+    # SpdFactorization divides DST-I coefficients; solve_spd takes a nodal rhs
     space, systems = _interval_systems(K)
     rng = np.random.default_rng(K)
     for A in systems:
@@ -154,5 +186,5 @@ def test_dst_solve_matches_dense(K):
         b = rng.standard_normal(space.n_dof)
         expect = np.linalg.solve(A.toarray(), b)
         bound = 4.0 * (A.eigenvalues.max() / A.eigenvalues.min()) * np.finfo(float).eps
-        for x in (SpdFactorization(A).solve(b), solve_spd(A, b)):
+        for x in (dst(SpdFactorization(A).solve(dst(b))), solve_spd(A, b)):
             assert np.max(np.abs(x - expect)) <= bound * np.max(np.abs(expect))

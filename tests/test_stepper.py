@@ -10,6 +10,7 @@ import scipy.linalg
 
 from oracles import KernelDensity, direct_run_scheme, scalar_trajectory_be, scalar_trajectory_sbd, uj_eval
 from rstokes.fem import InitialDatum, assemble, l2_project
+from rstokes.linalg import dst
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.stepper import SchemeConfig, StepFailure, run_scheme
 
@@ -194,13 +195,20 @@ def test_solver_failure_past_the_direct_block_carries_step_index(monkeypatch):
     assert err.value.step == 200
 
 
-@pytest.mark.parametrize("mesh_builder,K,N", [(build_interval_mesh, 64, N) for N in (1, 2, 127, 128, 129, 300, 1000)]
+@pytest.mark.parametrize("mesh_builder,K,N", [(build_interval_mesh, 64, N) for N in (1, 2, 127, 128, 129, 200, 300, 1000)]
+                         + [(build_interval_mesh, 2, N) for N in (1, 300)]
+                         + [(build_interval_mesh, 3, N) for N in (2, 300)]
                          + [(build_square_mesh, 8, N) for N in (40, 300)])
 def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
     # runs of at most 128 steps sum directly in another order than the oracle;
     # longer ones add the far history by FFT convolutions, exact to roundoff.
     # BE with the origin term at alpha = 0.7 is the worst conditioned case:
     # there both orders lie about 1e-13 per row from a long-double march.
+    # 1D runs march in DST-I coordinates against the oracle's nodal march;
+    # K = 2 and 3 have 1 and 2 dofs.  At K = 64 the snapshots go back to nodal
+    # values in blocks of 128 rows, so N = 200 ends in a short block of 73.
+    # Larger K is left out: there the nodal march's own roundoff, amplified
+    # by the condition number of the system, exceeds these bounds.
     space = assemble(mesh_builder(K))
     v = rng.standard_normal(space.n_dof)
     for alpha in (0.3, 0.7):
@@ -210,6 +218,36 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
             ref = direct_run_scheme(space, cfg, v)
             gap = np.max(np.abs(U - ref), axis=1) / np.max(np.abs(ref), axis=1)
             assert np.max(gap) < (3e-13 if N <= 128 else 1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["be", "sbd"])
+def test_1d_run_factors_once_and_solves_each_step_in_order(monkeypatch, scheme):
+    # the traced benchmark counts linalg.factor_calls and linalg.solve_calls at
+    # stepper.SpdFactorization, so a 1D run must build one and solve through it
+    # once per step; the k-th solve returns the DST-I coefficients of U^k
+    import rstokes.stepper as stepper_mod
+
+    built, solved = [], []
+
+    class CountingFactorization(stepper_mod.SpdFactorization):
+        def __init__(self, A):
+            built.append(A)
+            super().__init__(A)
+
+        def solve(self, b):
+            x = super().solve(b)
+            solved.append(x)
+            return x
+
+    monkeypatch.setattr(stepper_mod, "SpdFactorization", CountingFactorization)
+    space = assemble(build_interval_mesh(16))
+    v = l2_project(space, InitialDatum("step"))
+    N = 300
+    traj = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, 0.1 / N, N), v)
+    assert len(built) == 1
+    assert len(solved) == N
+    nodal = dst(np.array(solved))
+    assert np.max(np.abs(nodal - traj.snapshots[1:])) <= 4 * np.finfo(float).eps * np.max(np.abs(nodal))
 
 
 @pytest.mark.parametrize("mesh_builder,K", [(build_interval_mesh, 16), (build_square_mesh, 4)])
