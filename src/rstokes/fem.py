@@ -2,7 +2,8 @@
 
 Dirichlet conditions leave only the interior unknowns, so a space keeps the
 interior mass and stiffness matrices, which are symmetric positive definite
-and written in closed form for both uniform grids.  Load vectors for the four
+and written in closed form for both uniform grids, as the numpy-only matrices
+of `rstokes.linalg`.  Load vectors for the four
 initial data of the studies are integrated exactly (closed forms for sine and
 step data, point evaluation for Dirac data), which keeps quadrature error out
 of the convergence studies.
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import SparseSymMatrix, SymTridiagonalMatrix, solve_spd
+from .linalg import SquareStencilMatrix, SymTridiagonalMatrix, solve_spd
 from .mesh import Mesh
 
 if TYPE_CHECKING:
@@ -76,8 +77,8 @@ class FemSpace:
     """
 
     mesh: Mesh
-    M: SymTridiagonalMatrix | SparseSymMatrix
-    S: SymTridiagonalMatrix | SparseSymMatrix
+    M: SymTridiagonalMatrix | SquareStencilMatrix
+    S: SymTridiagonalMatrix | SquareStencilMatrix
 
     @property
     def n_dof(self) -> int:
@@ -109,30 +110,17 @@ def _assemble_1d(mesh: Mesh) -> FemSpace:
 
 
 def _assemble_2d(mesh: Mesh) -> FemSpace:
-    # Kronecker forms on the (y, x)-ordered interior grid: E couples the two
-    # neighbours on a line, U.U and U^T.U^T the ends of a cell's diagonal
-    import scipy.sparse as sp
-
-    n, h = mesh.K - 1, mesh.h
-    I = sp.identity(n, format="csr")
-    U = sp.eye(n, k=1, format="csr")
-    E = U + U.T
-    T = 2.0 * I - E
-    S = sp.kron(I, T) + sp.kron(T, I)
-    M = (h * h / 12.0) * (6.0 * sp.kron(I, I) + sp.kron(I, E) + sp.kron(E, I)
-                          + sp.kron(U, U) + sp.kron(U.T, U.T))
-    return FemSpace(mesh=mesh, M=SparseSymMatrix(M), S=SparseSymMatrix(S))
+    return FemSpace(mesh=mesh, M=SquareStencilMatrix(mesh.K, 1.0, 0.0), S=SquareStencilMatrix(mesh.K, 0.0, 1.0))
 
 
 def assemble(mesh: Mesh) -> FemSpace:
     """Interior P1 mass and stiffness matrices of the mesh, in closed form.
 
-    In 1D they are tridiagonal and need numpy alone: M = (h/6)[1, 4, 1] and
-    S = (1/h)[-1, 2, -1].  On the square, with n = K-1, T = tridiag(-1, 2, -1),
-    U the unit superdiagonal and E = U + U^T, they are scipy CSR matrices:
-    S = I(x)T + T(x)I, the 5-point stencil, and
-    M = (h^2/12)(6 I(x)I + I(x)E + E(x)I + U(x)U + U^T(x)U^T), whose 7-point
-    stencil follows the cell diagonals.
+    In 1D they are tridiagonal, M = (h/6)[1, 4, 1] and S = (1/h)[-1, 2, -1].
+    On the square, with n = K-1, T = tridiag(-1, 2, -1), U the unit
+    superdiagonal and E = U + U^T, S = I(x)T + T(x)I is the 5-point stencil
+    and M = (h^2/12)(6 I(x)I + I(x)E + E(x)I + U(x)U + U^T(x)U^T) a 7-point
+    stencil that follows the cell diagonals; both are `SquareStencilMatrix`.
     """
     return _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
 

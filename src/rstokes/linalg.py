@@ -1,41 +1,36 @@
 """Symmetric matrices and SPD solves for assembly, projections and stepping.
 
-`SymTridiagonalMatrix` holds the P1 matrices of the uniform 1D mesh in numpy
-alone.  The interior mass and stiffness matrices are tridiagonal Toeplitz, so
-the orthonormal DST-I `dst` diagonalises both, and any linear combination of
-them.  In those coordinates a 1D system is solved by one division by its
-eigenvalues (`SpdFactorization`), and a nodal right-hand side by two sine
-transforms around it (`solve_spd`).  `SparseSymMatrix` is scipy's CSR format,
-used in 2D, with a Jacobi-preconditioned CG `solve_spd` and a sparse LU.
-scipy is imported only where a CSR matrix is built or factored, so a 1D run
-loads numpy alone.  Time steppers, which solve the same matrix thousands of
-times, use `SpdFactorization` so the work per matrix is done once per run.
+Both uniform grids have closed-form interior P1 matrices, and both are solved
+exactly with numpy alone.  `SymTridiagonalMatrix` holds the 1D matrices.  They
+are tridiagonal Toeplitz, so the orthonormal DST-I `dst` diagonalises them
+and any linear combination of them.  In those coordinates a 1D system is
+solved by one division by its eigenvalues (`SpdFactorization`), and a nodal
+right-hand side by two sine transforms around it (`solve_spd`).
+
+`SquareStencilMatrix` is mass M + stiff S on the square, applied as its
+7-point stencil.  It is solved by the capacitance-matrix method of Buzbee,
+Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971): the interior grid is
+embedded in the periodic K x K grid, where a 2D real FFT diagonalises the
+stencil, and a dense system on the 2K-1 boundary nodes of that grid,
+inverted once, makes the periodic solution vanish there.  Time steppers,
+which solve the same matrix thousands of times, use `SpdFactorization` so
+the work per matrix is done once per run.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = [
     "SymTridiagonalMatrix",
-    "SparseSymMatrix",
-    "SolverError",
+    "SquareStencilMatrix",
     "dst",
     "matvec",
     "solve_spd",
     "SpdFactorization",
 ]
-
-_SYMMETRY_TOL = 1e-14
-_SOLVE_TOL = 1e-13
-
-
-class SolverError(RuntimeError):
-    """Iterative solve failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (relative residual {residual:.3e})")
-        self.residual = residual
 
 
 class SymTridiagonalMatrix:
@@ -79,94 +74,80 @@ class SymTridiagonalMatrix:
         return matvec(self, x)
 
 
-class SparseSymMatrix:
-    """Compressed-sparse-row symmetric matrix; symmetry is checked on construction."""
+class SquareStencilMatrix:
+    """mass M + stiff S on the (y, x)-ordered interior grid of the uniform square.
 
-    def __init__(self, csr):
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {csr.shape}")
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        if not np.all(np.isfinite(csr.data)):
+    M and S are the interior P1 mass and stiffness matrices of the K x K
+    grid whose cells are cut along their (+1, +1) diagonal.  With
+    m = mass h^2/12 and d = stiff, row (y, x) is the 7-point stencil
+    6m + 4d at the node, m - d at its four axis neighbours and m at
+    (y-1, x-1) and (y+1, x+1).  `scaled_sum` combines the two coefficients,
+    as the 1D matrix combines its eigenvalues.
+    """
+
+    def __init__(self, K: int, mass: float, stiff: float):
+        if not (math.isfinite(mass) and math.isfinite(stiff)):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(csr.data).max(initial=0.0)))
-        gap = abs(csr - csr.T)
-        if gap.nnz and gap.data.max() > _SYMMETRY_TOL * scale:
-            raise ValueError("matrix is not symmetric: A != A^T")
-        self._csr = csr
+        self.K = K
+        self.mass = float(mass)
+        self.stiff = float(stiff)
+        m = self.mass / (12.0 * K * K)
+        self._centre = 6.0 * m + 4.0 * self.stiff
+        self._axis = m - self.stiff
+        self._diagonal = m
 
     @property
     def n(self) -> int:
-        return self._csr.shape[0]
-
-    def tocsr(self):
-        return self._csr
+        return (self.K - 1) ** 2
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        """The dense matrix, Kronecker products of n x n factors with n = K-1."""
+        n = self.K - 1
+        I = np.eye(n)
+        U = np.eye(n, k=1)
+        E = U + U.T
+        return (self._centre * np.kron(I, I) + self._axis * (np.kron(I, E) + np.kron(E, I))
+                + self._diagonal * (np.kron(U, U) + np.kron(U.T, U.T)))
 
-    def scaled_sum(self, a: float, other: "SparseSymMatrix", b: float) -> "SparseSymMatrix":
+    def scaled_sum(self, a: float, other: "SquareStencilMatrix", b: float) -> "SquareStencilMatrix":
         """Return a*self + b*other as a new matrix."""
-        return SparseSymMatrix((a * self._csr + b * other._csr).tocsr())
+        return SquareStencilMatrix(self.K, a * self.mass + b * other.mass, a * self.stiff + b * other.stiff)
 
     def _product(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ x
+        n = self.K - 1
+        P = np.zeros((n + 2, n + 2))   # the grid with its zero boundary
+        P[1:-1, 1:-1] = x.reshape(n, n)
+        y = self._centre * P[1:-1, 1:-1]
+        y += self._axis * (P[:-2, 1:-1] + P[2:, 1:-1] + P[1:-1, :-2] + P[1:-1, 2:])
+        y += self._diagonal * (P[:-2, :-2] + P[2:, 2:])
+        return y.ravel()
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
 
 
-def matvec(A: SymTridiagonalMatrix | SparseSymMatrix, x: np.ndarray) -> np.ndarray:
+def matvec(A: SymTridiagonalMatrix | SquareStencilMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, vector has shape {x.shape}")
     return A._product(x)
 
 
-def solve_spd(A: SymTridiagonalMatrix | SparseSymMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve Ax=b for SPD A.
+def solve_spd(A: SymTridiagonalMatrix | SquareStencilMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve Ax=b for SPD A, exactly up to roundoff, on nodal vectors.
 
-    A 1D matrix is solved exactly by a division in DST-I coordinates, between
-    two sine transforms.
-    A CSR matrix goes to Jacobi-preconditioned CG, run to a relative residual
-    <= 1e-13 and capped at 10n iterations.  A zero right-hand side
-    short-circuits to zero.
+    A 1D matrix is solved by a division in DST-I coordinates, between two
+    sine transforms; a square one by `SpdFactorization`.  A zero right-hand
+    side short-circuits to zero.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, rhs has shape {b.shape}")
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    if not np.any(b):
         return np.zeros_like(b)
     if isinstance(A, SymTridiagonalMatrix):
         return dst(SpdFactorization(A).solve(dst(b)))
-
-    csr = A.tocsr()
-    inv_diag = 1.0 / csr.diagonal()
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    res = 1.0
-    max_iter = 10 * A.n
-    for _ in range(max_iter):
-        Ap = csr @ p
-        p_ap = p @ Ap
-        if not np.isfinite(p_ap) or p_ap <= 0.0:
-            raise SolverError("CG breakdown (matrix not positive definite?)", residual=res)
-        alpha = rz / p_ap
-        x += alpha * p
-        r -= alpha * Ap
-        res = np.linalg.norm(r) / bnorm
-        if res <= _SOLVE_TOL:
-            return x
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(f"CG did not converge within {max_iter} iterations", residual=res)
+    return SpdFactorization(A).solve(b)
 
 
 def dst(x: np.ndarray) -> np.ndarray:
@@ -183,17 +164,93 @@ def dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext)[..., 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
 
 
+def _capacitance_solver(A: SquareStencilMatrix):
+    """Set up the exact solve of A on nodal vectors; return it as a function.
+
+    Extended periodically, the stencil is the operator L of the K x K torus,
+    whose boundary set B, the row y = 0 and the column x = 0 (2K-1 nodes),
+    holds every neighbour that an interior node has outside the interior.
+    So u solves Au = b exactly when Lu = b + P_B mu for some mu on B and
+    u = 0 on B.  L has the symbol lambda(theta_y, theta_x); with
+    s = sin^2(theta/2) per axis and s_yx that of theta_y + theta_x,
+
+        lambda = 4 d (s_x + s_y) + 4 m (3 - s_x - s_y - s_yx),
+
+    which never subtracts large terms.  The constant mode, singular for
+    m = 0, is split off: L0+ inverts L on mean-zero functions and drops the
+    constant, so u = L0+ f + c with f = b + P_B mu and
+    K^2 lambda(0) c = sum f.  With w = L0+ b and g0 the torus Green's
+    function of L0+, mu and c solve the bordered system
+
+        [[g0(b_i - b_j), 1], [1^T, -K^2 lambda(0)]] [mu; c] = [-w|_B; -sum b],
+
+    inverted once here.  A solve is one rfft2 of b and one irfft2 of the
+    spectrum of b + P_B mu: w|_B is read from the spectrum of w by 1D
+    inverse transforms, and P_B mu, a row and a column, has the spectrum of
+    the row along x plus that of the column along y.
+    """
+    K = A.K
+    m, d = A._diagonal, A.stiff
+    # rfft2 layout: axis 0 holds theta_y = 2 pi k / K for k = 0..K-1, axis 1 theta_x for k = 0..K/2
+    sy = np.sin(np.pi * np.arange(K) / K)[:, None] ** 2
+    sx = np.sin(np.pi * np.arange(K // 2 + 1) / K)[None, :] ** 2
+    syx = np.sin(np.pi * (np.arange(K)[:, None] + np.arange(K // 2 + 1)[None, :]) / K) ** 2
+    lam = 4.0 * d * (sx + sy) + 4.0 * m * (3.0 - sx - sy - syx)
+    lam0 = lam[0, 0]
+    lam[0, 0] = 1.0
+    if lam0 < 0.0 or not np.all(lam > 0.0):
+        raise ValueError("matrix is not positive definite: its torus symbol is negative, "
+                         "or zero off the constant mode")
+    green = 1.0 / lam
+    green[0, 0] = 0.0
+    g0 = np.fft.irfft2(green, s=(K, K))
+    by = np.concatenate((np.zeros(K, dtype=int), np.arange(1, K)))
+    bx = np.concatenate((np.arange(K), np.zeros(K - 1, dtype=int)))
+    nb = 2 * K - 1
+    bordered = np.empty((nb + 1, nb + 1))
+    bordered[:nb, :nb] = g0[(by[:, None] - by[None, :]) % K, (bx[:, None] - bx[None, :]) % K]
+    bordered[:nb, nb] = bordered[nb, :nb] = 1.0
+    bordered[nb, nb] = -K * K * lam0
+    inverse = np.linalg.inv(bordered)
+    # irfft along x evaluated at x = 0: the half spectrum with its doubled middle terms
+    fold = np.full(K // 2 + 1, 2.0)
+    fold[0] = 1.0
+    if K % 2 == 0:
+        fold[-1] = 1.0
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        f = np.zeros((K, K))
+        f[1:, 1:] = b.reshape(K - 1, K - 1)
+        spectrum = np.fft.rfft2(f)
+        spectrum *= green
+        rhs = np.empty(nb + 1)
+        rhs[:K] = np.fft.irfft(spectrum.sum(axis=0), K) / K      # w on y = 0
+        rhs[K:nb] = np.fft.ifft(spectrum @ fold)[1:].real / K     # w on x = 0, y > 0
+        rhs[nb] = b.sum()
+        sol = inverse @ -rhs
+        col = np.zeros(K)
+        col[1:] = sol[K:nb]
+        spectrum += (np.fft.rfft(sol[:K])[None, :] + np.fft.fft(col)[:, None]) * green
+        u = np.fft.irfft2(spectrum, s=(K, K))[1:, 1:]
+        u += sol[nb]
+        return u.ravel()
+
+    return solve
+
+
 class SpdFactorization:
     """Solver of one SPD matrix, set up once and reused across a stepping run.
 
     A `SymTridiagonalMatrix` is diagonal in orthonormal DST-I coordinates, so
     there `solve` takes and returns DST coefficients (`dst` of nodal vectors)
-    and is one division by the eigenvalues.  A CSR matrix is factored once by
-    scipy's sparse LU with a symmetric fill-reducing ordering, and `solve`
-    acts on nodal vectors.
+    and is one division by the eigenvalues.  A `SquareStencilMatrix` is set
+    up for the capacitance-matrix solve (see `_capacitance_solver`): one
+    dense inverse of size 2K, after which `solve` acts on nodal vectors by
+    one 2D real FFT pair.  Either check rejects a matrix that is not
+    positive definite.
     """
 
-    def __init__(self, A: SymTridiagonalMatrix | SparseSymMatrix):
+    def __init__(self, A: SymTridiagonalMatrix | SquareStencilMatrix):
         self.n = A.n
         if isinstance(A, SymTridiagonalMatrix):
             if not np.all(A.eigenvalues > 0.0):
@@ -201,10 +258,7 @@ class SpdFactorization:
             eigenvalues = A.eigenvalues
             self._solve = lambda b: b / eigenvalues
         else:
-            from scipy.sparse.linalg import splu
-
-            lu = splu(A.tocsr().tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-            self._solve = lu.solve
+            self._solve = _capacitance_solver(A)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)

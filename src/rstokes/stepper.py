@@ -30,8 +30,9 @@ one costs O(N log^2 N dof) instead of O(N^2 dof).  Steps are still solved
 one at a time in order 1..N.
 
 One stepper serves both dimensions; only the coordinates differ.  The
-system matrix is set up once per run by `SpdFactorization`.  In 2D it is a
-sparse LU, and products with M and S go through the matrices' `@`.  On the
+system matrix is set up once per run by `SpdFactorization`.  In 2D that is
+the capacitance-matrix solve on the periodic grid, and products with M and
+S go through the matrices' stencil `@`.  On the
 uniform 1D mesh the orthonormal DST-I diagonalises M, S and the system, so a
 1D run transforms v once, marches on DST coefficients (products with the
 eigenvalue vectors, with 1/tau and gamma tau^-a folded in once per run, and

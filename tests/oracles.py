@@ -17,12 +17,15 @@ Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
 both schemes, written out independently of `rstokes.stepper.run_scheme`, and
 `direct_run_scheme` is the plain nodal march that sums the whole fractional
 history directly at every step, the reference for the stepper's blocked FFT
-history and its 1D march in DST-I coordinates.
+history and its 1D march in DST-I coordinates.  In 2D it steps with the
+element-assembled matrices and scipy's sparse LU, so it shares no 2D code
+with `rstokes.linalg`.
 
 Square: `square_triangles` is the diagonal split of Mesh(2, K), and
 `element_matrices`/`element_step_load` integrate P1 element by element over
 it, the reference for the closed-form 2D matrices and step load of
-`rstokes.fem`.
+`rstokes.fem`; `element_interior_matrices` keeps the same integrals sparse,
+for the sparse LU that the 2D solves are checked against.
 
 Evaluation and quadrature: `direct_eval_points` is the direct sin/cos sum that
 `ModalSolution.eval_points` is checked against, and `gauss_panels` gives
@@ -36,9 +39,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from rstokes.cq import DELTA, weights
-from rstokes.linalg import SparseSymMatrix, SpdFactorization, solve_spd
+from rstokes.linalg import SymTridiagonalMatrix, solve_spd
+from rstokes.mesh import Mesh
 from rstokes.oracle import _bromwich, _inverse_laplacian
 from rstokes.stepper import StepFailure
 
@@ -193,15 +199,20 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
     """Snapshots U^0..U^N of `run_scheme`, each history summed directly, O(N^2 dof).
 
     The plain nodal march: in 1D each step is solved by `solve_spd` (two sine
-    transforms around the division), in 2D by the sparse LU.
+    transforms around the division); in 2D the products and the solve use
+    the element-assembled matrices and scipy's sparse LU.
     """
     N, tau = cfg.n_steps, cfg.tau
     c = DELTA[cfg.scheme]
     w = weights(cfg.scheme, cfg.alpha, N)
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
-    system = space.M.scaled_sum(c[0] / tau, space.S, diag)
-    solve = partial(solve_spd, system) if space.mesh.dim == 1 else SpdFactorization(system).solve
+    if space.mesh.dim == 1:
+        M, S = space.M, space.S
+        solve = partial(solve_spd, M.scaled_sum(c[0] / tau, S, diag))
+    else:
+        M, S = element_interior_matrices(space.mesh.K)
+        solve = splu((c[0] / tau) * M + diag * S).solve
     # theta[n]: weight of U^0 in the history of step n
     if cfg.scheme == "sbd":
         theta = np.concatenate(([0.0], 0.5 * w[:-1]))
@@ -213,11 +224,11 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
     for n in range(1, N + 1):
         if cfg.scheme == "sbd" and n == 1:
             # corrected first step: half-weighted initial stiffness term
-            rhs = (c[0] / tau) * (space.M @ U[0]) - 0.5 * diag * (space.S @ U[0])
+            rhs = (c[0] / tau) * (M @ U[0]) - 0.5 * diag * (S @ U[0])
         else:
             past = sum(c[k] * U[n - k] for k in range(1, len(c)))
-            rhs = -(space.M @ past) / tau
-            rhs -= frac * (space.S @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
+            rhs = -(M @ past) / tau
+            rhs -= frac * (S @ (w[n - 1 : 0 : -1] @ U[1:n] + theta[n] * U[0]))
         try:
             U[n] = solve(rhs)
         except Exception as exc:  # propagate with the failing step index
@@ -228,11 +239,9 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # matrices, evaluation and quadrature
 
-def sparse_identity(n: int) -> SparseSymMatrix:
-    """The n x n identity as a CSR matrix."""
-    import scipy.sparse as sp
-
-    return SparseSymMatrix(sp.identity(n, format="csr"))
+def tridiagonal_identity(n: int) -> SymTridiagonalMatrix:
+    """The n x n identity as a 1D matrix, whose eigenvalues are all 1."""
+    return SymTridiagonalMatrix(np.ones(n), np.zeros(n - 1), np.ones(n))
 
 
 def square_triangles(K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,13 +266,11 @@ def triangle_areas(lattice: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def element_matrices(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense P1 mass and stiffness matrices over all nodes of Mesh(2, K).
+def _element_entries(K: int):
+    """Row and column indices with the local mass and stiffness entries of all triangles.
 
-    Summed element by element from the exact triangle integrals, before the
-    boundary is eliminated: the reference for the closed forms of `assemble`.
-    The geometry is in lattice units, where S is the same as on the mesh
-    and M is h^-2 times its value, so no node roundoff enters the sums.
+    The node count of Mesh(2, K) comes last; summing duplicates assembles the
+    full matrices.
     """
     lattice, tri = square_triangles(K)
     p = lattice[tri]                        # (ne, 3, 2)
@@ -279,11 +286,34 @@ def element_matrices(K: int) -> tuple[np.ndarray, np.ndarray]:
     m_local = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / (12.0 * K * K))[:, None, None]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    n = len(lattice)
+    return rows, cols, m_local.ravel(), s_local.ravel(), len(lattice)
+
+
+def element_matrices(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense P1 mass and stiffness matrices over all nodes of Mesh(2, K).
+
+    Summed element by element from the exact triangle integrals, before the
+    boundary is eliminated: the reference for the closed forms of `assemble`.
+    The geometry is in lattice units, where S is the same as on the mesh
+    and M is h^-2 times its value, so no node roundoff enters the sums.
+    """
+    rows, cols, m_local, s_local, n = _element_entries(K)
     M, S = np.zeros((n, n)), np.zeros((n, n))
-    np.add.at(M, (rows, cols), m_local.ravel())
-    np.add.at(S, (rows, cols), s_local.ravel())
+    np.add.at(M, (rows, cols), m_local)
+    np.add.at(S, (rows, cols), s_local)
     return M, S
+
+
+def element_interior_matrices(K: int):
+    """The interior rows and columns of `element_matrices`, as scipy CSC matrices.
+
+    Sparse, so any K of the studies fits: the reference that the 2D solves of
+    `rstokes.linalg` are checked against by scipy's sparse LU.
+    """
+    rows, cols, m_local, s_local, n = _element_entries(K)
+    inner = Mesh(2, K).interior_nodes
+    return tuple(sparse.csr_matrix((local, (rows, cols)), shape=(n, n))[inner][:, inner].tocsc()
+                 for local in (m_local, s_local))
 
 
 def element_step_load(K: int, a: float) -> np.ndarray:

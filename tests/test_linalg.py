@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from oracles import sparse_identity
-from rstokes.fem import assemble, l2_project, InitialDatum
+from oracles import element_interior_matrices, tridiagonal_identity
+from rstokes.fem import assemble
 from rstokes.linalg import (
-    SolverError,
-    SparseSymMatrix,
     SpdFactorization,
+    SquareStencilMatrix,
     SymTridiagonalMatrix,
     dst,
     matvec,
@@ -17,16 +16,12 @@ from rstokes.linalg import (
 )
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 
-
-def _random_sym(n, rng, density=0.4):
-    A = rng.standard_normal((n, n))
-    A[rng.random((n, n)) > density] = 0.0
-    A = 0.5 * (A + A.T)
-    return A
+# (mass, stiff): M, S and stepping systems from stiffness- to mass-dominated
+_SQUARE_CASES = [(1.0, 0.0), (0.0, 1.0), (2.0, 21.0), (50.0, 21.0), (3e5, 51.0)]
 
 
 def test_matvec_identity(rng):
-    A = sparse_identity(7)
+    A = tridiagonal_identity(7)
     x = rng.standard_normal(7)
     assert np.array_equal(matvec(A, x), x)
 
@@ -39,32 +34,32 @@ def test_matvec_single_interior_stiffness():
 
 
 def test_matvec_against_dense_oracle(rng):
-    for n in (5, 17, 50):
-        D = _random_sym(n, rng)
-        A = SparseSymMatrix(sp.csr_matrix(D))
-        x = rng.standard_normal(n)
-        assert np.max(np.abs(matvec(A, x) - D @ x)) < 1e-13
+    # the stencil products of both grids against their dense matrices
+    space = assemble(build_interval_mesh(17))
+    square = [SquareStencilMatrix(K, mass, stiff) for K in (2, 3, 5, 17) for mass, stiff in _SQUARE_CASES]
+    for A in [space.M, space.S, *square]:
+        D = A.toarray()
+        x = rng.standard_normal(A.n)
+        assert np.max(np.abs(matvec(A, x) - D @ x)) <= 1e-14 * np.max(np.abs(D)) * np.max(np.abs(x))
 
 
 def test_matvec_dimension_mismatch(rng):
-    A = sparse_identity(4)
+    A = tridiagonal_identity(4)
     with pytest.raises(ValueError):
         matvec(A, rng.standard_normal(5))
 
 
-def test_symmetry_flag_validated():
-    with pytest.raises(ValueError):
-        SparseSymMatrix(sp.csr_matrix([[0.0, 1.0], [2.0, 0.0]]))
-
-
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
-        SparseSymMatrix(sp.diags([1.0, np.inf], format="csr"))
+        SymTridiagonalMatrix([1.0, np.inf], [0.0], [1.0, 1.0])
+    for mass, stiff in ((np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            SquareStencilMatrix(4, mass, stiff)
 
 
 def test_solve_identity(rng):
     b = rng.standard_normal(10)
-    assert np.allclose(solve_spd(sparse_identity(10), b), b)
+    assert np.allclose(solve_spd(tridiagonal_identity(10), b), b)
 
 
 def test_solve_zero_rhs():
@@ -83,50 +78,62 @@ def test_solve_against_dense_cholesky():
     assert np.max(np.abs(x - expect)) < 1e-10
 
 
-def test_solve_large_uses_cg_path():
-    # 1D solves are direct (DST-I); a 2D (CSR) matrix with 121 unknowns goes to Jacobi-PCG
+def test_solve_spd_2d_is_direct():
+    # a 2D matrix with 121 unknowns is solved by the same capacitance solve as a stepping run
     space = assemble(build_square_mesh(12))
     rng = np.random.default_rng(3)
     b = rng.standard_normal(space.n_dof)
     x = solve_spd(space.S, b)
+    assert np.array_equal(x, SpdFactorization(space.S).solve(b))
     res = np.linalg.norm(matvec(space.S, x) - b) / np.linalg.norm(b)
-    assert res < 1e-12
+    assert res <= 1e-13
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=2, max_value=40), st.integers(0, 2**31 - 1))
-def test_solve_roundtrip_random_spd(n, seed):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((n, n))
-    D = B @ B.T + n * np.eye(n)
-    A = SparseSymMatrix(sp.csr_matrix(D))
-    b = rng.standard_normal(n)
+@given(st.integers(min_value=2, max_value=40), _COEFFICIENT, _COEFFICIENT, st.integers(0, 2**31 - 1))
+def test_solve_roundtrip_random_spd(K, mass, stiff, seed):
+    assume(mass > 0.0 or stiff > 0.0)
+    A = SquareStencilMatrix(K, mass, stiff)
+    b = np.random.default_rng(seed).standard_normal(A.n)
     x = solve_spd(A, b)
-    assert np.linalg.norm(matvec(A, x) - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(matvec(A, x) - b) <= 1e-13 * np.linalg.norm(b)
 
 
-def test_solver_failure_reports_residual():
-    # singular consistent-looking system: path-graph Laplacian with rhs
-    # carrying a nullspace component never converges
-    n = 80
-    main = 2.0 * np.ones(n)
-    main[0] = main[-1] = 1.0
-    A = SparseSymMatrix(sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1], format="csr"))
-    b = np.zeros(n)
-    b[0] = 1.0
-    with pytest.raises(SolverError) as err:
-        solve_spd(A, b)
-    assert err.value.residual > 0.0
+def _condition_bound(K: int, mass: float, stiff: float) -> float:
+    # kappa(mass M + stiff S) from bounds on its extreme eigenvalues: the torus
+    # symbols bound both ends (M's lies in [h^2/4, h^2], S's below 8) and S's
+    # smallest Dirichlet eigenvalue is 8 sin^2(pi/2K)
+    h2 = 1.0 / (K * K)
+    return (mass * h2 + 8.0 * stiff) / (mass * h2 / 4.0 + 8.0 * stiff * np.sin(np.pi / (2 * K)) ** 2)
 
 
-def test_factorization_matches_iterative():
-    # sparse LU against CG on a 2D (CSR) matrix with 121 unknowns
-    space = assemble(build_square_mesh(12))
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal(space.n_dof)
-    direct = SpdFactorization(space.M).solve(b)
-    iterative = solve_spd(space.M, b)
-    assert np.max(np.abs(direct - iterative)) < 1e-10
+@pytest.mark.parametrize("K", [2, 3, 4, 8, 17, 64, 128, 192])
+def test_factorization_matches_splu(K):
+    # the capacitance solve against scipy's sparse LU of the element-assembled
+    # system (and a dense solve up to K = 17); both are backward stable, so
+    # they differ by at most a small multiple of kappa eps relative
+    rng = np.random.default_rng(K)
+    M, S = element_interior_matrices(K)
+    for mass, stiff in _SQUARE_CASES:
+        A = mass * M + stiff * S
+        b = rng.standard_normal(A.shape[0])
+        x = SpdFactorization(SquareStencilMatrix(K, mass, stiff)).solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+        bound = 4.0 * _condition_bound(K, mass, stiff) * np.finfo(float).eps
+        references = [splu(A).solve(b)]
+        if K <= 17:
+            references.append(np.linalg.solve(A.toarray(), b))
+        for expect in references:
+            assert np.max(np.abs(x - expect)) <= bound * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("mass,stiff", [(-1.0, 1.0), (1.0, -1.0), (0.0, -1.0), (0.0, 0.0)])
+def test_factorization_rejects_indefinite_square_matrix(mass, stiff):
+    with pytest.raises(ValueError):
+        SpdFactorization(SquareStencilMatrix(8, mass, stiff))
 
 
 def _interval_systems(K):

@@ -501,18 +501,29 @@ def test_dirac_residual_factors_decay():
 
 
 def test_eval_grid_matches_bruteforce(rng):
+    # random points with the ends 0 and 1, and the 768 x 128 grid of one Gauss
+    # column of the 2D error quadrature at K = 128 (6 points per element),
+    # against the direct sum over the modes, a block of rows at a time
     ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
     t = 0.1
     amp = ms.coeffs * ms.factors(t)
-    xs = rng.uniform(0.05, 0.95, 3)
-    ys = rng.uniform(0.05, 0.95, 4)
-    vals, gx, gy = ms.eval_grid(xs, ys, t)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            phi = 2 * np.sin(ms.modes.jx * math.pi * x) * np.sin(ms.modes.jy * math.pi * y)
-            assert abs(vals[iy, ix] - amp @ phi) < 1e-12
-            dphix = 2 * ms.modes.jx * math.pi * np.cos(ms.modes.jx * math.pi * x) * np.sin(ms.modes.jy * math.pi * y)
-            assert abs(gx[iy, ix] - amp @ dphix) < 1e-11
+    kx, ky = ms.modes.jx * math.pi, ms.modes.jy * math.pi
+    h = 1.0 / 128
+    g = 0.5 * (np.polynomial.legendre.leggauss(6)[0] + 1.0)
+    grid = np.arange(128) * h
+    ends = np.array([0.0, 1.0])
+    for xs, ys in ((np.concatenate([ends, rng.uniform(0.05, 0.95, 3)]), np.concatenate([ends, rng.uniform(0.05, 0.95, 4)])),
+                   (grid + h * g[2], (h * g[2] * g[:, None] + grid).ravel())):
+        vals, gx, gy = ms.eval_grid(xs, ys, t)
+        assert vals.shape == gx.shape == gy.shape == (len(ys), len(xs))
+        sx, cx = 2.0 * np.sin(np.outer(xs, kx)), 2.0 * np.cos(np.outer(xs, kx)) * kx
+        for lo in range(0, len(ys), 128):
+            rows = slice(lo, lo + 128)
+            sy = np.sin(np.outer(ys[rows], ky)) * amp
+            cy = np.cos(np.outer(ys[rows], ky)) * (amp * ky)
+            assert np.max(np.abs(vals[rows] - sy @ sx.T)) < 1e-12
+            assert np.max(np.abs(gx[rows] - sy @ cx.T)) < 1e-11
+            assert np.max(np.abs(gy[rows] - cy @ sx.T)) < 1e-11
 
 
 @pytest.mark.parametrize("kind,t_min,points", [
