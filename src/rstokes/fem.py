@@ -3,10 +3,14 @@
 Dirichlet conditions leave only the interior unknowns, so a space keeps the
 interior mass and stiffness matrices, which are symmetric positive definite
 and written in closed form for both uniform grids, as the numpy-only matrices
-of `rstokes.linalg`.  Load vectors for the four
-initial data of the studies are integrated exactly (closed forms for sine and
-step data, point evaluation for Dirac data), which keeps quadrature error out
-of the convergence studies.
+of `rstokes.linalg`.  A space also fixes the coordinates of its vectors
+(`FemSpace.change_basis`): orthonormal DST-I coefficients of the interior
+nodal values on the interval, where M, S and every stepping system are
+diagonal, and the nodal values themselves on the square.  Projections return
+and `error_norms` takes vectors in those coordinates.  Load vectors for the
+four initial data of the studies are integrated exactly (closed forms for
+sine and step data, point evaluation for Dirac data), which keeps quadrature
+error out of the convergence studies.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import SquareStencilMatrix, SymTridiagonalMatrix, solve_spd
+from .linalg import DiagonalMatrix, SquareStencilMatrix, dst, solve_spd
 from .mesh import Mesh
 
 if TYPE_CHECKING:
@@ -73,12 +77,13 @@ class FemSpace:
     """Assembled P1 space: the mesh and its interior mass and stiffness matrices.
 
     Boundary rows and columns are eliminated, so M and S act on the interior
-    coefficients of a mesh function that vanishes on the boundary.
+    coefficients of a mesh function that vanishes on the boundary, in the
+    space's coordinates (`change_basis`).
     """
 
     mesh: Mesh
-    M: SymTridiagonalMatrix | SquareStencilMatrix
-    S: SymTridiagonalMatrix | SquareStencilMatrix
+    M: DiagonalMatrix | SquareStencilMatrix
+    S: DiagonalMatrix | SquareStencilMatrix
 
     @property
     def n_dof(self) -> int:
@@ -88,25 +93,29 @@ class FemSpace:
     def interior_nodes(self) -> np.ndarray:
         return self.mesh.interior_nodes
 
+    def change_basis(self, x: np.ndarray) -> np.ndarray:
+        """Map interior nodal values to space coordinates, or back: its own inverse.
+
+        The orthonormal DST-I (`rstokes.linalg.dst`) in 1D, along the last
+        axis, and the identity on the square.
+        """
+        return dst(x) if self.mesh.dim == 1 else x
+
     def expand(self, interior: np.ndarray) -> np.ndarray:
-        """Scatter interior coefficients to the full node vector (zeros on the boundary)."""
+        """Scatter interior nodal values to the full node vector (zeros on the boundary)."""
         full = np.zeros(self.mesh.n_nodes)
         full[self.interior_nodes] = interior
         return full
 
 
-def _tridiagonal(n: int, diag: float, off: float, eigenvalues: np.ndarray) -> SymTridiagonalMatrix:
-    return SymTridiagonalMatrix(np.full(n, diag), np.full(n - 1, off), eigenvalues)
-
-
 def _assemble_1d(mesh: Mesh) -> FemSpace:
-    # closed-form interior P1 matrices of the uniform mesh with their DST-I
-    # eigenvalues, s_k = sin(pi k / 2K), k = 1..K-1
+    # DST-I eigenvalues of the interior P1 matrices, s_k = sin(pi k / 2K), k = 1..K-1;
+    # past K/2, s_k^2 = (1 + cos(pi (K-k) / K)) / 2, as accurate and exactly 1/2 at K/2
     K, h = mesh.K, mesh.h
-    s2 = np.sin(np.pi * np.arange(1, K) / (2 * K)) ** 2
-    M = _tridiagonal(K - 1, 4.0 * h / 6.0, h / 6.0, h * (1.0 - (2.0 / 3.0) * s2))
-    S = _tridiagonal(K - 1, 2.0 / h, -1.0 / h, (4.0 / h) * s2)
-    return FemSpace(mesh=mesh, M=M, S=S)
+    k = np.arange(1, K)
+    s2 = np.where(2 * k < K, np.sin(np.pi * k / (2 * K)) ** 2, 0.5 + 0.5 * np.cos(np.pi * (K - k) / K))
+    M = DiagonalMatrix(h * (1.0 - (2.0 / 3.0) * s2))
+    return FemSpace(mesh=mesh, M=M, S=DiagonalMatrix((4.0 / h) * s2))
 
 
 def _assemble_2d(mesh: Mesh) -> FemSpace:
@@ -116,11 +125,14 @@ def _assemble_2d(mesh: Mesh) -> FemSpace:
 def assemble(mesh: Mesh) -> FemSpace:
     """Interior P1 mass and stiffness matrices of the mesh, in closed form.
 
-    In 1D they are tridiagonal, M = (h/6)[1, 4, 1] and S = (1/h)[-1, 2, -1].
-    On the square, with n = K-1, T = tridiag(-1, 2, -1), U the unit
-    superdiagonal and E = U + U^T, S = I(x)T + T(x)I is the 5-point stencil
-    and M = (h^2/12)(6 I(x)I + I(x)E + E(x)I + U(x)U + U^T(x)U^T) a 7-point
-    stencil that follows the cell diagonals; both are `SquareStencilMatrix`.
+    In 1D the nodal matrices are tridiagonal, M = (h/6)[1, 4, 1] and
+    S = (1/h)[-1, 2, -1]; in DST-I coordinates they are the diagonal
+    matrices of their eigenvalues h(1 - (2/3)s_k^2) and (4/h)s_k^2 with
+    s_k = sin(pi k / 2K).  On the square, with n = K-1, T = tridiag(-1, 2, -1),
+    U the unit superdiagonal and E = U + U^T, S = I(x)T + T(x)I is the
+    5-point stencil and M = (h^2/12)(6 I(x)I + I(x)E + E(x)I + U(x)U +
+    U^T(x)U^T) a 7-point stencil that follows the cell diagonals; both are
+    `SquareStencilMatrix`.
     """
     return _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
 
@@ -180,12 +192,12 @@ def _load_vector(space: FemSpace, v: InitialDatum) -> np.ndarray:
 
 
 def l2_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
-    """Interior coefficients of the L2 projection P_h v (duality pairing for Dirac)."""
-    return solve_spd(space.M, _load_vector(space, v))
+    """Coefficients of the L2 projection P_h v (duality pairing for Dirac), in space coordinates."""
+    return solve_spd(space.M, space.change_basis(_load_vector(space, v)))
 
 
 def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
-    """Interior coefficients of the Ritz projection R_h v (gradient data required)."""
+    """Coefficients of the Ritz projection R_h v (gradient data required), in space coordinates."""
     _check_domain(space, v)
     if v.kind != "smooth_sine":
         raise UnsupportedDatumError(f"datum kind {v.kind!r} has no gradient representation")
@@ -193,7 +205,7 @@ def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     vv = np.sin(v.frequency * math.pi * nodes)
     idx = space.interior_nodes
     c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
-    return solve_spd(space.S, c)
+    return solve_spd(space.S, space.change_basis(c))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +295,9 @@ def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
 def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float) -> ErrorNorms:
     """L2 and H1-seminorm distance between a mesh function and the exact solution.
 
+    `numeric` holds the mesh function in space coordinates; it is mapped to
+    nodal values once, by `FemSpace.change_basis`.
+
     Composite Gauss quadrature with at least 4 points per element;
     the point count grows with the highest retained oracle mode so that the
     oscillatory part of the integrand stays resolved.  In 1D the cells are
@@ -295,6 +310,7 @@ def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t:
     numeric = np.asarray(numeric, dtype=float)
     if numeric.shape != (space.n_dof,):
         raise ValueError(f"expected {space.n_dof} interior coefficients, got {numeric.shape}")
+    numeric = space.change_basis(numeric)
     if space.mesh.dim == 1:
         l2_sq, h1_sq = _error_1d(space, numeric, exact, t)
     else:

@@ -1,20 +1,20 @@
 """Symmetric matrices and SPD solves for assembly, projections and stepping.
 
 Both uniform grids have closed-form interior P1 matrices, and both are solved
-exactly with numpy alone.  `SymTridiagonalMatrix` holds the 1D matrices.  They
-are tridiagonal Toeplitz, so the orthonormal DST-I `dst` diagonalises them
-and any linear combination of them.  In those coordinates a 1D system is
-solved by one division by its eigenvalues (`SpdFactorization`), and a nodal
-right-hand side by two sine transforms around it (`solve_spd`).
+exactly with numpy alone.  Each matrix acts on the coordinates of its space
+(`rstokes.fem.FemSpace.change_basis`).  On the interval those are orthonormal
+DST-I coefficients (`dst`), in which every interior P1 matrix of the uniform
+mesh, and any linear combination of them, is diagonal: `DiagonalMatrix`
+holds its eigenvalues, and a solve is one division by them.
 
-`SquareStencilMatrix` is mass M + stiff S on the square, applied as its
-7-point stencil.  It is solved by the capacitance-matrix method of Buzbee,
-Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971): the interior grid is
-embedded in the periodic K x K grid, where a 2D real FFT diagonalises the
-stencil, and a dense system on the 2K-1 boundary nodes of that grid,
-inverted once, makes the periodic solution vanish there.  Time steppers,
-which solve the same matrix thousands of times, use `SpdFactorization` so
-the work per matrix is done once per run.
+`SquareStencilMatrix` is mass M + stiff S on the square, applied to nodal
+values as its 7-point stencil.  It is solved by the capacitance-matrix
+method of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971): the
+interior grid is embedded in the periodic K x K grid, where a 2D real FFT
+diagonalises the stencil, and a dense system on the 2K-1 boundary nodes of
+that grid, inverted once, makes the periodic solution vanish there.  Time
+steppers, which solve the same matrix thousands of times, use
+`SpdFactorization` so the work per matrix is done once per run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "SymTridiagonalMatrix",
+    "DiagonalMatrix",
     "SquareStencilMatrix",
     "dst",
     "matvec",
@@ -33,42 +33,30 @@ __all__ = [
 ]
 
 
-class SymTridiagonalMatrix:
-    """Symmetric tridiagonal matrix held as its diagonal and off-diagonal.
+class DiagonalMatrix:
+    """A 1D interior P1 matrix in orthonormal DST-I coordinates: its eigenvalues.
 
     `eigenvalues` are lambda_k (k = 1..n) of the matrix, which the DST-I
-    vectors sin(pi j k / (n+1)) diagonalise, as they do every interior P1
-    matrix of the uniform mesh.  `scaled_sum` combines the eigenvalues with
-    the same coefficients as the entries, so they are never recomputed from
-    entries in which large terms cancel.
+    vectors sin(pi j k / (n+1)) diagonalise.  `scaled_sum` combines the
+    eigenvalues directly, so they are never recomputed from nodal entries in
+    which large terms cancel.
     """
 
-    def __init__(self, diag, off, eigenvalues):
-        self.diag = np.asarray(diag, dtype=float)
-        self.off = np.asarray(off, dtype=float)
+    def __init__(self, eigenvalues):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
+        if not np.all(np.isfinite(self.eigenvalues)):
             raise ValueError("matrix entries must be finite")
 
     @property
     def n(self) -> int:
-        return self.diag.size
+        return self.eigenvalues.size
 
-    def toarray(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
-
-    def scaled_sum(self, a: float, other: "SymTridiagonalMatrix", b: float) -> "SymTridiagonalMatrix":
+    def scaled_sum(self, a: float, other: "DiagonalMatrix", b: float) -> "DiagonalMatrix":
         """Return a*self + b*other as a new matrix."""
-        return SymTridiagonalMatrix(a * self.diag + b * other.diag, a * self.off + b * other.off,
-                                    a * self.eigenvalues + b * other.eigenvalues)
+        return DiagonalMatrix(a * self.eigenvalues + b * other.eigenvalues)
 
     def _product(self, x: np.ndarray) -> np.ndarray:
-        # row i summed left to right, as a CSR product would
-        y = np.zeros_like(x)
-        y[1:] = self.off * x[:-1]
-        y += self.diag * x
-        y[:-1] += self.off * x[1:]
-        return y
+        return self.eigenvalues * x
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
@@ -126,27 +114,23 @@ class SquareStencilMatrix:
         return matvec(self, x)
 
 
-def matvec(A: SymTridiagonalMatrix | SquareStencilMatrix, x: np.ndarray) -> np.ndarray:
+def matvec(A: DiagonalMatrix | SquareStencilMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, vector has shape {x.shape}")
     return A._product(x)
 
 
-def solve_spd(A: SymTridiagonalMatrix | SquareStencilMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve Ax=b for SPD A, exactly up to roundoff, on nodal vectors.
+def solve_spd(A: DiagonalMatrix | SquareStencilMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve Ax=b for SPD A, exactly up to roundoff, in the space's coordinates.
 
-    A 1D matrix is solved by a division in DST-I coordinates, between two
-    sine transforms; a square one by `SpdFactorization`.  A zero right-hand
-    side short-circuits to zero.
+    One `SpdFactorization` solve; a zero right-hand side short-circuits to zero.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, rhs has shape {b.shape}")
     if not np.any(b):
         return np.zeros_like(b)
-    if isinstance(A, SymTridiagonalMatrix):
-        return dst(SpdFactorization(A).solve(dst(b)))
     return SpdFactorization(A).solve(b)
 
 
@@ -241,18 +225,17 @@ def _capacitance_solver(A: SquareStencilMatrix):
 class SpdFactorization:
     """Solver of one SPD matrix, set up once and reused across a stepping run.
 
-    A `SymTridiagonalMatrix` is diagonal in orthonormal DST-I coordinates, so
-    there `solve` takes and returns DST coefficients (`dst` of nodal vectors)
-    and is one division by the eigenvalues.  A `SquareStencilMatrix` is set
-    up for the capacitance-matrix solve (see `_capacitance_solver`): one
-    dense inverse of size 2K, after which `solve` acts on nodal vectors by
-    one 2D real FFT pair.  Either check rejects a matrix that is not
+    It takes and returns vectors in the coordinates the matrix acts on.  A
+    `DiagonalMatrix` is solved by one division by its eigenvalues.  A
+    `SquareStencilMatrix` is set up for the capacitance-matrix solve (see
+    `_capacitance_solver`): one dense inverse of size 2K, after which `solve`
+    is one 2D real FFT pair.  Either check rejects a matrix that is not
     positive definite.
     """
 
-    def __init__(self, A: SymTridiagonalMatrix | SquareStencilMatrix):
+    def __init__(self, A: DiagonalMatrix | SquareStencilMatrix):
         self.n = A.n
-        if isinstance(A, SymTridiagonalMatrix):
+        if isinstance(A, DiagonalMatrix):
             if not np.all(A.eigenvalues > 0.0):
                 raise ValueError("matrix is not positive definite: a DST-I eigenvalue is <= 0")
             eigenvalues = A.eigenvalues

@@ -29,28 +29,24 @@ order than the plain march of the tests (`direct_run_scheme`), and a longer
 one costs O(N log^2 N dof) instead of O(N^2 dof).  Steps are still solved
 one at a time in order 1..N.
 
-One stepper serves both dimensions; only the coordinates differ.  The
-system matrix is set up once per run by `SpdFactorization`.  In 2D that is
-the capacitance-matrix solve on the periodic grid, and products with M and
-S go through the matrices' stencil `@`.  On the
-uniform 1D mesh the orthonormal DST-I diagonalises M, S and the system, so a
-1D run transforms v once, marches on DST coefficients (products with the
-eigenvalue vectors, with 1/tau and gamma tau^-a folded in once per run, and
-one division per solve) and transforms the snapshots back to nodal values
-after the last step, a block of rows at a time.  The blocked history acts on
-DST columns as it does on nodal ones.
+The stepper works in the coordinates of its space (`FemSpace.change_basis`)
+and never changes them: v and the snapshots are in those coordinates, and M,
+S and the system act in them.  The system matrix is set up once per run by
+`SpdFactorization`: on the interval the space's DST-I coordinates make it
+diagonal, and a solve is one division; on the square it is the
+capacitance-matrix solve on the periodic grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .cq import DELTA, weights
 from .fem import FemSpace
-from .linalg import SpdFactorization, dst
+from .linalg import SpdFactorization
 
 __all__ = ["SchemeConfig", "DiscreteTrajectory", "run_scheme"]
 
@@ -78,15 +74,15 @@ class SchemeConfig:
             raise ValueError(f"scheme must be 'be' or 'sbd', got {self.scheme!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.gamma <= 0.0 or self.tau <= 0.0:
-            raise ValueError("gamma and tau must be positive")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.gamma, self.tau)):
+            raise ValueError(f"gamma and tau must be positive and finite, got gamma={self.gamma}, tau={self.tau}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
 
 
 @dataclass(frozen=True)
 class DiscreteTrajectory:
-    """Snapshots U^0..U^N of interior coefficients."""
+    """Snapshots U^0..U^N of interior coefficients, in the space's coordinates."""
 
     config: SchemeConfig
     snapshots: np.ndarray      # (N+1, n_dof)
@@ -106,7 +102,11 @@ class StepFailure(RuntimeError):
 
 
 def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTrajectory:
-    """March U^0 = v through cfg.n_steps steps of the configured scheme."""
+    """March U^0 = v through cfg.n_steps steps of the configured scheme.
+
+    v and the returned snapshots are in the coordinates of `space`
+    (`FemSpace.change_basis`), as the projections of `rstokes.fem` return them.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (space.n_dof,):
         raise ValueError(f"initial vector must have {space.n_dof} entries")
@@ -121,16 +121,8 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
         theta = np.concatenate(([0.0], 0.5 * w[:-1]))
     else:
         theta = w if cfg.include_history_origin else np.zeros(N + 1)
-    dst_coordinates = space.mesh.dim == 1
-    if dst_coordinates:
-        # M and S are diagonal in orthonormal DST-I coordinates, and so is the
-        # system that `solver` divides by
-        mass = partial(np.multiply, space.M.eigenvalues / tau)
-        stiffness = partial(np.multiply, frac * space.S.eigenvalues)
-        v = dst(v)
-    else:
-        mass = lambda x: (space.M @ x) / tau
-        stiffness = lambda x: frac * (space.S @ x)
+    mass = lambda x: (space.M @ x) / tau
+    stiffness = lambda x: frac * (space.S @ x)
 
     def step(n: int, history: np.ndarray) -> np.ndarray:
         # history: sum_{j=1}^{n-1} w_{n-j} U^j
@@ -156,12 +148,6 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     U = np.zeros((N + 1, space.n_dof))
     U[0] = v
     _solve_steps(step, U, w, 1, N + 1)
-    if dst_coordinates:
-        # back to nodal values in place, a block of rows at a time; the odd
-        # extension that `dst` transforms takes 16 (n_dof + 1) bytes per row
-        rows = max(1, _FFT_BLOCK_BYTES // (16 * (space.n_dof + 1)))
-        for r0 in range(0, N + 1, rows):
-            U[r0 : r0 + rows] = dst(U[r0 : r0 + rows])
     return DiscreteTrajectory(config=cfg, snapshots=U)
 
 

@@ -17,9 +17,15 @@ Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
 both schemes, written out independently of `rstokes.stepper.run_scheme`, and
 `direct_run_scheme` is the plain nodal march that sums the whole fractional
 history directly at every step, the reference for the stepper's blocked FFT
-history and its 1D march in DST-I coordinates.  In 2D it steps with the
-element-assembled matrices and scipy's sparse LU, so it shares no 2D code
-with `rstokes.linalg`.
+history and its 1D march in DST-I coordinates.  It steps in long double
+with the nodal matrices of `nodal_matrices` and scipy's sparse LU, so it
+shares no code with `rstokes.linalg`.
+
+Interval: `interval_matrices` are the closed-form nodal P1 matrices
+(h/6) tridiag(1, 4, 1) and (1/h) tridiag(-1, 2, -1), the reference for the
+DST-I eigenvalues that `rstokes.fem` keeps in their place, and
+`sine_matrix` is the orthonormal DST-I matrix written out entry by entry,
+which `nodal_form` uses to turn a 1D matrix back into nodal form.
 
 Square: `square_triangles` is the diagonal split of Mesh(2, K), and
 `element_matrices`/`element_step_load` integrate P1 element by element over
@@ -36,14 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from rstokes.cq import DELTA, weights
-from rstokes.linalg import SymTridiagonalMatrix, solve_spd
+from rstokes.linalg import DiagonalMatrix
 from rstokes.mesh import Mesh
 from rstokes.oracle import _bromwich, _inverse_laplacian
 from rstokes.stepper import StepFailure
@@ -198,28 +203,36 @@ def scalar_trajectory_sbd(
 def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
     """Snapshots U^0..U^N of `run_scheme`, each history summed directly, O(N^2 dof).
 
-    The plain nodal march: in 1D each step is solved by `solve_spd` (two sine
-    transforms around the division); in 2D the products and the solve use
-    the element-assembled matrices and scipy's sparse LU.
+    The plain nodal march: v and the snapshots are interior nodal values (the
+    stepper's snapshots mapped by `space.change_basis`), and the products use
+    `nodal_matrices`.  It runs in long double, and each step is solved by
+    scipy's sparse LU in double, refined once against a long-double
+    residual.  So its own roundoff, which a double march amplifies by the
+    condition number of the system (to about 1e-12 relative at K = 64,
+    N = 1000), stays far below the stepper's.
     """
     N, tau = cfg.n_steps, cfg.tau
     c = DELTA[cfg.scheme]
     w = weights(cfg.scheme, cfg.alpha, N)
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
-    if space.mesh.dim == 1:
-        M, S = space.M, space.S
-        solve = partial(solve_spd, M.scaled_sum(c[0] / tau, S, diag))
-    else:
-        M, S = element_interior_matrices(space.mesh.K)
-        solve = splu((c[0] / tau) * M + diag * S).solve
+    M, S = (A.astype(np.longdouble) for A in nodal_matrices(space.mesh))
+    A = (c[0] / tau) * M + diag * S
+    lu = splu(A.astype(float))
+
+    def solve(b):
+        x = np.zeros_like(b)
+        for _ in range(2):
+            x += lu.solve((b - A @ x).astype(float))
+        return x
+
     # theta[n]: weight of U^0 in the history of step n
     if cfg.scheme == "sbd":
         theta = np.concatenate(([0.0], 0.5 * w[:-1]))
     else:
         theta = w if cfg.include_history_origin else np.zeros(N + 1)
 
-    U = np.empty((N + 1, space.n_dof))
+    U = np.empty((N + 1, space.n_dof), dtype=np.longdouble)
     U[0] = v
     for n in range(1, N + 1):
         if cfg.scheme == "sbd" and n == 1:
@@ -239,9 +252,38 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # matrices, evaluation and quadrature
 
-def tridiagonal_identity(n: int) -> SymTridiagonalMatrix:
+def diagonal_identity(n: int) -> DiagonalMatrix:
     """The n x n identity as a 1D matrix, whose eigenvalues are all 1."""
-    return SymTridiagonalMatrix(np.ones(n), np.zeros(n - 1), np.ones(n))
+    return DiagonalMatrix(np.ones(n))
+
+
+def interval_matrices(K: int):
+    """Interior nodal P1 mass and stiffness matrices of Mesh(1, K), as scipy CSC.
+
+    The closed forms (h/6) tridiag(1, 4, 1) and (1/h) tridiag(-1, 2, -1).
+    """
+    h = 1.0 / K
+    ones = np.ones(K - 2)
+    return tuple(sparse.diags([off * ones, np.full(K - 1, diag), off * ones], [-1, 0, 1], format="csc")
+                 for diag, off in ((4.0 * h / 6.0, h / 6.0), (2.0 / h, -1.0 / h)))
+
+
+def nodal_matrices(mesh: Mesh):
+    """Interior nodal mass and stiffness matrices of either grid, as scipy CSC:
+    `interval_matrices` in 1D, `element_interior_matrices` on the square."""
+    return interval_matrices(mesh.K) if mesh.dim == 1 else element_interior_matrices(mesh.K)
+
+
+def sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k / (n+1)), j, k = 1..n."""
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+
+
+def nodal_form(A: DiagonalMatrix) -> np.ndarray:
+    """The nodal matrix Q diag(eigenvalues) Q of a 1D matrix, Q = `sine_matrix`."""
+    Q = sine_matrix(A.n)
+    return Q @ np.diag(A.eigenvalues) @ Q
 
 
 def square_triangles(K: int) -> tuple[np.ndarray, np.ndarray]:

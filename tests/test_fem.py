@@ -10,6 +10,8 @@ from oracles import (
     element_matrices,
     element_step_load,
     gauss_panels,
+    interval_matrices,
+    nodal_form,
     uj_eval,
 )
 from rstokes.fem import (
@@ -31,14 +33,16 @@ def test_interval_mass_stencil():
     space = assemble(build_interval_mesh(4))
     h = 0.25
     expect = (h / 6.0) * np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
-    assert np.allclose(space.M.toarray(), expect, atol=1e-15)
+    assert np.array_equal(interval_matrices(4)[0].toarray(), expect)
+    assert np.allclose(nodal_form(space.M), expect, atol=1e-15)
 
 
 def test_interval_stiffness_stencil():
     space = assemble(build_interval_mesh(4))
     h = 0.25
     expect = (1.0 / h) * np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    assert np.allclose(space.S.toarray(), expect, atol=1e-13)
+    assert np.array_equal(interval_matrices(4)[1].toarray(), expect)
+    assert np.allclose(nodal_form(space.S), expect, atol=1e-13)
 
 
 def test_square_k2_interior_stiffness_diag():
@@ -70,14 +74,21 @@ def test_closed_form_2d_matches_element_oracle():
 
 
 def test_matrices_positive_definite():
-    for mesh in (build_interval_mesh(16), build_square_mesh(8)):
-        space = assemble(mesh)
-        np.linalg.cholesky(space.M.toarray())
-        np.linalg.cholesky(space.S.toarray())
+    # the nodal forms of the 1D matrices agree with the closed-form reference
+    # as in the stencil tests above
+    space = assemble(build_interval_mesh(16))
+    for A, ref, atol in zip((space.M, space.S), interval_matrices(16), (1e-15, 1e-13)):
+        nodal = nodal_form(A)
+        assert np.allclose(nodal, ref.toarray(), atol=atol)
+        np.linalg.cholesky(nodal)
+    space = assemble(build_square_mesh(8))
+    np.linalg.cholesky(space.M.toarray())
+    np.linalg.cholesky(space.S.toarray())
 
 
 def test_l2_projection_reproduces_mesh_functions(rng):
-    # the L2 load of a mesh function v (zero on the boundary) is M v; l2_project solves M
+    # the L2 load of a mesh function v (zero on the boundary) is M v; l2_project
+    # solves M, all in space coordinates
     for mesh in (build_interval_mesh(8), build_square_mesh(4)):
         space = assemble(mesh)
         v = rng.standard_normal(space.n_dof)
@@ -167,13 +178,13 @@ def test_ritz_galerkin_orthogonality():
     space = assemble(build_interval_mesh(16))
     datum = InitialDatum("smooth_sine", frequency=2)
     x = ritz_project(space, datum)
-    # residual of the gradient equation vanishes per basis function
-    c = np.empty(space.n_dof)
+    # residual of the gradient equation vanishes per basis function; the
+    # projection's DST-I coefficients go back to nodal values for the nodal S
     nodes = space.mesh.nodes
     vv = np.sin(2 * math.pi * nodes)
     idx = space.interior_nodes
     c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
-    residual = matvec(space.S, x) - c
+    residual = interval_matrices(16)[1] @ space.change_basis(x) - c
     assert np.max(np.abs(residual)) < 1e-12
 
 
@@ -183,7 +194,7 @@ def test_ritz_l2_error_second_order():
         space = assemble(build_interval_mesh(K))
         x = ritz_project(space, InitialDatum("smooth_sine", frequency=2))
         xq, wq = gauss_panels(0.0, 1.0, 4 * K)
-        uh = np.interp(xq, space.mesh.nodes, space.expand(x))
+        uh = np.interp(xq, space.mesh.nodes, space.expand(space.change_basis(x)))
         errs.append(math.sqrt(wq @ (uh - np.sin(2 * math.pi * xq)) ** 2))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.9 < r < 2.1 for r in rates)
@@ -199,7 +210,7 @@ def test_error_norms_of_interpolant():
         space = assemble(build_interval_mesh(K))
         nodes = space.mesh.nodes[space.interior_nodes]
         interp = u2 * np.sin(2 * math.pi * nodes)
-        res[K] = error_norms(space, interp, ms, t)
+        res[K] = error_norms(space, space.change_basis(interp), ms, t)
     assert res[8].l2 / res[16].l2 == pytest.approx(4.0, rel=0.15)
     assert res[8].h1 / res[16].h1 == pytest.approx(2.0, rel=0.10)
 

@@ -1,15 +1,17 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from oracles import element_interior_matrices, tridiagonal_identity
+from oracles import diagonal_identity, element_interior_matrices, interval_matrices, nodal_form
 from rstokes.fem import assemble
 from rstokes.linalg import (
+    DiagonalMatrix,
     SpdFactorization,
     SquareStencilMatrix,
-    SymTridiagonalMatrix,
     dst,
     matvec,
     solve_spd,
@@ -21,37 +23,43 @@ _SQUARE_CASES = [(1.0, 0.0), (0.0, 1.0), (2.0, 21.0), (50.0, 21.0), (3e5, 51.0)]
 
 
 def test_matvec_identity(rng):
-    A = tridiagonal_identity(7)
+    A = diagonal_identity(7)
     x = rng.standard_normal(7)
     assert np.array_equal(matvec(A, x), x)
 
 
 def test_matvec_single_interior_stiffness():
-    # K=2 interval: one interior node, stiffness [[2/h]] with h = 1/2
+    # K=2 interval: one interior node, stiffness [[2/h]] with h = 1/2, in
+    # DST-I coordinates as in nodal ones
     space = assemble(build_interval_mesh(2))
-    assert space.S.toarray().tolist() == [[4.0]]
+    assert interval_matrices(2)[1].toarray().tolist() == [[4.0]]
+    assert nodal_form(space.S).tolist() == [[4.0]]
     assert matvec(space.S, np.array([1.0])).tolist() == [4.0]
 
 
 def test_matvec_against_dense_oracle(rng):
-    # the stencil products of both grids against their dense matrices
+    # the 1D products, taken in DST-I coordinates, against the closed-form
+    # nodal matrices, and the stencil products of the square against theirs
     space = assemble(build_interval_mesh(17))
-    square = [SquareStencilMatrix(K, mass, stiff) for K in (2, 3, 5, 17) for mass, stiff in _SQUARE_CASES]
-    for A in [space.M, space.S, *square]:
-        D = A.toarray()
-        x = rng.standard_normal(A.n)
-        assert np.max(np.abs(matvec(A, x) - D @ x)) <= 1e-14 * np.max(np.abs(D)) * np.max(np.abs(x))
+    cases = [(lambda x, A=A: dst(matvec(A, dst(x))), D.toarray())
+             for A, D in zip((space.M, space.S), interval_matrices(17))]
+    cases += [(partial(matvec, A), A.toarray())
+              for A in (SquareStencilMatrix(K, mass, stiff) for K in (2, 3, 5, 17) for mass, stiff in _SQUARE_CASES)]
+    for product, D in cases:
+        x = rng.standard_normal(D.shape[0])
+        assert np.max(np.abs(product(x) - D @ x)) <= 1e-14 * np.max(np.abs(D)) * np.max(np.abs(x))
 
 
 def test_matvec_dimension_mismatch(rng):
-    A = tridiagonal_identity(4)
+    A = diagonal_identity(4)
     with pytest.raises(ValueError):
         matvec(A, rng.standard_normal(5))
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        SymTridiagonalMatrix([1.0, np.inf], [0.0], [1.0, 1.0])
+    for eigenvalues in ([1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            DiagonalMatrix(eigenvalues)
     for mass, stiff in ((np.inf, 1.0), (1.0, np.nan)):
         with pytest.raises(ValueError):
             SquareStencilMatrix(4, mass, stiff)
@@ -59,7 +67,7 @@ def test_nonfinite_rejected():
 
 def test_solve_identity(rng):
     b = rng.standard_normal(10)
-    assert np.allclose(solve_spd(tridiagonal_identity(10), b), b)
+    assert np.allclose(solve_spd(diagonal_identity(10), b), b)
 
 
 def test_solve_zero_rhs():
@@ -69,12 +77,14 @@ def test_solve_zero_rhs():
 
 
 def test_solve_against_dense_cholesky():
-    # K=4 interior stiffness, rhs = M * interpolant of sin(pi x)
+    # K=4 interior stiffness, rhs = M * interpolant of sin(pi x), against a
+    # dense solve of the nodal matrices
     space = assemble(build_interval_mesh(4))
+    M, S = (A.toarray() for A in interval_matrices(4))
     nodes = space.mesh.nodes[space.interior_nodes]
-    b = matvec(space.M, np.sin(np.pi * nodes))
-    x = solve_spd(space.S, b)
-    expect = np.linalg.solve(space.S.toarray(), b)
+    b = M @ np.sin(np.pi * nodes)
+    x = space.change_basis(solve_spd(space.S, space.change_basis(b)))
+    expect = np.linalg.solve(S, b)
     assert np.max(np.abs(x - expect)) < 1e-10
 
 
@@ -137,17 +147,20 @@ def test_factorization_rejects_indefinite_square_matrix(mass, stiff):
 
 
 def _interval_systems(K):
-    # interior M, S and the stepping matrix of SBD at tau = 2e-4, alpha = 0.5
+    # interior M, S and the stepping matrix of SBD at tau = 2e-4, alpha = 0.5,
+    # each with its nodal reference (scipy CSC)
     space = assemble(build_interval_mesh(K))
     d = 1.0 + (2e-4) ** -0.5 * 1.5**0.5
-    return space, (space.M, space.S, space.M.scaled_sum(1.5 / 2e-4, space.S, d))
+    M, S = interval_matrices(K)
+    systems = (space.M, space.S, space.M.scaled_sum(1.5 / 2e-4, space.S, d))
+    return space, zip(systems, (M, S, (1.5 / 2e-4) * M + d * S))
 
 
 @pytest.mark.parametrize("K", [2, 3, 64, 2048])
 def test_dst_eigenvalues_match_dense(K):
     _, systems = _interval_systems(K)
-    for A in systems:
-        dense = np.linalg.eigvalsh(A.toarray())
+    for A, nodal in systems:
+        dense = np.linalg.eigvalsh(nodal.toarray())
         assert np.max(np.abs(np.sort(A.eigenvalues) - dense)) <= 1e-14 * dense.max()
 
 
@@ -160,12 +173,12 @@ def test_dst_is_an_involution(K):
 
 @pytest.mark.parametrize("K", [2, 3, 64, 2048])
 def test_dst_diagonalises_interval_systems(K):
-    # DST-I coordinates turn M, S and the SBD system into their eigenvalues
+    # DST-I coordinates turn the nodal M, S and SBD system into their eigenvalues
     space, systems = _interval_systems(K)
     rng = np.random.default_rng(K + 1)
     x = rng.standard_normal(space.n_dof)
-    for A in systems:
-        got = dst(A.toarray() @ dst(x))
+    for A, nodal in systems:
+        got = dst(nodal @ dst(x))
         expect = A.eigenvalues * x
         scale = np.max(np.abs(A.eigenvalues)) * np.max(np.abs(x))
         assert np.max(np.abs(got - expect)) <= 16 * np.finfo(float).eps * scale
@@ -185,13 +198,13 @@ def test_dst_of_a_row_block_matches_rows(K):
 def test_dst_solve_matches_dense(K):
     # both solves are backward stable, so they differ by at most a small multiple
     # of kappa(A) eps relative; kappa comes from the exact eigenvalues (up to 1.7e6).
-    # SpdFactorization divides DST-I coefficients; solve_spd takes a nodal rhs
+    # both divide DST-I coefficients, so a nodal rhs goes through dst both ways
     space, systems = _interval_systems(K)
     rng = np.random.default_rng(K)
-    for A in systems:
-        assert isinstance(A, SymTridiagonalMatrix)
+    for A, nodal in systems:
+        assert isinstance(A, DiagonalMatrix)
         b = rng.standard_normal(space.n_dof)
-        expect = np.linalg.solve(A.toarray(), b)
+        expect = np.linalg.solve(nodal.toarray(), b)
         bound = 4.0 * (A.eigenvalues.max() / A.eigenvalues.min()) * np.finfo(float).eps
-        for x in (dst(SpdFactorization(A).solve(dst(b))), solve_spd(A, b)):
+        for x in (dst(SpdFactorization(A).solve(dst(b))), dst(solve_spd(A, dst(b)))):
             assert np.max(np.abs(x - expect)) <= bound * np.max(np.abs(expect))

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import KernelDensity, direct_run_scheme, scalar_trajectory_be, scalar_trajectory_sbd, uj_eval
+from oracles import (
+    KernelDensity,
+    direct_run_scheme,
+    nodal_matrices,
+    scalar_trajectory_be,
+    scalar_trajectory_sbd,
+    uj_eval,
+)
 from rstokes.fem import InitialDatum, assemble, l2_project
-from rstokes.linalg import dst
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.stepper import SchemeConfig, StepFailure, run_scheme
 
@@ -56,11 +62,19 @@ def test_scheme_config_validation():
         SchemeConfig("be", 0.5, 1.0, 0.1, 0)
 
 
+@pytest.mark.parametrize("gamma,tau", [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan),
+                                       (-math.inf, 0.1), (1.0, -math.inf)])
+def test_scheme_config_rejects_nonfinite_gamma_and_tau(gamma, tau):
+    with pytest.raises(ValueError, match="finite"):
+        SchemeConfig("be", 0.5, gamma, tau, 4)
+
+
 def _generalized_modes(space):
-    S = space.S.toarray()
-    M = space.M.toarray()
+    # eigenpairs of the nodal P1 pencil (S, M), the eigenvectors mapped to the
+    # space's coordinates, so that a diagonal 1D pencil is not checked against itself
+    M, S = (A.toarray() for A in nodal_matrices(space.mesh))
     lams, vecs = scipy.linalg.eigh(S, M)
-    return lams, vecs
+    return lams, space.change_basis(vecs.T).T
 
 
 @pytest.mark.parametrize("mesh_builder,K", [(build_interval_mesh, 16), (build_square_mesh, 4)])
@@ -85,21 +99,34 @@ def test_mode_decoupling_all_modes(mesh_builder, K):
                 assert diff < 1e-10
 
 
-@pytest.mark.parametrize("scheme,scalar", [("be", scalar_trajectory_be), ("sbd", scalar_trajectory_sbd)])
-def test_fine_mesh_sine_mode_matches_scalar_recurrence(scheme, scalar):
-    # fine_tau size: K = 2048, N = 500, the nodal sine mode j = 2, which is an
-    # exact discrete eigenvector with lambda_h = sigma_2 / mu_2 (DST-I eigenvalues
-    # of S and M, free of cancellation).  Every snapshot matches the scalar
-    # recurrence to 1e-12 relative to its own size.
+@pytest.mark.parametrize("scheme,origin,scalar", [
+    pytest.param("be", False, scalar_trajectory_be, id="be-scalar_trajectory_be"),
+    pytest.param("be", True, partial(scalar_trajectory_be, include_history_origin=True),
+                 id="be-origin-scalar_trajectory_be"),
+    pytest.param("sbd", False, scalar_trajectory_sbd, id="sbd-scalar_trajectory_sbd"),
+])
+def test_fine_mesh_sine_mode_matches_scalar_recurrence(scheme, origin, scalar):
+    # fine_tau size: K = 2048, N = 500.  The unit DST-I vector e_k is the nodal
+    # sine mode k, an exact discrete eigenvector with lambda_k = sigma_k / mu_k
+    # (DST-I eigenvalues of S and M, written here without cancellation), for the
+    # lowest, a middle and the highest modes.  Every snapshot keeps only its k-th
+    # entry, which matches the scalar recurrence to 1e-13 relative to its own
+    # size (measured: at most 2.7e-14) plus 5e-16 of the unit datum.  The
+    # second term is for SBD at k >= K/2: there the rows, about 1e-8, are left
+    # by the cancellation of O(1) terms, so both the stepper and the recurrence
+    # lie up to 8e-17 (1.6e-9 of the row) from a long-double recurrence.
     K, N, tau = 2048, 500, 0.1 / 500
     space = assemble(build_interval_mesh(K))
-    v = np.sin(2 * math.pi * space.mesh.nodes[space.interior_nodes])
-    s2 = math.sin(math.pi * 2 / (2 * K)) ** 2
-    lam_h = (4.0 * K * s2) / ((1.0 - (2.0 / 3.0) * s2) / K)
-    traj = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, tau, N), v)
-    ref = scalar(lam_h, 0.5, 1.0, tau, N)
-    gap = np.max(np.abs(traj.snapshots - np.outer(ref, v)), axis=1) / (np.abs(ref) * np.max(np.abs(v)))
-    assert np.max(gap) < 1e-12
+    cfg = SchemeConfig(scheme, 0.5, 1.0, tau, N, include_history_origin=origin)
+    for k in (1, 2, K // 2, K - 1):
+        s2 = math.sin(math.pi * k / (2 * K)) ** 2
+        lam_k = (4.0 * K * s2) / ((1.0 - (2.0 / 3.0) * s2) / K)
+        v = np.zeros(space.n_dof)
+        v[k - 1] = 1.0
+        U = run_scheme(space, cfg, v).snapshots
+        ref = scalar(lam_k, 0.5, 1.0, tau, N)
+        assert not np.any(np.delete(U, k - 1, axis=1))
+        assert np.all(np.abs(U[:, k - 1] - ref) <= 1e-13 * np.abs(ref) + 5e-16)
 
 
 def test_trajectory_linearity(rng):
@@ -202,19 +229,20 @@ def test_solver_failure_past_the_direct_block_carries_step_index(monkeypatch):
 def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
     # runs of at most 128 steps sum directly in another order than the oracle;
     # longer ones add the far history by FFT convolutions, exact to roundoff.
-    # BE with the origin term at alpha = 0.7 is the worst conditioned case:
-    # there both orders lie about 1e-13 per row from a long-double march.
-    # 1D runs march in DST-I coordinates against the oracle's nodal march;
-    # K = 2 and 3 have 1 and 2 dofs.  At K = 64 the snapshots go back to nodal
-    # values in blocks of 128 rows, so N = 200 ends in a short block of 73.
-    # Larger K is left out: there the nodal march's own roundoff, amplified
-    # by the condition number of the system, exceeds these bounds.
+    # The oracle marches in long double, so the gap is the stepper's own
+    # roundoff: at most 1.5e-14 per row for N <= 128 and 5.6e-14 above.
+    # 1D runs march in DST-I coordinates against the oracle's nodal march, so
+    # v goes in and the snapshots come out through change_basis; K = 2 and 3
+    # have 1 and 2 dofs.  K stays at 64: at K = 2048, N = 10 the stepper's
+    # roundoff, which grows with the condition number of the system, reaches
+    # 3.1e-13; test_fine_mesh_sine_mode_matches_scalar_recurrence covers
+    # K = 2048 mode by mode.
     space = assemble(mesh_builder(K))
     v = rng.standard_normal(space.n_dof)
     for alpha in (0.3, 0.7):
         for scheme, origin in (("be", False), ("be", True), ("sbd", False)):
             cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N, include_history_origin=origin)
-            U = run_scheme(space, cfg, v).snapshots
+            U = space.change_basis(run_scheme(space, cfg, space.change_basis(v)).snapshots)
             ref = direct_run_scheme(space, cfg, v)
             gap = np.max(np.abs(U - ref), axis=1) / np.max(np.abs(ref), axis=1)
             assert np.max(gap) < (3e-13 if N <= 128 else 1e-12)
@@ -224,7 +252,7 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
 def test_1d_run_factors_once_and_solves_each_step_in_order(monkeypatch, scheme):
     # the traced benchmark counts linalg.factor_calls and linalg.solve_calls at
     # stepper.SpdFactorization, so a 1D run must build one and solve through it
-    # once per step; the k-th solve returns the DST-I coefficients of U^k
+    # once per step; the k-th solve returns U^k itself, in DST-I coordinates
     import rstokes.stepper as stepper_mod
 
     built, solved = [], []
@@ -246,8 +274,7 @@ def test_1d_run_factors_once_and_solves_each_step_in_order(monkeypatch, scheme):
     traj = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, 0.1 / N, N), v)
     assert len(built) == 1
     assert len(solved) == N
-    nodal = dst(np.array(solved))
-    assert np.max(np.abs(nodal - traj.snapshots[1:])) <= 4 * np.finfo(float).eps * np.max(np.abs(nodal))
+    assert np.array_equal(np.array(solved), traj.snapshots[1:])
 
 
 @pytest.mark.parametrize("mesh_builder,K", [(build_interval_mesh, 16), (build_square_mesh, 4)])
