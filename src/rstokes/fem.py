@@ -230,9 +230,8 @@ def _points_per_element(max_freq: int, h: float) -> int:
     return max(4, int(math.ceil(1.2 * max_freq * h)) + 6)
 
 
-def _error_1d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float):
+def _error_1d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t: float):
     nodes = space.mesh.nodes
-    full = space.expand(numeric)
     p = _points_per_element(exact.max_frequency[0], space.mesh.h)
     g, gw = _gauss01(p)
     # pieces: the mesh cells, split where the exact solution has a kink
@@ -241,28 +240,34 @@ def _error_1d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
     xq = (lo[:, None] + width[:, None] * g).ravel()
     wq = (width[:, None] * gw).ravel()
     element = np.searchsorted(nodes, lo, side="right") - 1
-    slope = np.repeat(np.diff(full)[element] / np.diff(nodes)[element], p)
+    spacing = np.diff(nodes)[element]
     uv, ug = exact.eval_points(xq, t)
-    l2_sq = float(wq @ (np.interp(xq, nodes, full) - uv) ** 2)
-    h1_sq = float(wq @ (slope - ug) ** 2)
-    return l2_sq, h1_sq
+    out = []
+    for numeric in rows:
+        full = space.expand(numeric)
+        slope = np.repeat(np.diff(full)[element] / spacing, p)
+        l2_sq = float(wq @ (np.interp(xq, nodes, full) - uv) ** 2)
+        h1_sq = float(wq @ (slope - ug) ** 2)
+        out.append((l2_sq, h1_sq))
+    return out
 
 
-def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float):
+def _error_2d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t: float):
     K, h = space.mesh.K, space.mesh.h
     grid = np.arange(K) * h
-    V = space.expand(numeric).reshape(K + 1, K + 1)   # [iy, ix]
-    Va, Vb = V[:-1, :-1], V[:-1, 1:]
-    Vc, Vd = V[1:, 1:], V[1:, :-1]
+    corners = []   # per row: the values at the corners a, b, c, d of every cell
+    for numeric in rows:
+        V = space.expand(numeric).reshape(K + 1, K + 1)   # [iy, ix]
+        corners.append((V[:-1, :-1], V[:-1, 1:], V[1:, 1:], V[1:, :-1]))
 
     fmax = max(exact.max_frequency)
     p = max(4, min(int(math.ceil(1.2 * fmax * h)) + 4, 60))
     g, gw = _gauss01(p)
 
-    l2_sq = 0.0
-    h1_sq = 0.0
+    l2_sq = [0.0] * len(rows)
+    h1_sq = [0.0] * len(rows)
     # lower triangles (a,b,c): eta <= xi; iterate outer Gauss index in x
-    dx_l, dy_l = (Vb - Va) / h, (Vc - Vb) / h
+    slopes = [(Va, (Vb - Va) / h, (Vc - Vb) / h) for Va, Vb, Vc, _ in corners]
     for i in range(p):
         xi = h * g[i]
         xs = grid + xi
@@ -271,12 +276,13 @@ def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
         uv = uv.reshape(p, K, K)
         ugx = ugx.reshape(p, K, K)
         ugy = ugy.reshape(p, K, K)
-        uh = Va[None] + dx_l[None] * xi + dy_l[None] * (xi * g)[:, None, None]
         w = (h * gw[i]) * (xi * gw)[:, None, None]
-        l2_sq += float(np.sum(w * (uh - uv) ** 2))
-        h1_sq += float(np.sum(w * ((dx_l[None] - ugx) ** 2 + (dy_l[None] - ugy) ** 2)))
+        for r, (Va, dx_l, dy_l) in enumerate(slopes):
+            uh = Va[None] + dx_l[None] * xi + dy_l[None] * (xi * g)[:, None, None]
+            l2_sq[r] += float(np.sum(w * (uh - uv) ** 2))
+            h1_sq[r] += float(np.sum(w * ((dx_l[None] - ugx) ** 2 + (dy_l[None] - ugy) ** 2)))
     # upper triangles (a,c,d): xi <= eta; outer Gauss index in y
-    dx_u, dy_u = (Vc - Vd) / h, (Vd - Va) / h
+    slopes = [(Va, (Vc - Vd) / h, (Vd - Va) / h) for Va, _, Vc, Vd in corners]
     for jq in range(p):
         eta = h * g[jq]
         ys = grid + eta
@@ -285,38 +291,48 @@ def _error_2d(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: f
         uv = uv.reshape(K, p, K)
         ugx = ugx.reshape(K, p, K)
         ugy = ugy.reshape(K, p, K)
-        uh = Va[:, None, :] + dx_u[:, None, :] * (eta * g)[None, :, None] + dy_u[:, None, :] * eta
         w = (h * gw[jq]) * (eta * gw)[None, :, None]
-        l2_sq += float(np.sum(w * (uh - uv) ** 2))
-        h1_sq += float(np.sum(w * ((dx_u[:, None, :] - ugx) ** 2 + (dy_u[:, None, :] - ugy) ** 2)))
-    return l2_sq, h1_sq
+        for r, (Va, dx_u, dy_u) in enumerate(slopes):
+            uh = Va[:, None, :] + dx_u[:, None, :] * (eta * g)[None, :, None] + dy_u[:, None, :] * eta
+            l2_sq[r] += float(np.sum(w * (uh - uv) ** 2))
+            h1_sq[r] += float(np.sum(w * ((dx_u[:, None, :] - ugx) ** 2 + (dy_u[:, None, :] - ugy) ** 2)))
+    return list(zip(l2_sq, h1_sq))
 
 
-def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float) -> ErrorNorms:
-    """L2 and H1-seminorm distance between a mesh function and the exact solution.
+def error_norms(
+    space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float
+) -> ErrorNorms | list[ErrorNorms]:
+    """L2 and H1-seminorm distance between mesh functions and the exact solution.
 
-    `numeric` holds the mesh function in space coordinates; it is mapped to
-    nodal values once, by `FemSpace.change_basis`.
+    `numeric` holds one mesh function in space coordinates, or an (R, n_dof)
+    stack of R of them, for which R `ErrorNorms` are returned in row order.
+    The reference is evaluated once per quadrature point and serves every
+    row, so the step counts of a temporal study, which share the mesh and
+    the time, cost one reference pass.  Each row is mapped to nodal values
+    by `FemSpace.change_basis` and goes through the same floating-point
+    operations as a single vector would.
 
     Composite Gauss quadrature with at least 4 points per element;
     the point count grows with the highest retained oracle mode so that the
     oscillatory part of the integrand stays resolved.  In 1D the cells are
     split at `singular_breaks` (step edge, Dirac pole) and all points go to one
     `eval_points` call: the closed-form beta1(t) w plus J residual modes summed
-    by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.
+    by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.  On
+    the square the points go to 2p `eval_grid` calls, one per Gauss index of
+    the outer direction of the lower and upper triangles.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got t={t}")
     numeric = np.asarray(numeric, dtype=float)
-    if numeric.shape != (space.n_dof,):
-        raise ValueError(f"expected {space.n_dof} interior coefficients, got {numeric.shape}")
-    numeric = space.change_basis(numeric)
-    if space.mesh.dim == 1:
-        l2_sq, h1_sq = _error_1d(space, numeric, exact, t)
-    else:
-        l2_sq, h1_sq = _error_2d(space, numeric, exact, t)
-    l2 = math.sqrt(max(l2_sq, 0.0))
-    h1 = math.sqrt(max(h1_sq, 0.0))
+    if numeric.ndim not in (1, 2) or numeric.shape[-1] != space.n_dof:
+        raise ValueError(f"expected {space.n_dof} interior coefficients or a stack of them, got {numeric.shape}")
+    rows = [space.change_basis(row) for row in numeric.reshape(-1, space.n_dof)]
+    quadrature = _error_1d if space.mesh.dim == 1 else _error_2d
     norm_v = exact.datum_norm
     scale = norm_v if norm_v else 1.0
-    return ErrorNorms(l2=l2, h1=h1, l2_normalized=l2 / scale, h1_normalized=h1 / scale, datum_norm=norm_v)
+    norms = []
+    for l2_sq, h1_sq in quadrature(space, rows, exact, t):
+        l2 = math.sqrt(max(l2_sq, 0.0))
+        h1 = math.sqrt(max(h1_sq, 0.0))
+        norms.append(ErrorNorms(l2=l2, h1=h1, l2_normalized=l2 / scale, h1_normalized=h1 / scale, datum_norm=norm_v))
+    return norms[0] if numeric.ndim == 1 else norms

@@ -102,12 +102,23 @@ class SquareStencilMatrix:
         return SquareStencilMatrix(self.K, a * self.mass + b * other.mass, a * self.stiff + b * other.stiff)
 
     def _product(self, x: np.ndarray) -> np.ndarray:
+        # neighbour sums by shifted in-place adds, in the order up, down, left,
+        # right; a neighbour on the boundary is zero and is left out
         n = self.K - 1
-        P = np.zeros((n + 2, n + 2))   # the grid with its zero boundary
-        P[1:-1, 1:-1] = x.reshape(n, n)
-        y = self._centre * P[1:-1, 1:-1]
-        y += self._axis * (P[:-2, 1:-1] + P[2:, 1:-1] + P[1:-1, :-2] + P[1:-1, 2:])
-        y += self._diagonal * (P[:-2, :-2] + P[2:, 2:])
+        X = x.reshape(n, n)
+        axis = np.zeros((n, n))
+        axis[1:] += X[:-1]        # (y-1, x)
+        axis[:-1] += X[1:]        # (y+1, x)
+        axis[:, 1:] += X[:, :-1]  # (y, x-1)
+        axis[:, :-1] += X[:, 1:]  # (y, x+1)
+        diagonal = np.zeros((n, n))
+        diagonal[1:, 1:] += X[:-1, :-1]
+        diagonal[:-1, :-1] += X[1:, 1:]
+        y = self._centre * X
+        axis *= self._axis
+        y += axis
+        diagonal *= self._diagonal
+        y += diagonal
         return y.ravel()
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -274,23 +274,30 @@ class ModalSolution:
         return vals, grads
 
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, d/dx and d/dy on the tensor grid ys x xs (shape ny, nx)."""
+        """Values, d/dx and d/dy on the tensor grid ys x xs (shape ny, nx).
+
+        x- and y-frequencies whose amplitudes are all exactly zero are left
+        out of the products: they would add exact zeros to every entry.
+        """
         if self.modes.domain != "square":
             raise ValueError("eval_grid applies to square solutions")
         a = self.coeffs * self.factors(t)
-        A = np.zeros((int(self.modes.jx.max()), int(self.modes.jy.max())))
+        Jx, Jy = self.max_frequency
+        A = np.zeros((Jx, Jy))
         A[self.modes.jx - 1, self.modes.jy - 1] = a
-        jx = np.arange(1, A.shape[0] + 1) * np.pi
-        jy = np.arange(1, A.shape[1] + 1) * np.pi
-        EX = _phase_table(A.shape[0], xs)          # (Jx, nx)
+        rx = np.flatnonzero(A.any(axis=1))         # frequency - 1 of each kept row
+        ry = np.flatnonzero(A.any(axis=0))
+        A = A[np.ix_(rx, ry)]
+        EX = _phase_table(Jx, xs)[rx]              # (kept Jx, nx)
         SX = 2.0 * EX.imag                          # carries the phi normalization
-        CX = 2.0 * EX.real * jx[:, None]
-        EY = _phase_table(A.shape[1], ys).T        # (ny, Jy)
+        CX = 2.0 * EX.real * ((rx + 1) * np.pi)[:, None]
+        EY = _phase_table(Jy, ys)[ry].T            # (ny, kept Jy)
         SY = EY.imag
-        CY = EY.real * jy[None, :]
-        vals = SY @ (A.T @ SX)
+        CY = EY.real * ((ry + 1) * np.pi)[None, :]
+        ASX = A.T @ SX
+        vals = SY @ ASX
         gx = SY @ (A.T @ CX)
-        gy = CY @ (A.T @ SX)
+        gy = CY @ ASX
         return vals, gx, gy
 
     @property

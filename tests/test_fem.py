@@ -222,6 +222,28 @@ def test_error_norms_validation():
         error_norms(space, np.zeros(space.n_dof), ms, 0.0)
     with pytest.raises(ValueError):
         error_norms(space, np.zeros(space.n_dof + 1), ms, 0.1)
+    # a stack whose rows have the wrong length, and a 3-D array
+    with pytest.raises(ValueError):
+        error_norms(space, np.zeros((2, space.n_dof + 1)), ms, 0.1)
+    with pytest.raises(ValueError):
+        error_norms(space, np.zeros((1, 2, space.n_dof)), ms, 0.1)
+
+
+@pytest.mark.parametrize("datum,mesh", [
+    (InitialDatum("step", location=0.3), build_interval_mesh(9)),    # edge inside an element
+    (InitialDatum("dirac", location=0.5), build_interval_mesh(9)),
+    (InitialDatum("step2d", location=0.5), build_square_mesh(8)),
+], ids=["step", "dirac", "step2d"])
+def test_error_norms_of_a_stack_equal_single_calls(datum, mesh):
+    # the final states of a temporal family share one reference pass, and
+    # each row must come out exactly as it does alone
+    t = 0.1
+    ms = build_modal_solution(datum, 0.5, 1.0, t_min=t)
+    space = assemble(mesh)
+    v = l2_project(space, datum)
+    finals = np.stack([run_scheme(space, SchemeConfig("be", 0.5, 1.0, t / N, N), v).final for N in (2, 4, 8)])
+    stacked = error_norms(space, finals, ms, t)
+    assert stacked == [error_norms(space, U, ms, t) for U in finals]
 
 
 class _ZeroOracle:
@@ -250,11 +272,20 @@ def _assert_mass_stiffness_norms(space, U, en):
     assert en.h1 == pytest.approx(math.sqrt(U @ (space.S @ U)), rel=1e-12)
 
 
+def _assert_stack_mass_stiffness_norms(space, oracle, rng):
+    # one vector, and a stack of three whose rows each get their own norms
+    U = rng.standard_normal((3, space.n_dof))
+    _assert_mass_stiffness_norms(space, U[0], error_norms(space, U[0], oracle, 0.1))
+    stacked = error_norms(space, U, oracle, 0.1)
+    assert len(stacked) == 3
+    for row, en in zip(U, stacked):
+        _assert_mass_stiffness_norms(space, row, en)
+
+
 def test_error_norms_2d_quadrature_identity(rng):
     # with a zero oracle the quadrature returns exactly the mass/stiffness norms
     space = assemble(build_square_mesh(6))
-    U = rng.standard_normal(space.n_dof)
-    _assert_mass_stiffness_norms(space, U, error_norms(space, U, _ZeroOracle((6, 6)), 0.1))
+    _assert_stack_mass_stiffness_norms(space, _ZeroOracle((6, 6)), rng)
 
 
 @pytest.mark.parametrize("K,breaks", [(8, ()), (9, (0.3,))])
@@ -262,9 +293,7 @@ def test_error_norms_1d_quadrature_identity(rng, K, breaks):
     # a kink inside an element splits it in two pieces; both must use that
     # element's values and slope
     space = assemble(build_interval_mesh(K))
-    U = rng.standard_normal(space.n_dof)
-    oracle = _ZeroOracle((K, 0), breaks)
-    _assert_mass_stiffness_norms(space, U, error_norms(space, U, oracle, 0.1))
+    _assert_stack_mass_stiffness_norms(space, _ZeroOracle((K, 0), breaks), rng)
 
 
 class _DirectModalSolution(ModalSolution):

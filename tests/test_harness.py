@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from rstokes import harness
 from rstokes.cli import main, read_config_file
 from rstokes.harness import (
     ErrorReport,
@@ -128,6 +130,37 @@ def test_experiment_error_carries_grid_point():
     with pytest.raises(ExperimentError) as err:
         run_experiment(cfg)
     assert err.value.point["K"] == 5
+
+
+def test_error_failure_names_the_family_points(monkeypatch):
+    # the errors of a temporal family are measured by one call for all its
+    # step counts, so a failure there names the mesh, the time and every N
+    def fail(*args, **kwargs):
+        raise FloatingPointError("reference failed")
+
+    monkeypatch.setattr(harness, "error_norms", fail)
+    cfg = ExperimentConfig(example="a", scheme="be", study="temporal",
+                           alphas=(0.5,), ks=(3,), Ns=(4, 8, 16), ts=(0.1,))
+    with pytest.raises(ExperimentError, match="reference failed") as err:
+        run_experiment(cfg)
+    point = err.value.point
+    assert (point["K"], point["t"], point["N"]) == (8, 0.1, (4, 8, 16))
+
+
+def test_temporal_study_keeps_one_trajectory_alive():
+    # fine_tau's study: the harness keeps only the final state of each step
+    # count, so its peak is the N = 500 trajectory plus a little; a harness
+    # that kept a trajectory alive while it measured errors peaked above 1.25x
+    cfg = ExperimentConfig(example="a", scheme="sbd", study="temporal",
+                           alphas=(0.5,), ks=(11,), Ns=(250, 500), ts=(0.1,))
+    run_experiment(cfg)   # imports and first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * (501 * 2047 * 8)
 
 
 def test_emit_csv_roundtrip(tmp_path):

@@ -526,6 +526,17 @@ def test_eval_grid_matches_bruteforce(rng):
             assert np.max(np.abs(gy[rows] - cy @ sx.T)) < 1e-11
 
 
+def test_eval_grid_of_all_zero_coefficients_is_zero():
+    # every frequency is skipped as exactly zero, so the products run over
+    # empty frequency sets and must still give zero grids of the right shape
+    modes = eigenbasis("square", 12)
+    ms = ModalSolution(0.5, 1.0, modes, np.zeros(len(modes)))
+    xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)
+    for out in ms.eval_grid(xs, ys, 0.1):
+        assert out.shape == (3, 5)
+        assert not np.any(out)
+
+
 @pytest.mark.parametrize("kind,t_min,points", [
     ("step", 1e-6, np.linspace(0.013, 0.987, 7)),
     ("dirac", 0.1, np.concatenate([np.linspace(0.01, 0.49, 50), np.linspace(0.51, 0.99, 51)])),
