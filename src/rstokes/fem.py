@@ -101,12 +101,6 @@ class FemSpace:
         """
         return dst(x) if self.mesh.dim == 1 else x
 
-    def expand(self, interior: np.ndarray) -> np.ndarray:
-        """Scatter interior nodal values to the full node vector (zeros on the boundary)."""
-        full = np.zeros(self.mesh.n_nodes)
-        full[self.interior_nodes] = interior
-        return full
-
 
 def _assemble_1d(mesh: Mesh) -> FemSpace:
     # DST-I eigenvalues of the interior P1 matrices, s_k = sin(pi k / 2K), k = 1..K-1;
@@ -242,11 +236,12 @@ def _error_1d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
     element = np.searchsorted(nodes, lo, side="right") - 1
     spacing = np.diff(nodes)[element]
     uv, ug = exact.eval_points(xq, t)
+    offset = xq - np.repeat(nodes[element], p)
     out = []
     for numeric in rows:
-        full = space.expand(numeric)
+        full = np.pad(numeric, 1)
         slope = np.repeat(np.diff(full)[element] / spacing, p)
-        l2_sq = float(wq @ (np.interp(xq, nodes, full) - uv) ** 2)
+        l2_sq = float(wq @ (slope * offset + np.repeat(full[element], p) - uv) ** 2)
         h1_sq = float(wq @ (slope - ug) ** 2)
         out.append((l2_sq, h1_sq))
     return out
@@ -255,48 +250,41 @@ def _error_1d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
 def _error_2d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t: float):
     K, h = space.mesh.K, space.mesh.h
     grid = np.arange(K) * h
-    corners = []   # per row: the values at the corners a, b, c, d of every cell
-    for numeric in rows:
-        V = space.expand(numeric).reshape(K + 1, K + 1)   # [iy, ix]
-        corners.append((V[:-1, :-1], V[:-1, 1:], V[1:, 1:], V[1:, :-1]))
-
     fmax = max(exact.max_frequency)
     p = max(4, min(int(math.ceil(1.2 * fmax * h)) + 4, 60))
     g, gw = _gauss01(p)
-
-    l2_sq = [0.0] * len(rows)
-    h1_sq = [0.0] * len(rows)
-    # lower triangles (a,b,c): eta <= xi; iterate outer Gauss index in x
-    slopes = [(Va, (Vb - Va) / h, (Vc - Vb) / h) for Va, Vb, Vc, _ in corners]
-    for i in range(p):
-        xi = h * g[i]
-        xs = grid + xi
-        ys = (xi * g[:, None] + grid[None, :]).ravel()     # index j*K + n
-        uv, ugx, ugy = exact.eval_grid(xs, ys, t)
-        uv = uv.reshape(p, K, K)
-        ugx = ugx.reshape(p, K, K)
-        ugy = ugy.reshape(p, K, K)
-        w = (h * gw[i]) * (xi * gw)[:, None, None]
-        for r, (Va, dx_l, dy_l) in enumerate(slopes):
-            uh = Va[None] + dx_l[None] * xi + dy_l[None] * (xi * g)[:, None, None]
-            l2_sq[r] += float(np.sum(w * (uh - uv) ** 2))
-            h1_sq[r] += float(np.sum(w * ((dx_l[None] - ugx) ** 2 + (dy_l[None] - ugy) ** 2)))
-    # upper triangles (a,c,d): xi <= eta; outer Gauss index in y
-    slopes = [(Va, (Vc - Vd) / h, (Vd - Va) / h) for Va, _, Vc, Vd in corners]
-    for jq in range(p):
-        eta = h * g[jq]
-        ys = grid + eta
-        xs = (eta * g[:, None] + grid[None, :]).ravel()    # index i*K + m
-        uv, ugx, ugy = exact.eval_grid(xs, ys, t)
-        uv = uv.reshape(K, p, K)
-        ugx = ugx.reshape(K, p, K)
-        ugy = ugy.reshape(K, p, K)
-        w = (h * gw[jq]) * (eta * gw)[None, :, None]
-        for r, (Va, dx_u, dy_u) in enumerate(slopes):
-            uh = Va[:, None, :] + dx_u[:, None, :] * (eta * g)[None, :, None] + dy_u[:, None, :] * eta
-            l2_sq[r] += float(np.sum(w * (uh - uv) ** 2))
-            h1_sq[r] += float(np.sum(w * ((dx_u[:, None, :] - ugx) ** 2 + (dy_u[:, None, :] - ugy) ** 2)))
-    return list(zip(l2_sq, h1_sq))
+    # reference side of the expanded squares, on the (K+1)^2 nodes [iy, ix]:
+    # load_i = sum w u phi_i, grad_i = sum w grad u . grad phi_i
+    load = np.zeros((K + 1, K + 1))
+    grad = np.zeros((K + 1, K + 1))
+    u_sq = du_sq = 0.0
+    # lower triangles (a, b, c) = ([iy, ix], [iy, ix+1], [iy+1, ix+1]) with
+    # xi = x - x_a >= eta = y - y_a: phi = (1 - xi/h, (xi - eta)/h, eta/h);
+    # the upper ones are the lower triangles of the grid mirrored in y = x,
+    # whose node arrays are the transposes and whose xi is y - y_a
+    for mirrored, node_load, node_grad in ((False, load, grad), (True, load.T, grad.T)):
+        for i in range(p):
+            xi = h * g[i]
+            inner = (xi * g[:, None] + grid).ravel()      # eta of point j in cell m: j*K + m
+            if mirrored:
+                u, u_eta, u_xi = (f.reshape(K, p, K).transpose(1, 2, 0) for f in exact.eval_grid(inner, grid + xi, t))
+            else:
+                u, u_xi, u_eta = (f.reshape(p, K, K) for f in exact.eval_grid(grid + xi, inner, t))
+            w = (h * gw[i]) * (xi * gw)
+            su, sue = np.tensordot(w, u, 1), np.tensordot(w * (xi * g), u, 1)
+            s_xi, s_eta = np.tensordot(w, u_xi, 1), np.tensordot(w, u_eta, 1)
+            u_sq += float(np.tensordot(w, u * u, 1).sum())
+            du_sq += float(np.tensordot(w, u_xi * u_xi + u_eta * u_eta, 1).sum())
+            node_load[:-1, :-1] += (1.0 - xi / h) * su
+            node_load[:-1, 1:] += (xi * su - sue) / h
+            node_load[1:, 1:] += sue / h
+            node_grad[:-1, :-1] -= s_xi / h
+            node_grad[:-1, 1:] += (s_xi - s_eta) / h
+            node_grad[1:, 1:] += s_eta / h
+    load = load[1:-1, 1:-1].ravel()
+    grad = grad[1:-1, 1:-1].ravel()
+    return [(U @ (space.M @ U) - 2.0 * (U @ load) + u_sq, U @ (space.S @ U) - 2.0 * (U @ grad) + du_sq)
+            for U in rows]
 
 
 def error_norms(
@@ -317,9 +305,22 @@ def error_norms(
     oscillatory part of the integrand stays resolved.  In 1D the cells are
     split at `singular_breaks` (step edge, Dirac pole) and all points go to one
     `eval_points` call: the closed-form beta1(t) w plus J residual modes summed
-    by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.  On
-    the square the points go to 2p `eval_grid` calls, one per Gauss index of
-    the outer direction of the lower and upper triangles.
+    by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.  Each
+    1D row is then squared point by point.  On the square the points go to 2p
+    `eval_grid` calls, one per Gauss index of the outer direction of the
+    lower and upper triangles.  The rule integrates products of P1 functions
+    exactly, so for nodal values U
+
+        sum_q w (u_h - u)^2 = U^T M U - 2 U^T l + sum_q w u^2,
+        sum_q w |grad(u_h - u)|^2 = U^T S U - 2 U^T g + sum_q w |grad u|^2,
+
+    with the node loads l_i = sum_q w u phi_i and g_i = sum_q w grad u .
+    grad phi_i.  The loads and the two sums are accumulated once, and a row
+    costs two stencil products.  The expanded square can lose up to about
+    eps ||u||^2 / e^2 relative to an error e (5e-10 measured on the 2D
+    spatial acceptance rows).  That is why 1D keeps the direct squares: its
+    finest temporal rows have L2 errors near 1e-7, where the expansion moved
+    the squared error by 2e-5 relative.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got t={t}")

@@ -37,7 +37,6 @@ __all__ = [
     "ExperimentError",
     "run_experiment",
     "emit_report",
-    "read_report_csv",
     "pair_rates",
     "fitted_rate",
     "loglog_slope",
@@ -365,16 +364,3 @@ def emit_report(report: ErrorReport, fmt: str | None = None, path: str | None = 
     if target:
         Path(target).write_text(text)
     return text
-
-
-def read_report_csv(path: str) -> list[dict]:
-    """Parse an emitted CSV back into typed row dictionaries."""
-    out = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row = dict(rec)
-            for k in ("alpha", "h", "tau", "t", "l2_error", "h1_error"):
-                row[k] = float(row[k])
-            row["rate"] = float(row["rate"]) if row["rate"] else None
-            out.append(row)
-    return out

@@ -88,15 +88,6 @@ class SquareStencilMatrix:
     def n(self) -> int:
         return (self.K - 1) ** 2
 
-    def toarray(self) -> np.ndarray:
-        """The dense matrix, Kronecker products of n x n factors with n = K-1."""
-        n = self.K - 1
-        I = np.eye(n)
-        U = np.eye(n, k=1)
-        E = U + U.T
-        return (self._centre * np.kron(I, I) + self._axis * (np.kron(I, E) + np.kron(E, I))
-                + self._diagonal * (np.kron(U, U) + np.kron(U.T, U.T)))
-
     def scaled_sum(self, a: float, other: "SquareStencilMatrix", b: float) -> "SquareStencilMatrix":
         """Return a*self + b*other as a new matrix."""
         return SquareStencilMatrix(self.K, a * self.mass + b * other.mass, a * self.stiff + b * other.stiff)

@@ -91,9 +91,6 @@ class DiscreteTrajectory:
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
 
-    def times(self) -> np.ndarray:
-        return self.config.tau * np.arange(self.config.n_steps + 1)
-
 
 class StepFailure(RuntimeError):
     def __init__(self, step: int, cause: Exception):

@@ -31,11 +31,14 @@ Square: `square_triangles` is the diagonal split of Mesh(2, K), and
 `element_matrices`/`element_step_load` integrate P1 element by element over
 it, the reference for the closed-form 2D matrices and step load of
 `rstokes.fem`; `element_interior_matrices` keeps the same integrals sparse,
-for the sparse LU that the 2D solves are checked against.
+for the sparse LU that the 2D solves are checked against.  `stencil_array`
+writes a `SquareStencilMatrix` out densely as Kronecker products.
 
 Evaluation and quadrature: `direct_eval_points` is the direct sin/cos sum that
-`ModalSolution.eval_points` is checked against, and `gauss_panels` gives
-composite Gauss-Legendre rules for test-side integrals.
+`ModalSolution.eval_points` is checked against, `direct_error_2d` squares
+the error of each row point by point at the Gauss points of
+`rstokes.fem._error_2d`, the reference for its expanded per-row form, and
+`gauss_panels` gives composite Gauss-Legendre rules for test-side integrals.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from rstokes.cq import DELTA, weights
-from rstokes.linalg import DiagonalMatrix
+from rstokes.fem import _gauss01
+from rstokes.linalg import DiagonalMatrix, SquareStencilMatrix
 from rstokes.mesh import Mesh
 from rstokes.oracle import _bromwich, _inverse_laplacian
 from rstokes.stepper import StepFailure
@@ -286,6 +290,19 @@ def nodal_form(A: DiagonalMatrix) -> np.ndarray:
     return Q @ np.diag(A.eigenvalues) @ Q
 
 
+def stencil_array(A: SquareStencilMatrix) -> np.ndarray:
+    """The dense form of a square's stencil matrix: Kronecker products of
+    n x n factors with n = K-1, I the identity, U the unit superdiagonal and
+    E = U + U^T, weighted as the stencil of `SquareStencilMatrix`."""
+    n = A.K - 1
+    m = A.mass / (12.0 * A.K * A.K)
+    I = np.eye(n)
+    U = np.eye(n, k=1)
+    E = U + U.T
+    return ((6.0 * m + 4.0 * A.stiff) * np.kron(I, I) + (m - A.stiff) * (np.kron(I, E) + np.kron(E, I))
+            + m * (np.kron(U, U) + np.kron(U.T, U.T)))
+
+
 def square_triangles(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points (ix, iy) of Mesh(2, K) in its node order, and its triangles.
 
@@ -409,3 +426,58 @@ def direct_eval_points(ms, x, t):
         vals += b1 * w
         grads += b1 * dw
     return vals, grads
+
+
+def direct_error_2d(space, rows, exact, t):
+    """Reference for `rstokes.fem._error_2d`: the squared L2 and H1 errors of
+    each row, summed point by point over the same Gauss points.
+
+    The nodal values of a row are zero-padded to the (K+1)^2 nodes; every
+    chunk of points then evaluates u_h and its constant gradient on each
+    triangle and squares the difference from the reference directly, so no
+    mass or stiffness matrix enters and no large terms cancel.
+    """
+    K, h = space.mesh.K, space.mesh.h
+    grid = np.arange(K) * h
+    corners = []   # per row: the values at the corners a, b, c, d of every cell
+    for numeric in rows:
+        V = np.pad(np.reshape(numeric, (K - 1, K - 1)), 1)   # [iy, ix]
+        corners.append((V[:-1, :-1], V[:-1, 1:], V[1:, 1:], V[1:, :-1]))
+
+    fmax = max(exact.max_frequency)
+    p = max(4, min(int(math.ceil(1.2 * fmax * h)) + 4, 60))
+    g, gw = _gauss01(p)
+
+    l2_sq = [0.0] * len(rows)
+    h1_sq = [0.0] * len(rows)
+    # lower triangles (a,b,c): eta <= xi; iterate outer Gauss index in x
+    slopes = [(Va, (Vb - Va) / h, (Vc - Vb) / h) for Va, Vb, Vc, _ in corners]
+    for i in range(p):
+        xi = h * g[i]
+        xs = grid + xi
+        ys = (xi * g[:, None] + grid[None, :]).ravel()     # index j*K + n
+        uv, ugx, ugy = exact.eval_grid(xs, ys, t)
+        uv = uv.reshape(p, K, K)
+        ugx = ugx.reshape(p, K, K)
+        ugy = ugy.reshape(p, K, K)
+        w = (h * gw[i]) * (xi * gw)[:, None, None]
+        for r, (Va, dx_l, dy_l) in enumerate(slopes):
+            uh = Va[None] + dx_l[None] * xi + dy_l[None] * (xi * g)[:, None, None]
+            l2_sq[r] += float(np.sum(w * (uh - uv) ** 2))
+            h1_sq[r] += float(np.sum(w * ((dx_l[None] - ugx) ** 2 + (dy_l[None] - ugy) ** 2)))
+    # upper triangles (a,c,d): xi <= eta; outer Gauss index in y
+    slopes = [(Va, (Vc - Vd) / h, (Vd - Va) / h) for Va, _, Vc, Vd in corners]
+    for jq in range(p):
+        eta = h * g[jq]
+        ys = grid + eta
+        xs = (eta * g[:, None] + grid[None, :]).ravel()    # index i*K + m
+        uv, ugx, ugy = exact.eval_grid(xs, ys, t)
+        uv = uv.reshape(K, p, K)
+        ugx = ugx.reshape(K, p, K)
+        ugy = ugy.reshape(K, p, K)
+        w = (h * gw[jq]) * (eta * gw)[None, :, None]
+        for r, (Va, dx_u, dy_u) in enumerate(slopes):
+            uh = Va[:, None, :] + dx_u[:, None, :] * (eta * g)[None, :, None] + dy_u[:, None, :] * eta
+            l2_sq[r] += float(np.sum(w * (uh - uv) ** 2))
+            h1_sq[r] += float(np.sum(w * ((dx_u[:, None, :] - ugx) ** 2 + (dy_u[:, None, :] - ugy) ** 2)))
+    return list(zip(l2_sq, h1_sq))

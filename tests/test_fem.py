@@ -6,17 +6,20 @@ import pytest
 
 from oracles import (
     KernelDensity,
+    direct_error_2d,
     direct_eval_points,
     element_matrices,
     element_step_load,
     gauss_panels,
     interval_matrices,
     nodal_form,
+    stencil_array,
     uj_eval,
 )
 from rstokes.fem import (
     InitialDatum,
     UnsupportedDatumError,
+    _error_2d,
     _step2d_load,
     assemble,
     error_norms,
@@ -49,9 +52,9 @@ def test_square_k2_interior_stiffness_diag():
     # hand assembly over the 6 incident triangles of the structured pattern
     space = assemble(build_square_mesh(2))
     assert space.n_dof == 1
-    assert space.S.toarray()[0, 0] == pytest.approx(4.0)
+    assert stencil_array(space.S)[0, 0] == pytest.approx(4.0)
     # interior mass diagonal equals the hexagon area h^2/2
-    assert space.M.toarray()[0, 0] == pytest.approx(0.125)
+    assert stencil_array(space.M)[0, 0] == pytest.approx(0.125)
 
 
 def test_closed_form_2d_matches_element_oracle():
@@ -66,7 +69,7 @@ def test_closed_form_2d_matches_element_oracle():
         inner = np.ix_(space.interior_nodes, space.interior_nodes)
         for got, full in ((space.M, M_full), (space.S, S_full)):
             expect = full[inner]
-            assert np.max(np.abs(got.toarray() - expect)) <= 1e-15 * np.max(np.abs(expect))
+            assert np.max(np.abs(stencil_array(got) - expect)) <= 1e-15 * np.max(np.abs(expect))
         for cut in range(1, K):
             load = _step2d_load(space, cut / K)
             expect = element_step_load(K, cut / K)[space.interior_nodes]
@@ -82,8 +85,8 @@ def test_matrices_positive_definite():
         assert np.allclose(nodal, ref.toarray(), atol=atol)
         np.linalg.cholesky(nodal)
     space = assemble(build_square_mesh(8))
-    np.linalg.cholesky(space.M.toarray())
-    np.linalg.cholesky(space.S.toarray())
+    np.linalg.cholesky(stencil_array(space.M))
+    np.linalg.cholesky(stencil_array(space.S))
 
 
 def test_l2_projection_reproduces_mesh_functions(rng):
@@ -194,7 +197,7 @@ def test_ritz_l2_error_second_order():
         space = assemble(build_interval_mesh(K))
         x = ritz_project(space, InitialDatum("smooth_sine", frequency=2))
         xq, wq = gauss_panels(0.0, 1.0, 4 * K)
-        uh = np.interp(xq, space.mesh.nodes, space.expand(space.change_basis(x)))
+        uh = np.interp(xq, space.mesh.nodes, np.pad(space.change_basis(x), 1))
         errs.append(math.sqrt(wq @ (uh - np.sin(2 * math.pi * xq)) ** 2))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.9 < r < 2.1 for r in rates)
@@ -286,6 +289,70 @@ def test_error_norms_2d_quadrature_identity(rng):
     # with a zero oracle the quadrature returns exactly the mass/stiffness norms
     space = assemble(build_square_mesh(6))
     _assert_stack_mass_stiffness_norms(space, _ZeroOracle((6, 6)), rng)
+
+
+class _P1Oracle:
+    """Exact reference: the P1 function of the cut-cell grid with nodal values V.
+
+    Cell (iy, ix) is cut along its (+1, +1) diagonal into the lower triangle
+    (a, b, c), where x - x_a >= y - y_a, and the upper one (a, c, d).
+    """
+
+    datum_norm = 1.0
+
+    def __init__(self, V):
+        self.V = V                       # (K+1, K+1) nodal values [iy, ix]
+        self.K = V.shape[0] - 1
+        self.max_frequency = (self.K, self.K)
+
+    def eval_grid(self, xs, ys, t):
+        K, V = self.K, self.V
+        h = 1.0 / K
+        x, y = np.meshgrid(xs, ys)
+        ix = np.minimum((x * K).astype(int), K - 1)
+        iy = np.minimum((y * K).astype(int), K - 1)
+        xi, eta = x - ix * h, y - iy * h
+        Va, Vb, Vc, Vd = V[iy, ix], V[iy, ix + 1], V[iy + 1, ix + 1], V[iy + 1, ix]
+        lower = xi >= eta
+        gx = np.where(lower, Vb - Va, Vc - Vd) / h
+        gy = np.where(lower, Vc - Vb, Vd - Va) / h
+        return Va + gx * xi + gy * eta, gx, gy
+
+
+@pytest.mark.parametrize("K", [2, 3, 8, 17])
+def test_error_2d_of_an_exact_p1_reference_vanishes(rng, K):
+    # a random P1 function, not symmetric in y = x, measured against itself:
+    # the upper triangles' loads must land on their own nodes (the transposed
+    # node arrays) with d/dx and d/dy swapped, or its errors stay O(1)
+    space = assemble(build_square_mesh(K))
+    U = rng.standard_normal(space.n_dof)
+    oracle = _P1Oracle(np.pad(U.reshape(K - 1, K - 1), 1))
+    [(l2_sq, h1_sq)] = _error_2d(space, [U], oracle, 0.1)
+    assert abs(l2_sq) <= 1e-13 * (U @ (space.M @ U))
+    assert abs(h1_sq) <= 1e-13 * (U @ (space.S @ U))
+
+
+@pytest.mark.parametrize("K", [2, 3, 8, 17, 64])
+def test_error_2d_matches_direct_quadrature(rng, K):
+    # the per-row form U^T M U - 2 U^T l + sum w u^2 (and its H1 twin) against
+    # the direct pointwise squares of tests/oracles.py at the same points;
+    # the gap is the cancellation of the expanded square, so it is bounded
+    # relative to the two large terms; the zero row's errors are the sums
+    # sum w u^2 and sum w |grad u|^2
+    t = 0.1
+    datum = InitialDatum("step2d", location=(K // 2) / K)
+    ms = build_modal_solution(datum, 0.5, 1.0, t_min=t)
+    space = assemble(build_square_mesh(K))
+    v = l2_project(space, datum)
+    rows = [run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, t / N, N), v).final
+            for scheme in ("be", "sbd") for N in (5, 40, 200)]
+    rows += [rng.standard_normal(space.n_dof), np.zeros(space.n_dof), v]
+    got = _error_2d(space, rows, ms, t)
+    ref = direct_error_2d(space, rows, ms, t)
+    u_sq, du_sq = ref[-2]
+    for U, (l2_sq, h1_sq), (l2_ref, h1_ref) in zip(rows, got, ref):
+        assert abs(l2_sq - l2_ref) <= 1e-13 * (U @ (space.M @ U) + u_sq)
+        assert abs(h1_sq - h1_ref) <= 1e-13 * (U @ (space.S @ U) + du_sq)
 
 
 @pytest.mark.parametrize("K,breaks", [(8, ()), (9, (0.3,))])

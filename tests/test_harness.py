@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 import warnings
@@ -15,9 +16,21 @@ from rstokes.harness import (
     fitted_rate,
     loglog_slope,
     pair_rates,
-    read_report_csv,
     run_experiment,
 )
+
+
+def read_report_csv(path: str) -> list[dict]:
+    """Parse an emitted CSV back into typed row dictionaries."""
+    out = []
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            row = dict(rec)
+            for k in ("alpha", "h", "tau", "t", "l2_error", "h1_error"):
+                row[k] = float(row[k])
+            row["rate"] = float(row["rate"]) if row["rate"] else None
+            out.append(row)
+    return out
 
 
 def test_pair_rates_halving():

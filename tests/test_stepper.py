@@ -301,7 +301,6 @@ def test_trajectory_metadata():
     traj = run_scheme(space, cfg, v)
     assert np.allclose(traj.snapshots[0], v)
     assert np.all(np.isfinite(traj.snapshots))
-    assert traj.times().tolist() == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
     assert np.shares_memory(traj.final, traj.snapshots)
 
 
