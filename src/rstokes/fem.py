@@ -214,6 +214,11 @@ class ErrorNorms:
     datum_norm: float | None
 
 
+# quadrature points per `eval_grid` call of the 2D error pass (a block of
+# cells): each of its temporaries is about 256 kB whatever K and p are
+_GRID_BLOCK_POINTS = 1 << 15
+
+
 def _gauss01(p: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(p)
     return 0.5 * (x + 1.0), 0.5 * w
@@ -229,7 +234,9 @@ def _error_1d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
     p = _points_per_element(exact.max_frequency[0], space.mesh.h)
     g, gw = _gauss01(p)
     # pieces: the mesh cells, split where the exact solution has a kink
-    cuts = np.union1d(nodes, [b for b in exact.singular_breaks() if 0.0 < b < 1.0])
+    # (a sort rather than np.union1d, whose first call imports numpy.ma)
+    breaks = [b for b in exact.singular_breaks() if 0.0 < b < 1.0 and b not in nodes]
+    cuts = np.sort(np.concatenate([nodes, breaks]))
     lo, width = cuts[:-1], np.diff(cuts)
     xq = (lo[:, None] + width[:, None] * g).ravel()
     wq = (width[:, None] * gw).ravel()
@@ -253,11 +260,18 @@ def _error_2d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
     fmax = max(exact.max_frequency)
     p = max(4, min(int(math.ceil(1.2 * fmax * h)) + 4, 60))
     g, gw = _gauss01(p)
+    # cells along eta per eval_grid call, in blocks of near-equal size
+    blocks = math.ceil(p * K * K / _GRID_BLOCK_POINTS)
+    cells = math.ceil(K / blocks)
     # reference side of the expanded squares, on the (K+1)^2 nodes [iy, ix]:
     # load_i = sum w u phi_i, grad_i = sum w grad u . grad phi_i
     load = np.zeros((K + 1, K + 1))
     grad = np.zeros((K + 1, K + 1))
     u_sq = du_sq = 0.0
+    # per cell, the Gauss sums of one outer index: w u, w u eta, w u_xi,
+    # w u_eta, w u^2 and w |grad u|^2, filled one block of cells at a time
+    sums = np.empty((6, K * K))
+    su, sue, s_xi, s_eta, s_uu, s_du = sums.reshape(6, K, K)
     # lower triangles (a, b, c) = ([iy, ix], [iy, ix+1], [iy+1, ix+1]) with
     # xi = x - x_a >= eta = y - y_a: phi = (1 - xi/h, (xi - eta)/h, eta/h);
     # the upper ones are the lower triangles of the grid mirrored in y = x,
@@ -265,16 +279,26 @@ def _error_2d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
     for mirrored, node_load, node_grad in ((False, load, grad), (True, load.T, grad.T)):
         for i in range(p):
             xi = h * g[i]
-            inner = (xi * g[:, None] + grid).ravel()      # eta of point j in cell m: j*K + m
-            if mirrored:
-                u, u_eta, u_xi = (f.reshape(K, p, K).transpose(1, 2, 0) for f in exact.eval_grid(inner, grid + xi, t))
-            else:
-                u, u_xi, u_eta = (f.reshape(p, K, K) for f in exact.eval_grid(grid + xi, inner, t))
             w = (h * gw[i]) * (xi * gw)
-            su, sue = np.tensordot(w, u, 1), np.tensordot(w * (xi * g), u, 1)
-            s_xi, s_eta = np.tensordot(w, u_xi, 1), np.tensordot(w, u_eta, 1)
-            u_sq += float(np.tensordot(w, u * u, 1).sum())
-            du_sq += float(np.tensordot(w, u_xi * u_xi + u_eta * u_eta, 1).sum())
+            we = w * (xi * g)
+            for lo in range(0, K, cells):
+                edges = grid[lo : lo + cells]                  # inner-side edges of the block's n cells
+                n = edges.size
+                inner = (xi * g[:, None] + edges).ravel()      # eta of point j in the block's cell m: j*n + m
+                # each reference array as (Gauss point, cell * K + outer point)
+                if mirrored:
+                    u, u_eta, u_xi = (np.ascontiguousarray(f.reshape(K, p, n).transpose(1, 2, 0)).reshape(p, -1)
+                                      for f in exact.eval_grid(inner, grid + xi, t))
+                else:
+                    u, u_xi, u_eta = (f.reshape(p, -1) for f in exact.eval_grid(grid + xi, inner, t))
+                du = u_xi * u_xi
+                du += u_eta * u_eta
+                block = sums[:, lo * K : (lo + n) * K]
+                for out, weights, f in zip(block, (w, we, w, w, w, w), (u, u, u_xi, u_eta, u * u, du)):
+                    out[:] = weights @ f
+                del u, u_xi, u_eta, du, f   # free the block before the next reference call
+            u_sq += float(s_uu.sum())
+            du_sq += float(s_du.sum())
             node_load[:-1, :-1] += (1.0 - xi / h) * su
             node_load[:-1, 1:] += (xi * su - sue) / h
             node_load[1:, 1:] += sue / h
@@ -306,10 +330,15 @@ def error_norms(
     split at `singular_breaks` (step edge, Dirac pole) and all points go to one
     `eval_points` call: the closed-form beta1(t) w plus J residual modes summed
     by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.  Each
-    1D row is then squared point by point.  On the square the points go to 2p
-    `eval_grid` calls, one per Gauss index of the outer direction of the
-    lower and upper triangles.  The rule integrates products of P1 functions
-    exactly, so for nodal values U
+    1D row is then squared point by point.  On the square each Gauss index of
+    the outer direction of the lower and upper triangles takes B `eval_grid`
+    calls, one per block of about K/B cells along the inner direction, with
+    B = ceil(p K^2 / _GRID_BLOCK_POINTS): 2pB calls, whose temporaries hold
+    about 2^15 points each whatever K and p are (3 blocks at K = 128, p = 6).
+    The per-cell Gauss sums of one index are gathered over its blocks and
+    then added to the node loads, in the order a single call would give.
+    The rule integrates products of P1 functions exactly, so for nodal
+    values U
 
         sum_q w (u_h - u)^2 = U^T M U - 2 U^T l + sum_q w u^2,
         sum_q w |grad(u_h - u)|^2 = U^T S U - 2 U^T g + sum_q w |grad u|^2,

@@ -20,7 +20,7 @@ __all__ = ["Mesh", "build_interval_mesh", "build_square_mesh"]
 class Mesh:
     """Uniform mesh of (0,1) (dim 1) or (0,1)^2 (dim 2) with K cells per side.
 
-    nodes has shape (n_nodes,) in 1D and (n_nodes, 2) in 2D, square nodes
+    nodes has shape (K+1,) in 1D and ((K+1)^2, 2) in 2D, square nodes
     ordered by (y, x); the boundary nodes carry the Dirichlet condition and
     interior_nodes indexes the others.  h = 1/K is the cell side.
     """
@@ -45,10 +45,6 @@ class Mesh:
             return side
         xg, yg = np.meshgrid(side, side)  # row index = y, col index = x
         return np.column_stack([xg.ravel(), yg.ravel()])
-
-    @property
-    def n_nodes(self) -> int:
-        return (self.K + 1) ** self.dim
 
     @property
     def interior_nodes(self) -> np.ndarray:

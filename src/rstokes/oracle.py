@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _CONTOUR_NODES = 32
+_BROMWICH_BLOCK = 1024      # eigenvalues per block of the contour rule
 _MODE_CAP = 10_000          # modes (1D) or mode pairs (2D) of any reference
 _TAYLOR_TERMS = 18          # shift terms of eval_points: (pi/4)^18/18! e^(pi/4) < 1e-17
 
@@ -114,6 +115,15 @@ def _bromwich(lams: np.ndarray, t: float, gamma: float, alpha: float, variant: s
     1/(1 + gamma z^alpha) (lams is ignored, one value returned); 'residual'
     inverts the split remainder plain - limit/lam, written without
     cancellation as -z / (lam (1 + gamma z^alpha) (z + lam (1 + gamma z^alpha))).
+
+    The eigenvalues go through in blocks of _BROMWICH_BLOCK = 1024, so two
+    complex (n + 1) x 1024 arrays (0.54 MB each) are live at a time whatever
+    their count; only the real result grows with it (8 bytes per eigenvalue).
+    A block forms the same node-weight products w @ symbol as one product
+    over all eigenvalues.  OpenBLAS sums a column in another order when a
+    thread split or a block end leaves it in a kernel's remainder group, so
+    the last bit can differ from the one-shot product; at 10^4 eigenvalues
+    on 1 or 2 threads every split falls on a multiple of 4 and none does.
     """
     n = _CONTOUR_NODES
     h = 3.0 / n
@@ -127,10 +137,19 @@ def _bromwich(lams: np.ndarray, t: float, gamma: float, alpha: float, variant: s
     if variant == "limit":
         return np.atleast_1d((w @ (1.0 / q)).real)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    den = z[:, None] + lams[None, :] * q[:, None]
+    out = np.empty(lams.shape)
+    for lo in range(0, lams.size, _BROMWICH_BLOCK):
+        out[lo : lo + _BROMWICH_BLOCK] = _contour_block(w, z, q, lams[None, lo : lo + _BROMWICH_BLOCK], variant).real
+    return out
+
+
+def _contour_block(w: np.ndarray, z: np.ndarray, q: np.ndarray, lam: np.ndarray, variant: str) -> np.ndarray:
+    """w @ symbol for one (1, m) block of eigenvalues; the symbol overwrites its denominator."""
+    lq = lam * q[:, None]
+    den = z[:, None] + lq
     if variant == "plain":
-        return (w @ (1.0 / den)).real
-    return (w @ (-z[:, None] / (lams[None, :] * q[:, None] * den))).real
+        return w @ np.divide(1.0, den, out=den)
+    return w @ np.divide(-z[:, None], np.multiply(lq, den, out=den), out=den)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +220,7 @@ class ModalSolution:
     datum_norm: float | None = None
     _factors: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
     _beta1: dict[float, float] = field(default_factory=dict, repr=False)
+    _amplitudes: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     # -- time factors ------------------------------------------------------
     def factors(self, t: float) -> np.ndarray:
@@ -281,13 +301,8 @@ class ModalSolution:
         """
         if self.modes.domain != "square":
             raise ValueError("eval_grid applies to square solutions")
-        a = self.coeffs * self.factors(t)
+        A, rx, ry = self._grid_amplitudes(t)
         Jx, Jy = self.max_frequency
-        A = np.zeros((Jx, Jy))
-        A[self.modes.jx - 1, self.modes.jy - 1] = a
-        rx = np.flatnonzero(A.any(axis=1))         # frequency - 1 of each kept row
-        ry = np.flatnonzero(A.any(axis=0))
-        A = A[np.ix_(rx, ry)]
         EX = _phase_table(Jx, xs)[rx]              # (kept Jx, nx)
         SX = 2.0 * EX.imag                          # carries the phi normalization
         CX = 2.0 * EX.real * ((rx + 1) * np.pi)[:, None]
@@ -299,6 +314,20 @@ class ModalSolution:
         gx = SY @ (A.T @ CX)
         gy = CY @ ASX
         return vals, gx, gy
+
+    def _grid_amplitudes(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Amplitudes c_jk u_jk(t) of `eval_grid` as a (kept x, kept y)
+        frequency matrix, with the frequency - 1 of its rows and columns;
+        formed once per t, as a pass makes many calls at one time."""
+        cached = self._amplitudes.get(t)
+        if cached is None:
+            Jx, Jy = self.max_frequency
+            A = np.zeros((Jx, Jy))
+            A[self.modes.jx - 1, self.modes.jy - 1] = self.coeffs * self.factors(t)
+            rx = np.flatnonzero(A.any(axis=1))
+            ry = np.flatnonzero(A.any(axis=0))
+            cached = self._amplitudes[t] = (A[np.ix_(rx, ry)], rx, ry)
+        return cached
 
     @property
     def max_frequency(self) -> tuple[int, int]:

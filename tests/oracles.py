@@ -10,8 +10,10 @@ the completely monotone representation
 with a positive density K_j (`KernelDensity`).  `uj_eval` reads one factor
 from the package's contour rule `rstokes.oracle._bromwich`, so the density
 quadrature and the fixed Talbot rule (`_uj_talbot`) check that rule, and
-`limit_alpha1` is the classical alpha = 1 factor.  `sector_probe` audits the
-sector bounds of the symbol g(z) = z / (1 + gamma z^alpha).
+`limit_alpha1` is the classical alpha = 1 factor.  `direct_bromwich` is the
+same rule as one product over all eigenvalues, the reference for its blocks.
+`sector_probe` audits the sector bounds of the symbol
+g(z) = z / (1 + gamma z^alpha).
 
 Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
 both schemes, written out independently of `rstokes.stepper.run_scheme`, and
@@ -112,6 +114,25 @@ def _uj_talbot(lam: float, alpha: float, gamma: float, t: float, M: int = 32) ->
         sigma = theta + (theta * cot - 1.0) * cot
         total += (np.exp(z * t) * F(z) * complex(1.0, sigma)).real
     return (r / M) * total
+
+
+def direct_bromwich(lams: np.ndarray, t: float, gamma: float, alpha: float, variant: str = "plain") -> np.ndarray:
+    """Reference for the blocked `rstokes.oracle._bromwich`: the same contour
+    rule as one node-weight product over all eigenvalues at once, which holds
+    (n + 1) x len(lams) complex temporaries ('plain' or 'residual')."""
+    n = 32
+    h = 3.0 / n
+    mu = math.pi * n / (12.0 * t)
+    iu = 1j * h * np.arange(n + 1)
+    z = mu * (1.0 + iu) ** 2
+    w = (2.0 * h * mu / math.pi) * np.exp(z * t) * (1.0 + iu)
+    w[0] *= 0.5
+    q = 1.0 + gamma * z**alpha
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    den = z[:, None] + lams[None, :] * q[:, None]
+    if variant == "plain":
+        return (w @ (1.0 / den)).real
+    return (w @ (-z[:, None] / (lams[None, :] * q[:, None] * den))).real
 
 
 # ---------------------------------------------------------------------------

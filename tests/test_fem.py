@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     stencil_array,
     uj_eval,
 )
+from rstokes import fem
 from rstokes.fem import (
     InitialDatum,
     UnsupportedDatumError,
@@ -353,6 +355,52 @@ def test_error_2d_matches_direct_quadrature(rng, K):
     for U, (l2_sq, h1_sq), (l2_ref, h1_ref) in zip(rows, got, ref):
         assert abs(l2_sq - l2_ref) <= 1e-13 * (U @ (space.M @ U) + u_sq)
         assert abs(h1_sq - h1_ref) <= 1e-13 * (U @ (space.S @ U) + du_sq)
+
+
+@pytest.mark.parametrize("K,block_points", [(128, None), (24, 1200)])
+def test_error_2d_cell_blocks_equal_one_block(monkeypatch, rng, K, block_points):
+    # the pass evaluates the reference on blocks of cells along eta, here
+    # three of 43, 43, 42 cells (K = 128, p = 6) and five of 5, 5, 5, 5, 4
+    # (K = 24, p = 10); each per-cell Gauss sum keeps its order, so the
+    # squares come out exactly as from one block of all K cells
+    ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
+    space = assemble(build_square_mesh(K))
+    rows = [rng.standard_normal(space.n_dof), l2_project(space, InitialDatum("step2d", location=0.5))]
+    points = []
+    evaluate = ModalSolution.eval_grid
+
+    def spy(self, xs, ys, t):
+        points.append(len(xs) * len(ys))
+        return evaluate(self, xs, ys, t)
+
+    monkeypatch.setattr(ModalSolution, "eval_grid", spy)
+    if block_points is not None:
+        monkeypatch.setattr(fem, "_GRID_BLOCK_POINTS", block_points)
+    blocked = _error_2d(space, rows, ms, 0.1)
+    blocked_points, points[:] = points[:], []
+    monkeypatch.setattr(fem, "_GRID_BLOCK_POINTS", 1 << 40)
+    assert blocked == _error_2d(space, rows, ms, 0.1)
+    # several blocks per Gauss column, the last one shorter, over the same points
+    assert len(blocked_points) > 2 * len(points) and len(set(blocked_points)) == 2
+    assert sum(blocked_points) == sum(points)
+
+
+def test_error_norms_2d_memory_is_bounded_by_the_cell_blocks(rng):
+    # K = 128, a four-row stack, reference factors cached: one call per Gauss
+    # column held about ten p K^2 temporaries (8.5 MB traced); a block of
+    # cells keeps the pass near 2.9 MB
+    ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
+    ms.factors(0.1)
+    space = assemble(build_square_mesh(128))
+    U = rng.standard_normal((4, space.n_dof))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        error_norms(space, U, ms, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("K,breaks", [(8, ()), (9, (0.3,))])

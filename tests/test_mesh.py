@@ -55,7 +55,7 @@ def test_mesh_rejects_k_below_two_or_fractional(K):
 @given(st.integers(min_value=2, max_value=64))
 def test_interval_counting_invariants(K):
     mesh = build_interval_mesh(K)
-    assert mesh.n_nodes == K + 1 == len(mesh.nodes)
+    assert len(mesh.nodes) == K + 1
     assert np.array_equal(mesh.nodes, np.linspace(0.0, 1.0, K + 1))
     assert mesh.interior_nodes.tolist() == list(range(1, K))
     assert mesh.h == 1.0 / K
@@ -63,7 +63,7 @@ def test_interval_counting_invariants(K):
 
 def test_square_k2_counts():
     mesh = build_square_mesh(2)
-    assert mesh.n_nodes == 9
+    assert len(mesh.nodes) == 9
     assert mesh.interior_nodes.tolist() == [4]
     assert mesh.nodes[4].tolist() == [0.5, 0.5]
 
@@ -87,7 +87,7 @@ def test_square_k4_partition_of_unity():
 
 def test_square_k64_for_fine_runs():
     mesh = build_square_mesh(64)
-    assert mesh.n_nodes == 65**2
+    assert len(mesh.nodes) == 65**2
     assert len(mesh.interior_nodes) == 63**2
     assert mesh.h == 1.0 / 64
 
@@ -96,13 +96,13 @@ def test_square_k64_for_fine_runs():
 @given(st.integers(min_value=2, max_value=12))
 def test_square_counting_invariants(K):
     mesh = build_square_mesh(K)
-    assert mesh.n_nodes == (K + 1) ** 2 == len(mesh.nodes)
+    assert len(mesh.nodes) == (K + 1) ** 2
     interior = mesh.interior_nodes
     assert len(interior) == (K - 1) ** 2
     assert np.all(np.diff(interior) > 0)
     x, y = mesh.nodes[interior].T
     assert np.all((x > 0) & (x < 1) & (y > 0) & (y < 1))
-    boundary = np.setdiff1d(np.arange(mesh.n_nodes), interior)
+    boundary = np.setdiff1d(np.arange(len(mesh.nodes)), interior)
     x, y = mesh.nodes[boundary].T
     assert np.all((x == 0) | (x == 1) | (y == 0) | (y == 1))
     assert mesh.h == 1.0 / K
@@ -111,7 +111,7 @@ def test_square_counting_invariants(K):
 def test_square_interior_valence_is_six():
     mesh = build_square_mesh(5)
     _, tri = square_triangles(5)
-    counts = np.zeros(mesh.n_nodes, dtype=int)
+    counts = np.zeros(len(mesh.nodes), dtype=int)
     np.add.at(counts, tri.ravel(), 1)
     assert np.all(counts[mesh.interior_nodes] == 6)
 

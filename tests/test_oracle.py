@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (
     KernelDensity,
     SymbolProbe,
     _uj_talbot,
+    direct_bromwich,
     direct_eval_points,
     gauss_panels,
     limit_alpha1,
@@ -19,6 +21,7 @@ from oracles import (
 from rstokes.fem import InitialDatum
 from rstokes.oracle import (
     ModalSolution,
+    _BROMWICH_BLOCK,
     _ENVELOPE,
     _MODE_CAP,
     _bromwich,
@@ -237,6 +240,32 @@ def test_beta1_against_mittag_leffler_series(alpha):
     for t in (1e-8, 1e-6, 1e-3, 0.1, 1.0):
         ref = _mittag_leffler_beta1(alpha, 1.0, t)
         assert abs(ms.beta1(t) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("domain,variant,t", [("square", "plain", 0.1), ("square", "plain", 1e-3),
+                                              ("interval", "residual", 1e-6), ("interval", "residual", 0.1)])
+def test_blocked_bromwich_equals_one_product(domain, variant, t):
+    # 10^4 eigenvalues, not a whole number of blocks: each block forms the
+    # same node-weight products as one product over all of them.  Exact while
+    # OpenBLAS splits the columns on multiples of 4, as on 1 or 2 threads
+    lams = eigenbasis(domain, 10_000).lam
+    assert len(lams) % _BROMWICH_BLOCK
+    assert np.array_equal(_bromwich(lams, t, 1.0, 0.5, variant), direct_bromwich(lams, t, 1.0, 0.5, variant))
+
+
+def test_factors_memory_is_bounded_by_the_block():
+    # the 10^4-pair step2d reference: one product over all pairs held about
+    # 10 MB of complex temporaries, a block of 1024 pairs about 1.3 MB
+    ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
+    assert len(ms.modes) == _MODE_CAP
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ms.factors(0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])

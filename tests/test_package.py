@@ -25,30 +25,39 @@ def test_star_import():
     assert set(rstokes.__all__) <= set(namespace)
 
 
-_LOADED_SCIPY = """
+_LOADED_MODULES = """
 import sys
 from rstokes.cli import main
 code = main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+print(" ".join(sorted(sys.modules)))
 sys.exit(code)
 """
 
+_STUDY_1D = ["--example", "b", "--scheme", "sbd", "--study", "blowup", "--k", "3", "--N", "20", "--t", "1e-3"]
+_STUDY_2D = ["--example", "d", "--scheme", "be", "--study", "temporal", "--k", "2", "--N", "2,4", "--t", "0.1"]
 
-def _scipy_modules_after_study(tmp_path, argv) -> set[str]:
+
+def _modules_after_study(tmp_path, argv, package: str) -> set[str]:
     # a fresh interpreter, so no module loaded by another test counts
     src = Path(rstokes.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv, "--out", str(tmp_path / "rows.csv")],
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv, "--out", str(tmp_path / "rows.csv")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    loaded = proc.stdout.splitlines()[-1].split()
+    return {m for m in loaded if m == package or m.startswith(package + ".")}
 
 
 def test_1d_study_loads_no_scipy(tmp_path):
-    argv = ["--example", "b", "--scheme", "sbd", "--study", "blowup", "--k", "3", "--N", "20", "--t", "1e-3"]
-    assert _scipy_modules_after_study(tmp_path, argv) == set()
+    assert _modules_after_study(tmp_path, _STUDY_1D, "scipy") == set()
 
 
 def test_2d_study_loads_no_scipy(tmp_path):
-    argv = ["--example", "d", "--scheme", "be", "--study", "temporal", "--k", "2", "--N", "2,4", "--t", "0.1"]
-    assert _scipy_modules_after_study(tmp_path, argv) == set()
+    assert _modules_after_study(tmp_path, _STUDY_2D, "scipy") == set()
+
+
+@pytest.mark.parametrize("argv", [_STUDY_1D, _STUDY_2D], ids=["1d", "2d"])
+def test_study_loads_no_numpy_ma(tmp_path, argv):
+    # numpy.ma costs a cold process about 10 ms and 1.3 MB; set routines
+    # such as np.union1d and np.unique import it on their first call
+    assert _modules_after_study(tmp_path, argv, "numpy.ma") == set()
