@@ -17,17 +17,15 @@ corrected start (weight 3/2 on the startup sequence and a half-weighted
 initial stiffness term) that restores second-order accuracy for
 nonvanishing initial data.
 
-The weighted sum is split by the blocked FFT convolution of Hairer, Lubich
-and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  The steps 1..N are
-halved recursively: the left half is solved first, its part of the sum for
-every step of the right half is added by one real-FFT convolution, and then
-the right half is solved.  That far part is accumulated in the right half's
-own, not yet solved, rows of the snapshot array.  Blocks of at most
-`_DIRECT_BLOCK` steps sum their near part directly, one BLAS product per
-step.  So a run of at most that many steps sums directly, though in another
-order than the plain march of the tests (`direct_run_scheme`), and a longer
-one costs O(N log^2 N dof) instead of O(N^2 dof).  Steps are still solved
-one at a time in order 1..N.
+The weighted sum is split at blocks of `_BLOCK` steps.  Before the steps
+s..e-1 of a block are solved, their history from U^0..U^{s-1} (the far
+part) is added to their own, not yet solved, rows of the snapshot array by
+one matrix product, U[s:e] += T U[0:s] with the Toeplitz block
+T[i, j] = w_{s+i-j} (theta_{s+i} for j = 0), built and multiplied in
+chunks that keep its temporaries bounded.  Each step then adds its near
+part from the steps of its own block, one BLAS product, and is solved.  So
+the N^2/2 dof multiply-adds of the direct sum stay, but almost all of them
+run as Level-3 BLAS; steps are still solved one at a time in order 1..N.
 
 The stepper works in the coordinates of its space (`FemSpace.change_basis`)
 and never changes them: v and the snapshots are in those coordinates, and M,
@@ -43,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cq import DELTA, weights
 from .fem import FemSpace
@@ -113,80 +112,65 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
     solver = SpdFactorization(space.M.scaled_sum(c[0] / tau, space.S, diag))
+    # the history enters as S applied to the weighted sum with weights
+    # frac w_k, reversed so that every run of them a product needs is a
+    # contiguous slice: wr[N-k] = frac w_k for k >= 1.  wr[N] = 1 is the
+    # weight of a step's own row, which holds its far history.
+    wr = (frac * w)[::-1].copy()
+    wr[N] = 1.0
     # theta[n]: weight of U^0 in the history of step n
     if cfg.scheme == "sbd":
-        theta = np.concatenate(([0.0], 0.5 * w[:-1]))
+        theta = frac * np.concatenate(([0.0], 0.5 * w[:-1]))
+        # corrected first step: half-weighted initial stiffness term 0.5 diag S U^0
+        theta[1] = 0.5 * diag
     else:
-        theta = w if cfg.include_history_origin else np.zeros(N + 1)
-    mass = lambda x: (space.M @ x) / tau
-    stiffness = lambda x: frac * (space.S @ x)
+        theta = frac * w if cfg.include_history_origin else np.zeros(N + 1)
+    # weights of U^{n-d}..U^{n-1} in the mass term: minus the multistep part
+    past = -np.array(c[:0:-1]) / tau
+    d = len(past)
 
-    def step(n: int, history: np.ndarray) -> np.ndarray:
-        # history: sum_{j=1}^{n-1} w_{n-j} U^j
-        if cfg.scheme == "sbd" and n == 1:
-            # corrected first step: half-weighted initial stiffness term
-            # 0.5 diag S U^0, where stiffness(x) is frac S x
-            rhs = c[0] * mass(U[0]) - (0.5 * diag / frac) * stiffness(U[0])
-        else:
-            # minus the multistep part sum_{k>=1} c_k U^{n-k}
-            past = -c[1] * U[n - 1]
-            for k in range(2, len(c)):
-                past -= c[k] * U[n - k]
-            if theta[n]:
-                history = history + theta[n] * U[0]
-            rhs = mass(past)
-            rhs -= stiffness(history)
-        try:
-            return solver.solve(rhs)
-        except Exception as exc:  # propagate with the failing step index
-            raise StepFailure(n, exc) from exc
-
-    # rows 1..N start at zero: each holds the far history until it is solved
+    # rows 1..N start at zero: each holds its far history until it is solved
     U = np.zeros((N + 1, space.n_dof))
     U[0] = v
-    _solve_steps(step, U, w, 1, N + 1)
+    for s in range(1, N + 1, _BLOCK):
+        e = min(s + _BLOCK, N + 1)
+        _add_far_history(U, wr, theta, s, e)
+        for n in range(s, e):
+            if n < d:  # SBD's corrected first step: c_0 M U^0 / tau
+                rhs = space.M @ ((c[0] / tau) * U[0])
+            else:
+                rhs = space.M @ (past @ U[n - d : n])
+            # far history plus the near part frac w_{n-s}..frac w_1 on U^s..U^{n-1}
+            rhs -= space.S @ (wr[N - n + s :] @ U[s : n + 1])
+            try:
+                U[n] = solver.solve(rhs)
+            except Exception as exc:  # propagate with the failing step index
+                raise StepFailure(n, exc) from exc
     return DiscreteTrajectory(config=cfg, snapshots=U)
 
 
-# steps per block whose history is summed directly
-_DIRECT_BLOCK = 128
-# bytes of one column block of an FFT convolution's spectrum
-_FFT_BLOCK_BYTES = 1 << 17
+# steps per block, the rows of each far-history product: with few dofs,
+# products of 32 rows ran at two thirds of the rate of 64
+_BLOCK = 64
+# entries of each temporary of a far-history product: a chunk of T, and the
+# product of that chunk with a column block of the snapshots
+_PRODUCT_ENTRIES = 1 << 15
 
 
-def _solve_steps(step, U: np.ndarray, w: np.ndarray, lo: int, hi: int) -> None:
-    """Solve steps lo..hi-1 in order, U[n] = step(n, history of step n).
+def _add_far_history(U: np.ndarray, wr: np.ndarray, theta: np.ndarray, s: int, e: int) -> None:
+    """U[n] += theta_n U^0 + sum_{1 <= j < s} w_{n-j} U^j for every n in [s, e).
 
-    On entry U[lo:hi] holds the history of those steps from U^1..U^{lo-1}.
-    A module-level function, not a nested one, so that the recursion forms
-    no reference cycle that would keep U alive after the run.
+    wr holds the weights reversed, wr[N-k] = w_k, so the rows of the
+    Toeplitz block T[i, j] = w_{s+i-j} are the overlapping runs
+    wr[N-s-i : N-i]; a chunk of its columns is one contiguous copy.
     """
-    if hi - lo <= _DIRECT_BLOCK:
-        # w_{hi-lo-1}..w_1, copied once: numpy's matmul skips BLAS for a
-        # negative-stride operand such as w[n-lo:0:-1]
-        rev = w[hi - lo - 1 : 0 : -1].copy()
-        for n in range(lo, hi):
-            U[n] = step(n, U[n] + rev[hi - n - 1 :] @ U[lo:n])
-        return
-    mid = (lo + hi) // 2
-    _solve_steps(step, U, w, lo, mid)
-    _add_history(U, w, lo, mid, hi)
-    _solve_steps(step, U, w, mid, hi)
-
-
-def _add_history(U: np.ndarray, w: np.ndarray, lo: int, mid: int, hi: int) -> None:
-    """U[n] += sum_{lo <= j < mid} w_{n-j} U^j for every n in [mid, hi).
-
-    One circular convolution of length P >= hi - lo per column block.  The
-    lags n - j of the kept rows lie in 1..hi-lo-1, so the wrap-around lands
-    only in discarded rows.  The spectrum of w[:hi-lo] is one short FFT per
-    call, negligible beside the dof columns, so it is not cached.
-    """
-    size = hi - lo
-    P = 1 << (size - 1).bit_length()
-    kernel = np.fft.rfft(w[:size], P)[:, None]
-    cols = max(1, _FFT_BLOCK_BYTES // kernel.nbytes)
-    for c0 in range(0, U.shape[1], cols):
-        spectrum = np.fft.rfft(U[lo:mid, c0 : c0 + cols], P, axis=0)
-        spectrum *= kernel
-        U[mid:hi, c0 : c0 + cols] += np.fft.irfft(spectrum, P, axis=0)[mid - lo : size]
+    N = len(wr) - 1
+    chunk = max(1, _PRODUCT_ENTRIES // (e - s))
+    for j0 in range(0, s, chunk):
+        j1 = min(j0 + chunk, s)
+        # T[i, j - j0] = w_{s+i-j}: row i is wr[N-s-i+j0 : N-s-i+j1]
+        T = sliding_window_view(wr[N - e + 1 + j0 : N - s + j1], j1 - j0)[::-1].copy()
+        if j0 == 0:
+            T[:, 0] = theta[s:e]
+        for c0 in range(0, U.shape[1], chunk):
+            U[s:e, c0 : c0 + chunk] += T @ U[j0:j1, c0 : c0 + chunk]

@@ -61,3 +61,10 @@ def test_study_loads_no_numpy_ma(tmp_path, argv):
     # numpy.ma costs a cold process about 10 ms and 1.3 MB; set routines
     # such as np.union1d and np.unique import it on their first call
     assert _modules_after_study(tmp_path, argv, "numpy.ma") == set()
+
+
+@pytest.mark.parametrize("argv", [_STUDY_1D, _STUDY_2D], ids=["1d", "2d"])
+def test_study_loads_no_numpy_polynomial(tmp_path, argv):
+    # numpy.polynomial costs a cold process about 5 ms and 1 MB; its leggauss
+    # was the Gauss rule of the error quadrature
+    assert _modules_after_study(tmp_path, argv, "numpy.polynomial") == set()

@@ -18,7 +18,7 @@ from oracles import (
 )
 from rstokes.fem import InitialDatum, assemble, l2_project
 from rstokes.mesh import build_interval_mesh, build_square_mesh
-from rstokes.stepper import SchemeConfig, StepFailure, run_scheme
+from rstokes.stepper import _BLOCK, SchemeConfig, StepFailure, run_scheme
 
 PI2 = math.pi**2
 
@@ -199,7 +199,7 @@ def test_solver_failure_carries_step_index(monkeypatch):
 
 
 def test_solver_failure_past_the_direct_block_carries_step_index(monkeypatch):
-    # step 200 lies in the second half of a 300-step run, after an FFT history update
+    # step 200 lies in a later block of a 300-step run, after its far-history product
     space = assemble(build_interval_mesh(8))
     cfg = SchemeConfig("be", 0.5, 1.0, 0.1 / 300, 300)
     calls = {"n": 0}
@@ -222,15 +222,19 @@ def test_solver_failure_past_the_direct_block_carries_step_index(monkeypatch):
     assert err.value.step == 200
 
 
-@pytest.mark.parametrize("mesh_builder,K,N", [(build_interval_mesh, 64, N) for N in (1, 2, 127, 128, 129, 200, 300, 1000)]
+_BLOCK_EDGES = sorted({1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 127, 128, 129, 200, 300, 1000})
+
+
+@pytest.mark.parametrize("mesh_builder,K,N", [(build_interval_mesh, 64, N) for N in _BLOCK_EDGES]
                          + [(build_interval_mesh, 2, N) for N in (1, 300)]
                          + [(build_interval_mesh, 3, N) for N in (2, 300)]
-                         + [(build_square_mesh, 8, N) for N in (40, 300)])
+                         + [(build_square_mesh, 8, N) for N in (40, _BLOCK + 1, 300)])
 def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
-    # runs of at most 128 steps sum directly in another order than the oracle;
-    # longer ones add the far history by FFT convolutions, exact to roundoff.
-    # The oracle marches in long double, so the gap is the stepper's own
-    # roundoff: at most 1.5e-14 per row for N <= 128 and 5.6e-14 above.
+    # the stepper adds each block's history from before the block by one
+    # matrix product and the rest step by step, so it sums in another order
+    # than the oracle; N covers the edges of the first two blocks.  The
+    # oracle marches in long double, so the gap is the stepper's own
+    # roundoff: at most 3.1e-14 per row up to N = 300 and 5.3e-14 at N = 1000.
     # 1D runs march in DST-I coordinates against the oracle's nodal march, so
     # v goes in and the snapshots come out through change_basis; K = 2 and 3
     # have 1 and 2 dofs.  K stays at 64: at K = 2048, N = 10 the stepper's
@@ -322,8 +326,8 @@ def test_stepper_stores_one_history_array(scheme):
 
 
 def test_stepper_memory_at_fine_tau_scale():
-    # K = 2^11, N = 2000: the FFT temporaries are blocked over columns, so the
-    # peak stays within half the snapshot array above it
+    # K = 2^11, N = 2000: the far-history products are chunked, so the peak
+    # stays within half the snapshot array above it
     space = assemble(build_interval_mesh(2048))
     v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
     cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / 2000, 2000)
@@ -335,3 +339,20 @@ def test_stepper_memory_at_fine_tau_scale():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * traj.snapshots.nbytes
+
+
+@pytest.mark.parametrize("K,N", [(8, 4000), (64, 1000), (2048, 2000)])
+def test_stepper_working_memory_is_bounded(K, N):
+    # beyond the snapshots a run keeps its weights and the chunks of one
+    # far-history product, whatever N and the dof count
+    space = assemble(build_interval_mesh(K))
+    v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
+    cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / N, N)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        traj = run_scheme(space, cfg, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - traj.snapshots.nbytes < 1 << 20
