@@ -3,14 +3,18 @@
 Dirichlet conditions leave only the interior unknowns, so a space keeps the
 interior mass and stiffness matrices, which are symmetric positive definite
 and written in closed form for both uniform grids, as the numpy-only matrices
-of `rstokes.linalg`.  A space also fixes the coordinates of its vectors
-(`FemSpace.change_basis`): orthonormal DST-I coefficients of the interior
-nodal values on the interval, where M, S and every stepping system are
-diagonal, and the nodal values themselves on the square.  Projections return
-and `error_norms` takes vectors in those coordinates.  Load vectors for the
-four initial data of the studies are integrated exactly (closed forms for
-sine and step data, point evaluation for Dirac data), which keeps quadrature
-error out of the convergence studies.
+of `rstokes.linalg`.  A space also fixes the coordinates of its vectors, in
+which M, S and every stepping system are diagonal: `FemSpace.to_coords` (Q)
+maps interior nodal values to them and `FemSpace.to_nodal` (Q^T) maps them
+back.  On the interval both are the orthonormal DST-I.  On the square the
+coordinates are the rfft2 of the zero-extended K x K torus array, scaled so
+that Q is an isometry (`rstokes.linalg.torus_spectrum`), and Q^T restricts
+the torus function to the interior.  A matrix product there leaks onto the
+torus boundary, which the solves and the restriction drop.  Projections
+return and `error_norms` takes vectors in those coordinates.  Load vectors
+for the four initial data of the studies are integrated exactly (closed
+forms for sine and step data, point evaluation for Dirac data), which keeps
+quadrature error out of the convergence studies.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DiagonalMatrix, SquareStencilMatrix, dst, solve_spd
+from .linalg import DiagonalMatrix, SquareStencilMatrix, dst, solve_spd, torus_interior, torus_spectrum
 from .mesh import Mesh
 
 if TYPE_CHECKING:
@@ -78,7 +82,9 @@ class FemSpace:
 
     Boundary rows and columns are eliminated, so M and S act on the interior
     coefficients of a mesh function that vanishes on the boundary, in the
-    space's coordinates (`change_basis`).
+    space's coordinates (`to_coords`).  `n_dof` counts the interior nodes;
+    a coordinate vector has `n_coords` entries, as many on the interval and
+    2K(K//2 + 1) on the square.
     """
 
     mesh: Mesh
@@ -87,19 +93,32 @@ class FemSpace:
 
     @property
     def n_dof(self) -> int:
+        return (self.mesh.K - 1) ** self.mesh.dim
+
+    @property
+    def n_coords(self) -> int:
         return self.M.n
 
     @property
     def interior_nodes(self) -> np.ndarray:
         return self.mesh.interior_nodes
 
-    def change_basis(self, x: np.ndarray) -> np.ndarray:
-        """Map interior nodal values to space coordinates, or back: its own inverse.
+    def to_coords(self, u: np.ndarray) -> np.ndarray:
+        """Q: interior nodal values to space coordinates, along the last axis.
 
-        The orthonormal DST-I (`rstokes.linalg.dst`) in 1D, along the last
-        axis, and the identity on the square.
+        The orthonormal DST-I (`rstokes.linalg.dst`) in 1D and the scaled
+        torus spectrum (`rstokes.linalg.torus_spectrum`) on the square.
         """
-        return dst(x) if self.mesh.dim == 1 else x
+        return dst(u) if self.mesh.dim == 1 else torus_spectrum(u, self.mesh.K)
+
+    def to_nodal(self, y: np.ndarray) -> np.ndarray:
+        """Q^T: space coordinates to interior nodal values, along the last axis.
+
+        The inverse of `to_coords` on its range: the DST-I again in 1D, and
+        on the square the torus function restricted to the interior
+        (`rstokes.linalg.torus_interior`).
+        """
+        return dst(y) if self.mesh.dim == 1 else torus_interior(y, self.mesh.K)
 
 
 def _assemble_1d(mesh: Mesh) -> FemSpace:
@@ -187,7 +206,7 @@ def _load_vector(space: FemSpace, v: InitialDatum) -> np.ndarray:
 
 def l2_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     """Coefficients of the L2 projection P_h v (duality pairing for Dirac), in space coordinates."""
-    return solve_spd(space.M, space.change_basis(_load_vector(space, v)))
+    return solve_spd(space.M, space.to_coords(_load_vector(space, v)))
 
 
 def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
@@ -199,7 +218,7 @@ def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     vv = np.sin(v.frequency * math.pi * nodes)
     idx = space.interior_nodes
     c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
-    return solve_spd(space.S, space.change_basis(c))
+    return solve_spd(space.S, space.to_coords(c))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +279,7 @@ def _error_1d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
     offset = xq - np.repeat(nodes[element], p)
     out = []
     for numeric in rows:
-        full = np.pad(numeric, 1)
+        full = np.pad(space.to_nodal(numeric), 1)
         slope = np.repeat(np.diff(full)[element] / spacing, p)
         l2_sq = float(wq @ (slope * offset + np.repeat(full[element], p) - uv) ** 2)
         h1_sq = float(wq @ (slope - ug) ** 2)
@@ -319,8 +338,9 @@ def _error_2d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
             node_grad[:-1, :-1] -= s_xi / h
             node_grad[:-1, 1:] += (s_xi - s_eta) / h
             node_grad[1:, 1:] += s_eta / h
-    load = load[1:-1, 1:-1].ravel()
-    grad = grad[1:-1, 1:-1].ravel()
+    # the rows are coordinates y = Q U: Q is an isometry and Q^T M Q is the
+    # nodal M, so U^T M U = y . (M y) and U^T l = y . (Q l)
+    load, grad = space.to_coords(np.stack((load[1:-1, 1:-1].ravel(), grad[1:-1, 1:-1].ravel())))
     return [(U @ (space.M @ U) - 2.0 * (U @ load) + u_sq, U @ (space.S @ U) - 2.0 * (U @ grad) + du_sq)
             for U in rows]
 
@@ -330,13 +350,12 @@ def error_norms(
 ) -> ErrorNorms | list[ErrorNorms]:
     """L2 and H1-seminorm distance between mesh functions and the exact solution.
 
-    `numeric` holds one mesh function in space coordinates, or an (R, n_dof)
-    stack of R of them, for which R `ErrorNorms` are returned in row order.
-    The reference is evaluated once per quadrature point and serves every
-    row, so the step counts of a temporal study, which share the mesh and
-    the time, cost one reference pass.  Each row is mapped to nodal values
-    by `FemSpace.change_basis` and goes through the same floating-point
-    operations as a single vector would.
+    `numeric` holds one mesh function in space coordinates, or an
+    (R, n_coords) stack of R of them, for which R `ErrorNorms` are returned
+    in row order.  The reference is evaluated once per quadrature point and
+    serves every row, so the step counts of a temporal study, which share
+    the mesh and the time, cost one reference pass.  Each row goes through
+    the same floating-point operations as a single vector would.
 
     Composite Gauss quadrature with at least 4 points per element;
     the point count grows with the highest retained oracle mode so that the
@@ -344,7 +363,8 @@ def error_norms(
     split at `singular_breaks` (step edge, Dirac pole) and all points go to one
     `eval_points` call: the closed-form beta1(t) w plus J residual modes summed
     by shifted FFTs in O(S (P + L log L)) work for P points and L ~ 2J.  Each
-    1D row is then squared point by point.  On the square each Gauss index of
+    1D row is mapped to nodal values (`FemSpace.to_nodal`) and squared
+    point by point.  On the square each Gauss index of
     the outer direction of the lower and upper triangles takes B `eval_grid`
     calls, one per block of about K/B cells along the inner direction, with
     B = ceil(p K^2 / _GRID_BLOCK_POINTS): 2pB calls, whose temporaries hold
@@ -358,8 +378,10 @@ def error_norms(
         sum_q w |grad(u_h - u)|^2 = U^T S U - 2 U^T g + sum_q w |grad u|^2,
 
     with the node loads l_i = sum_q w u phi_i and g_i = sum_q w grad u .
-    grad phi_i.  The loads and the two sums are accumulated once, and a row
-    costs two stencil products.  The expanded square can lose up to about
+    grad phi_i.  The loads and the two sums are accumulated once, and the
+    loads mapped to coordinates; a row y = Q U, which stays in coordinates,
+    then costs two products with the torus symbols, as U^T M U = y . (M y)
+    and U^T l = y . (Q l).  The expanded square can lose up to about
     eps ||u||^2 / e^2 relative to an error e (5e-10 measured on the 2D
     spatial acceptance rows).  That is why 1D keeps the direct squares: its
     finest temporal rows have L2 errors near 1e-7, where the expansion moved
@@ -368,9 +390,9 @@ def error_norms(
     if t <= 0.0:
         raise ValueError(f"time must be positive, got t={t}")
     numeric = np.asarray(numeric, dtype=float)
-    if numeric.ndim not in (1, 2) or numeric.shape[-1] != space.n_dof:
-        raise ValueError(f"expected {space.n_dof} interior coefficients or a stack of them, got {numeric.shape}")
-    rows = [space.change_basis(row) for row in numeric.reshape(-1, space.n_dof)]
+    if numeric.ndim not in (1, 2) or numeric.shape[-1] != space.n_coords:
+        raise ValueError(f"expected {space.n_coords} coordinates or a stack of them, got {numeric.shape}")
+    rows = list(numeric.reshape(-1, space.n_coords))
     quadrature = _error_1d if space.mesh.dim == 1 else _error_2d
     norm_v = exact.datum_norm
     scale = norm_v if norm_v else 1.0

@@ -2,17 +2,22 @@
 
 Both uniform grids have closed-form interior P1 matrices, and both are solved
 exactly with numpy alone.  Each matrix acts on the coordinates of its space
-(`rstokes.fem.FemSpace.change_basis`).  On the interval those are orthonormal
-DST-I coefficients (`dst`), in which every interior P1 matrix of the uniform
-mesh, and any linear combination of them, is diagonal: `DiagonalMatrix`
-holds its eigenvalues, and a solve is one division by them.
+(`rstokes.fem.FemSpace.to_coords`), in which it is diagonal.  On the
+interval those are orthonormal DST-I coefficients (`dst`), in which every
+interior P1 matrix of the uniform mesh, and any linear combination of them,
+is diagonal: `DiagonalMatrix` holds its eigenvalues, and a solve is one
+division by them.
 
-`SquareStencilMatrix` is mass M + stiff S on the square, applied to nodal
-values as its 7-point stencil.  It is solved by the capacitance-matrix
-method of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971): the
-interior grid is embedded in the periodic K x K grid, where a 2D real FFT
-diagonalises the stencil, and a dense system on the 2K-1 boundary nodes of
-that grid, inverted once, makes the periodic solution vanish there.  Time
+On the square they are the scaled torus spectrum (`torus_spectrum`): the
+interior grid is embedded, extended by zeros, in the periodic K x K grid,
+where a 2D real FFT diagonalises the 7-point stencils, and
+`SquareStencilMatrix`, mass M + stiff S, multiplies by its torus symbol.
+That product leaks onto the boundary set of the torus, where the interior
+grid's stencil has no rows.  The solve is the capacitance-matrix method of
+Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971): a dense
+system on the 2K-1 boundary nodes, inverted once, makes the periodic
+solution vanish there, and the leak drops out of it.  So a solve takes a
+spectrum and returns one, with 1D transforms of the boundary alone.  Time
 steppers, which solve the same matrix thousands of times, use
 `SpdFactorization` so the work per matrix is done once per run.
 """
@@ -22,11 +27,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DiagonalMatrix",
     "SquareStencilMatrix",
     "dst",
+    "torus_spectrum",
+    "torus_interior",
     "matvec",
     "solve_spd",
     "SpdFactorization",
@@ -63,14 +71,27 @@ class DiagonalMatrix:
 
 
 class SquareStencilMatrix:
-    """mass M + stiff S on the (y, x)-ordered interior grid of the uniform square.
+    """mass M + stiff S on the square, acting on torus-spectral coordinates.
 
     M and S are the interior P1 mass and stiffness matrices of the K x K
     grid whose cells are cut along their (+1, +1) diagonal.  With
-    m = mass h^2/12 and d = stiff, row (y, x) is the 7-point stencil
-    6m + 4d at the node, m - d at its four axis neighbours and m at
-    (y-1, x-1) and (y+1, x+1).  `scaled_sum` combines the two coefficients,
-    as the 1D matrix combines its eigenvalues.
+    m = mass h^2/12 and d = stiff, row (y, x) of the nodal matrix is the
+    7-point stencil 6m + 4d at the node, m - d at its four axis neighbours
+    and m at (y-1, x-1) and (y+1, x+1).  Extended periodically, the stencil
+    is the operator L of the K x K torus, with the symbol
+
+        lambda = 4 d (s_x + s_y) + 4 m (3 - s_x - s_y - s_yx),
+
+    s = sin^2(theta/2) per axis and s_yx that of theta_y + theta_x, which
+    never subtracts large terms (`symbol`, in the rfft2 layout).  A vector
+    holds the coordinates Q u of interior nodal values u (`torus_spectrum`),
+    and the product is one multiplication by the symbol: the coordinates of
+    L applied to the zero extension of u.  That is the extension of the
+    nodal product plus a leak on the boundary set B of the torus (the row
+    y = 0 and the column x = 0); restricted to the interior
+    (`torus_interior`), it is the nodal product, and the solve
+    (`SpdFactorization`) ignores the leak.  `scaled_sum` combines the two
+    coefficients, as the 1D matrix combines its eigenvalues.
     """
 
     def __init__(self, K: int, mass: float, stiff: float):
@@ -80,37 +101,22 @@ class SquareStencilMatrix:
         self.mass = float(mass)
         self.stiff = float(stiff)
         m = self.mass / (12.0 * K * K)
-        self._centre = 6.0 * m + 4.0 * self.stiff
-        self._axis = m - self.stiff
-        self._diagonal = m
+        # rfft2 layout: axis 0 holds theta_y = 2 pi k / K for k = 0..K-1, axis 1 theta_x for k = 0..K/2
+        sy = np.sin(np.pi * np.arange(K) / K)[:, None] ** 2
+        sx = np.sin(np.pi * np.arange(K // 2 + 1) / K)[None, :] ** 2
+        syx = np.sin(np.pi * (np.arange(K)[:, None] + np.arange(K // 2 + 1)[None, :]) / K) ** 2
+        self.symbol = 4.0 * self.stiff * (sx + sy) + 4.0 * m * (3.0 - sx - sy - syx)
 
     @property
     def n(self) -> int:
-        return (self.K - 1) ** 2
+        return 2 * self.symbol.size
 
     def scaled_sum(self, a: float, other: "SquareStencilMatrix", b: float) -> "SquareStencilMatrix":
         """Return a*self + b*other as a new matrix."""
         return SquareStencilMatrix(self.K, a * self.mass + b * other.mass, a * self.stiff + b * other.stiff)
 
     def _product(self, x: np.ndarray) -> np.ndarray:
-        # neighbour sums by shifted in-place adds, in the order up, down, left,
-        # right; a neighbour on the boundary is zero and is left out
-        n = self.K - 1
-        X = x.reshape(n, n)
-        axis = np.zeros((n, n))
-        axis[1:] += X[:-1]        # (y-1, x)
-        axis[:-1] += X[1:]        # (y+1, x)
-        axis[:, 1:] += X[:, :-1]  # (y, x-1)
-        axis[:, :-1] += X[:, 1:]  # (y, x+1)
-        diagonal = np.zeros((n, n))
-        diagonal[1:, 1:] += X[:-1, :-1]
-        diagonal[:-1, :-1] += X[1:, 1:]
-        y = self._centre * X
-        axis *= self._axis
-        y += axis
-        diagonal *= self._diagonal
-        y += diagonal
-        return y.ravel()
+        return (_spectrum(x, self.K) * self.symbol).view(float).ravel()
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
@@ -150,38 +156,99 @@ def dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext)[..., 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
 
 
+def _fold(K: int) -> np.ndarray:
+    """How often each rfft column theta_x appears in the full spectrum: once
+    for theta_x = 0 (and pi for even K), twice for the others."""
+    fold = np.full(K // 2 + 1, 2.0)
+    fold[0] = 1.0
+    if K % 2 == 0:
+        fold[-1] = 1.0
+    return fold
+
+
+def _spectrum(y: np.ndarray, K: int) -> np.ndarray:
+    """Torus-spectral coordinates along the last axis as the complex rfft2
+    array of shape (K, K//2 + 1) that they are the real view of."""
+    return np.ascontiguousarray(y, dtype=float).view(complex).reshape(y.shape[:-1] + (K, K // 2 + 1))
+
+
+def torus_spectrum(u: np.ndarray, K: int) -> np.ndarray:
+    """Q: interior nodal values of the square to torus-spectral coordinates.
+
+    u, of (K-1)^2 values in (y, x) order along the last axis, is extended by
+    zeros to the K x K torus, whose boundary set B (row y = 0, column x = 0)
+    is then zero; its rfft2, scaled by sqrt(fold)/K per column (`_fold`), is
+    returned as real and imaginary parts side by side, 2K(K//2 + 1) numbers.
+    By Parseval Q is an isometry, so Q^T Q is the identity
+    (`torus_interior`); its range has dimension (K-1)^2.
+    """
+    lead = u.shape[:-1]
+    f = np.zeros(lead + (K, K))
+    f[..., 1:, 1:] = u.reshape(lead + (K - 1, K - 1))
+    spectrum = np.fft.rfft2(f)
+    spectrum *= np.sqrt(_fold(K)) / K
+    return spectrum.view(float).reshape(lead + (-1,))
+
+
+def torus_interior(y: np.ndarray, K: int) -> np.ndarray:
+    """Q^T: torus-spectral coordinates to interior nodal values, along the last axis.
+
+    The adjoint of `torus_spectrum`: the torus function K irfft2(Y / sqrt(fold))
+    restricted to the interior.  It inverts Q on its range and maps the
+    coordinates of any torus function supported on B to zero.
+    """
+    f = np.fft.irfft2(_spectrum(y, K) / np.sqrt(_fold(K)), s=(K, K))
+    return (K * f[..., 1:, 1:]).reshape(y.shape[:-1] + (-1,))
+
+
+def _bordered_matrix(g0: np.ndarray, corner: float) -> np.ndarray:
+    """[[g0(b_i - b_j), 1], [1^T, corner]] over the 2K-1 nodes b of B.
+
+    B lists (0, x) for x = 0..K-1, then (y, 0) for y = 1..K-1, so the
+    blocks are the circulants of the row g0[0] and of the column g0[:, 0]
+    (row i of the circulant of c is c[i], c[i-1], ..., the reversed window
+    of c repeated twice), the rows g0[K-1:0:-1] transposed, and the rows
+    g0[1:] with their columns x read at -x.  Every entry is g0 at the same
+    index as g0[(b_i - b_j) mod K].
+    """
+    K = g0.shape[0]
+    nb = 2 * K - 1
+    out = np.empty((nb + 1, nb + 1))
+    out[:K, :K] = sliding_window_view(np.concatenate((g0[0], g0[0])), K)[1:, ::-1]
+    out[K:nb, K:nb] = sliding_window_view(np.concatenate((g0[:, 0], g0[:, 0])), K)[2:, -2::-1]
+    out[:K, K:nb] = g0[K - 1 : 0 : -1].T
+    out[K:nb, :K] = np.roll(g0[1:, ::-1], 1, axis=1)
+    out[:nb, nb] = out[nb, :nb] = 1.0
+    out[nb, nb] = corner
+    return out
+
+
 def _capacitance_solver(A: SquareStencilMatrix):
-    """Set up the exact solve of A on nodal vectors; return it as a function.
+    """Set up the exact solve of A on torus-spectral coordinates; return it as a function.
 
-    Extended periodically, the stencil is the operator L of the K x K torus,
-    whose boundary set B, the row y = 0 and the column x = 0 (2K-1 nodes),
-    holds every neighbour that an interior node has outside the interior.
-    So u solves Au = b exactly when Lu = b + P_B mu for some mu on B and
-    u = 0 on B.  L has the symbol lambda(theta_y, theta_x); with
-    s = sin^2(theta/2) per axis and s_yx that of theta_y + theta_x,
-
-        lambda = 4 d (s_x + s_y) + 4 m (3 - s_x - s_y - s_yx),
-
-    which never subtracts large terms.  The constant mode, singular for
-    m = 0, is split off: L0+ inverts L on mean-zero functions and drops the
-    constant, so u = L0+ f + c with f = b + P_B mu and
-    K^2 lambda(0) c = sum f.  With w = L0+ b and g0 the torus Green's
-    function of L0+, mu and c solve the bordered system
+    The boundary set B of the K x K torus, the row y = 0 and the column
+    x = 0 (2K-1 nodes), holds every neighbour that an interior node has
+    outside the interior.  So u solves Au = b exactly when Lu = b + P_B mu
+    for some mu on B and u = 0 on B, with L the torus operator of A's
+    symbol.  The constant mode, singular for m = 0, is split off: L0+
+    inverts L on mean-zero functions and drops the constant, so
+    u = L0+ f + c with f = b + P_B mu and K^2 lambda(0) c = sum f.  With
+    w = L0+ b and g0 the torus Green's function of L0+, mu and c solve the
+    bordered system
 
         [[g0(b_i - b_j), 1], [1^T, -K^2 lambda(0)]] [mu; c] = [-w|_B; -sum b],
 
-    inverted once here.  A solve is one rfft2 of b and one irfft2 of the
-    spectrum of b + P_B mu: w|_B is read from the spectrum of w by 1D
-    inverse transforms, and P_B mu, a row and a column, has the spectrum of
-    the row along x plus that of the column along y.
+    inverted once here.  A solve takes the coordinates of b, reads w|_B
+    from the spectrum of w by 1D inverse transforms and sum b from its
+    constant mode, and returns the coordinates of L0+ f + c: P_B mu, a row
+    and a column, has the spectrum of the row along x plus that of the
+    column along y.  No 2D transform is made.  A right-hand side from the
+    products of `SquareStencilMatrix` is b + P_B l for some leak l on B;
+    the same system then gives mu - l for the same c, so the solution is
+    unchanged.
     """
     K = A.K
-    m, d = A._diagonal, A.stiff
-    # rfft2 layout: axis 0 holds theta_y = 2 pi k / K for k = 0..K-1, axis 1 theta_x for k = 0..K/2
-    sy = np.sin(np.pi * np.arange(K) / K)[:, None] ** 2
-    sx = np.sin(np.pi * np.arange(K // 2 + 1) / K)[None, :] ** 2
-    syx = np.sin(np.pi * (np.arange(K)[:, None] + np.arange(K // 2 + 1)[None, :]) / K) ** 2
-    lam = 4.0 * d * (sx + sy) + 4.0 * m * (3.0 - sx - sy - syx)
+    lam = A.symbol.copy()
     lam0 = lam[0, 0]
     lam[0, 0] = 1.0
     if lam0 < 0.0 or not np.all(lam > 0.0):
@@ -190,36 +257,29 @@ def _capacitance_solver(A: SquareStencilMatrix):
     green = 1.0 / lam
     green[0, 0] = 0.0
     g0 = np.fft.irfft2(green, s=(K, K))
-    by = np.concatenate((np.zeros(K, dtype=int), np.arange(1, K)))
-    bx = np.concatenate((np.arange(K), np.zeros(K - 1, dtype=int)))
     nb = 2 * K - 1
-    bordered = np.empty((nb + 1, nb + 1))
-    bordered[:nb, :nb] = g0[(by[:, None] - by[None, :]) % K, (bx[:, None] - bx[None, :]) % K]
-    bordered[:nb, nb] = bordered[nb, :nb] = 1.0
-    bordered[nb, nb] = -K * K * lam0
-    inverse = np.linalg.inv(bordered)
-    # irfft along x evaluated at x = 0: the half spectrum with its doubled middle terms
-    fold = np.full(K // 2 + 1, 2.0)
-    fold[0] = 1.0
-    if K % 2 == 0:
-        fold[-1] = 1.0
+    inverse = np.linalg.inv(_bordered_matrix(g0, -K * K * lam0))
+    # with the coordinates Y = sqrt(fold) F / K of a spectrum F: irfft along x
+    # at x = 0 is the half spectrum with its doubled middle terms, F @ fold / K,
+    # so w on x = 0 is ifft(Y_w @ sqrt(fold)), and w on y = 0 is
+    # irfft(sum over theta_y of Y_w, divided by sqrt(fold))
+    root = np.sqrt(_fold(K))
+    boundary_green = green * (root / K)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        f = np.zeros((K, K))
-        f[1:, 1:] = b.reshape(K - 1, K - 1)
-        spectrum = np.fft.rfft2(f)
-        spectrum *= green
+        spectrum = _spectrum(b, K) * green
         rhs = np.empty(nb + 1)
-        rhs[:K] = np.fft.irfft(spectrum.sum(axis=0), K) / K      # w on y = 0
-        rhs[K:nb] = np.fft.ifft(spectrum @ fold)[1:].real / K     # w on x = 0, y > 0
-        rhs[nb] = b.sum()
+        rhs[:K] = np.fft.irfft(spectrum.sum(axis=0) / root, K)   # w on y = 0
+        rhs[K:nb] = np.fft.ifft(spectrum @ root)[1:].real        # w on x = 0, y > 0
+        rhs[nb] = K * b[0]                                       # sum b: Y[0, 0] = sum b / K
         sol = inverse @ -rhs
         col = np.zeros(K)
         col[1:] = sol[K:nb]
-        spectrum += (np.fft.rfft(sol[:K])[None, :] + np.fft.fft(col)[:, None]) * green
-        u = np.fft.irfft2(spectrum, s=(K, K))[1:, 1:]
-        u += sol[nb]
-        return u.ravel()
+        boundary = np.fft.rfft(sol[:K])[None, :] + np.fft.fft(col)[:, None]
+        boundary *= boundary_green
+        spectrum += boundary
+        spectrum[0, 0] += K * sol[nb]
+        return spectrum.view(float).ravel()
 
     return solve
 
@@ -230,8 +290,9 @@ class SpdFactorization:
     It takes and returns vectors in the coordinates the matrix acts on.  A
     `DiagonalMatrix` is solved by one division by its eigenvalues.  A
     `SquareStencilMatrix` is set up for the capacitance-matrix solve (see
-    `_capacitance_solver`): one dense inverse of size 2K, after which `solve`
-    is one 2D real FFT pair.  Either check rejects a matrix that is not
+    `_capacitance_solver`): one 2D inverse FFT of the symbol and one dense
+    inverse of size 2K, after which `solve` makes 1D FFTs of the boundary
+    and one product with that inverse.  Either check rejects a matrix that is not
     positive definite.
     """
 

@@ -221,6 +221,7 @@ class ModalSolution:
     _factors: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
     _beta1: dict[float, float] = field(default_factory=dict, repr=False)
     _amplitudes: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
+    _grid_sides: dict[str, tuple[tuple, tuple[np.ndarray, ...]]] = field(default_factory=dict, repr=False)
 
     # -- time factors ------------------------------------------------------
     def factors(self, t: float) -> np.ndarray:
@@ -298,22 +299,41 @@ class ModalSolution:
 
         x- and y-frequencies whose amplitudes are all exactly zero are left
         out of the products: they would add exact zeros to every entry.
+        The factors of each side are kept for the points and the time of the
+        last call (`_grid_side`): the 2D error pass makes several calls in a
+        row with the same outer points.
         """
         if self.modes.domain != "square":
             raise ValueError("eval_grid applies to square solutions")
-        A, rx, ry = self._grid_amplitudes(t)
-        Jx, Jy = self.max_frequency
-        EX = _phase_table(Jx, xs)[rx]              # (kept Jx, nx)
-        SX = 2.0 * EX.imag                          # carries the phi normalization
-        CX = 2.0 * EX.real * ((rx + 1) * np.pi)[:, None]
-        EY = _phase_table(Jy, ys)[ry].T            # (ny, kept Jy)
-        SY = EY.imag
-        CY = EY.real * ((ry + 1) * np.pi)[None, :]
-        ASX = A.T @ SX
+        ASX, ACX = self._grid_side("x", xs, t)
+        SY, CY = self._grid_side("y", ys, t)
         vals = SY @ ASX
-        gx = SY @ (A.T @ CX)
+        gx = SY @ ACX
         gy = CY @ ASX
         return vals, gx, gy
+
+    def _grid_side(self, axis: str, points: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+        """The factors of `eval_grid` along one axis, formed once for a run of
+        calls with the same points and time: the amplitude products
+        (A^T S_x, A^T C_x) for x, (S_y, C_y) for y, with S and C the sines and
+        the scaled cosines of the kept frequencies at the points."""
+        points = np.asarray(points, dtype=float)
+        key = (t, points.tobytes())
+        cached = self._grid_sides.get(axis)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        A, rx, ry = self._grid_amplitudes(t)
+        Jx, Jy = self.max_frequency
+        if axis == "x":
+            EX = _phase_table(Jx, points)[rx]          # (kept Jx, nx)
+            SX = 2.0 * EX.imag                          # carries the phi normalization
+            CX = 2.0 * EX.real * ((rx + 1) * np.pi)[:, None]
+            side = (A.T @ SX, A.T @ CX)
+        else:
+            EY = _phase_table(Jy, points)[ry].T        # (ny, kept Jy)
+            side = (EY.imag, EY.real * ((ry + 1) * np.pi)[None, :])
+        self._grid_sides[axis] = (key, side)
+        return side
 
     def _grid_amplitudes(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Amplitudes c_jk u_jk(t) of `eval_grid` as a (kept x, kept y)

@@ -27,12 +27,17 @@ part from the steps of its own block, one BLAS product, and is solved.  So
 the N^2/2 dof multiply-adds of the direct sum stay, but almost all of them
 run as Level-3 BLAS; steps are still solved one at a time in order 1..N.
 
-The stepper works in the coordinates of its space (`FemSpace.change_basis`)
+The stepper works in the coordinates of its space (`FemSpace.to_coords`)
 and never changes them: v and the snapshots are in those coordinates, and M,
-S and the system act in them.  The system matrix is set up once per run by
-`SpdFactorization`: on the interval the space's DST-I coordinates make it
-diagonal, and a solve is one division; on the square it is the
-capacitance-matrix solve on the periodic grid.
+S and the system act in them, so one loop serves both dimensions.  The
+system matrix is set up once per run by `SpdFactorization`.  On the
+interval the space's DST-I coordinates make every matrix diagonal, and a
+solve is one division.  On the square the coordinates are the scaled
+spectrum of the zero-extended torus array: M and S multiply by their torus
+symbols, whose products leak onto the torus boundary, and the
+capacitance-matrix solve, which the leak does not change, takes and returns
+spectra.  So a 2D step makes no 2D FFT.  The snapshots hold n_coords
+entries per state, 2K(K//2 + 1) on the square for (K-1)^2 dofs.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class DiscreteTrajectory:
     """Snapshots U^0..U^N of interior coefficients, in the space's coordinates."""
 
     config: SchemeConfig
-    snapshots: np.ndarray      # (N+1, n_dof)
+    snapshots: np.ndarray      # (N+1, n_coords)
 
     @property
     def final(self) -> np.ndarray:
@@ -101,11 +106,11 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     """March U^0 = v through cfg.n_steps steps of the configured scheme.
 
     v and the returned snapshots are in the coordinates of `space`
-    (`FemSpace.change_basis`), as the projections of `rstokes.fem` return them.
+    (`FemSpace.to_coords`), as the projections of `rstokes.fem` return them.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (space.n_dof,):
-        raise ValueError(f"initial vector must have {space.n_dof} entries")
+    if v.shape != (space.n_coords,):
+        raise ValueError(f"initial vector must have {space.n_coords} entries")
     N, tau = cfg.n_steps, cfg.tau
     c = DELTA[cfg.scheme]
     w = weights(cfg.scheme, cfg.alpha, N)
@@ -130,7 +135,7 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
     d = len(past)
 
     # rows 1..N start at zero: each holds its far history until it is solved
-    U = np.zeros((N + 1, space.n_dof))
+    U = np.zeros((N + 1, space.n_coords))
     U[0] = v
     for s in range(1, N + 1, _BLOCK):
         e = min(s + _BLOCK, N + 1)

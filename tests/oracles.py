@@ -18,8 +18,8 @@ g(z) = z / (1 + gamma z^alpha).
 Stepping: `scalar_trajectory_be`/`_sbd` are the single-mode recurrences of
 both schemes, written out independently of `rstokes.stepper.run_scheme`, and
 `direct_run_scheme` is the plain nodal march that sums the whole fractional
-history directly at every step, the reference for the stepper's blocked FFT
-history and its 1D march in DST-I coordinates.  It steps in long double
+history directly at every step, the reference for the stepper's blocked
+history and its march in the space's coordinates.  It steps in long double
 with the nodal matrices of `nodal_matrices` and scipy's sparse LU, so it
 shares no code with `rstokes.linalg`.
 
@@ -229,7 +229,7 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
     """Snapshots U^0..U^N of `run_scheme`, each history summed directly, O(N^2 dof).
 
     The plain nodal march: v and the snapshots are interior nodal values (the
-    stepper's snapshots mapped by `space.change_basis`), and the products use
+    stepper's snapshots mapped by `space.to_nodal`), and the products use
     `nodal_matrices`.  It runs in long double, and each step is solved by
     scipy's sparse LU in double, refined once against a long-double
     residual.  So its own roundoff, which a double march amplifies by the

@@ -395,7 +395,7 @@ def test_criterion_9b_mode_decoupling():
         # the 1D matrices are diagonal there, and must not be checked against themselves
         M, S = (A.toarray() for A in nodal_matrices(space.mesh))
         lams, vecs = scipy.linalg.eigh(S, M)
-        vecs = space.change_basis(vecs.T)
+        vecs = space.to_coords(vecs.T)
         for scheme, scalar in (("be", scalar_trajectory_be), ("sbd", scalar_trajectory_sbd)):
             cfg = SchemeConfig(scheme, 0.5, 1.0, 0.02, 10)
             for k in range(space.n_dof):
@@ -444,7 +444,7 @@ def test_criterion_9e_projection_identities(rng):
     worst = 0.0
     for builder, K in ((build_interval_mesh, 12), (build_square_mesh, 4)):
         space = assemble(builder(K))
-        v = rng.standard_normal(space.n_dof)
+        v = space.to_coords(rng.standard_normal(space.n_dof))
         for A in (space.M, space.S):
             got = solve_spd(A, A @ v)
             worst = max(worst, float(np.max(np.abs(got - v))))

@@ -106,10 +106,11 @@ def test_matrices_positive_definite():
 
 def test_l2_projection_reproduces_mesh_functions(rng):
     # the L2 load of a mesh function v (zero on the boundary) is M v; l2_project
-    # solves M, all in space coordinates
+    # solves M, all in space coordinates, where a 2D product adds a boundary
+    # leak that the solve drops
     for mesh in (build_interval_mesh(8), build_square_mesh(4)):
         space = assemble(mesh)
-        v = rng.standard_normal(space.n_dof)
+        v = space.to_coords(rng.standard_normal(space.n_dof))
         x = solve_spd(space.M, space.M @ v)
         assert np.max(np.abs(x - v)) < 1e-11
 
@@ -118,7 +119,7 @@ def test_ritz_projection_reproduces_mesh_functions(rng):
     # the Ritz load of a mesh function v (zero on the boundary) is S v; ritz_project solves S
     for mesh in (build_interval_mesh(8), build_square_mesh(4)):
         space = assemble(mesh)
-        v = rng.standard_normal(space.n_dof)
+        v = space.to_coords(rng.standard_normal(space.n_dof))
         x = solve_spd(space.S, space.S @ v)
         assert np.max(np.abs(x - v)) < 1e-11
 
@@ -202,7 +203,7 @@ def test_ritz_galerkin_orthogonality():
     vv = np.sin(2 * math.pi * nodes)
     idx = space.interior_nodes
     c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
-    residual = interval_matrices(16)[1] @ space.change_basis(x) - c
+    residual = interval_matrices(16)[1] @ space.to_nodal(x) - c
     assert np.max(np.abs(residual)) < 1e-12
 
 
@@ -212,7 +213,7 @@ def test_ritz_l2_error_second_order():
         space = assemble(build_interval_mesh(K))
         x = ritz_project(space, InitialDatum("smooth_sine", frequency=2))
         xq, wq = gauss_panels(0.0, 1.0, 4 * K)
-        uh = np.interp(xq, space.mesh.nodes, np.pad(space.change_basis(x), 1))
+        uh = np.interp(xq, space.mesh.nodes, np.pad(space.to_nodal(x), 1))
         errs.append(math.sqrt(wq @ (uh - np.sin(2 * math.pi * xq)) ** 2))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.9 < r < 2.1 for r in rates)
@@ -228,7 +229,7 @@ def test_error_norms_of_interpolant():
         space = assemble(build_interval_mesh(K))
         nodes = space.mesh.nodes[space.interior_nodes]
         interp = u2 * np.sin(2 * math.pi * nodes)
-        res[K] = error_norms(space, space.change_basis(interp), ms, t)
+        res[K] = error_norms(space, space.to_coords(interp), ms, t)
     assert res[8].l2 / res[16].l2 == pytest.approx(4.0, rel=0.15)
     assert res[8].h1 / res[16].h1 == pytest.approx(2.0, rel=0.10)
 
@@ -285,14 +286,15 @@ class _ZeroOracle:
 
 
 def _assert_mass_stiffness_norms(space, U, en):
-    # U expands by zeros on the boundary, so the interior matrices give its norms
+    # U expands by zeros on the boundary, so the interior matrices give its
+    # norms, taken in space coordinates
     assert en.l2 == pytest.approx(math.sqrt(U @ (space.M @ U)), rel=1e-12)
     assert en.h1 == pytest.approx(math.sqrt(U @ (space.S @ U)), rel=1e-12)
 
 
 def _assert_stack_mass_stiffness_norms(space, oracle, rng):
     # one vector, and a stack of three whose rows each get their own norms
-    U = rng.standard_normal((3, space.n_dof))
+    U = space.to_coords(rng.standard_normal((3, space.n_dof)))
     _assert_mass_stiffness_norms(space, U[0], error_norms(space, U[0], oracle, 0.1))
     stacked = error_norms(space, U, oracle, 0.1)
     assert len(stacked) == 3
@@ -342,9 +344,10 @@ def test_error_2d_of_an_exact_p1_reference_vanishes(rng, K):
     space = assemble(build_square_mesh(K))
     U = rng.standard_normal(space.n_dof)
     oracle = _P1Oracle(np.pad(U.reshape(K - 1, K - 1), 1))
-    [(l2_sq, h1_sq)] = _error_2d(space, [U], oracle, 0.1)
-    assert abs(l2_sq) <= 1e-13 * (U @ (space.M @ U))
-    assert abs(h1_sq) <= 1e-13 * (U @ (space.S @ U))
+    y = space.to_coords(U)
+    [(l2_sq, h1_sq)] = _error_2d(space, [y], oracle, 0.1)
+    assert abs(l2_sq) <= 1e-13 * (y @ (space.M @ y))
+    assert abs(h1_sq) <= 1e-13 * (y @ (space.S @ y))
 
 
 @pytest.mark.parametrize("K", [2, 3, 8, 17, 64])
@@ -353,7 +356,8 @@ def test_error_2d_matches_direct_quadrature(rng, K):
     # the direct pointwise squares of tests/oracles.py at the same points;
     # the gap is the cancellation of the expanded square, so it is bounded
     # relative to the two large terms; the zero row's errors are the sums
-    # sum w u^2 and sum w |grad u|^2
+    # sum w u^2 and sum w |grad u|^2.  The rows are coordinates; the
+    # reference squares their nodal values
     t = 0.1
     datum = InitialDatum("step2d", location=(K // 2) / K)
     ms = build_modal_solution(datum, 0.5, 1.0, t_min=t)
@@ -361,9 +365,9 @@ def test_error_2d_matches_direct_quadrature(rng, K):
     v = l2_project(space, datum)
     rows = [run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, t / N, N), v).final
             for scheme in ("be", "sbd") for N in (5, 40, 200)]
-    rows += [rng.standard_normal(space.n_dof), np.zeros(space.n_dof), v]
+    rows += [space.to_coords(rng.standard_normal(space.n_dof)), np.zeros(space.n_coords), v]
     got = _error_2d(space, rows, ms, t)
-    ref = direct_error_2d(space, rows, ms, t)
+    ref = direct_error_2d(space, space.to_nodal(np.array(rows)), ms, t)
     u_sq, du_sq = ref[-2]
     for U, (l2_sq, h1_sq), (l2_ref, h1_ref) in zip(rows, got, ref):
         assert abs(l2_sq - l2_ref) <= 1e-13 * (U @ (space.M @ U) + u_sq)
@@ -378,7 +382,7 @@ def test_error_2d_cell_blocks_equal_one_block(monkeypatch, rng, K, block_points)
     # squares come out exactly as from one block of all K cells
     ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
     space = assemble(build_square_mesh(K))
-    rows = [rng.standard_normal(space.n_dof), l2_project(space, InitialDatum("step2d", location=0.5))]
+    rows = [space.to_coords(rng.standard_normal(space.n_dof)), l2_project(space, InitialDatum("step2d", location=0.5))]
     points = []
     evaluate = ModalSolution.eval_grid
 
@@ -405,7 +409,7 @@ def test_error_norms_2d_memory_is_bounded_by_the_cell_blocks(rng):
     ms = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
     ms.factors(0.1)
     space = assemble(build_square_mesh(128))
-    U = rng.standard_normal((4, space.n_dof))
+    U = space.to_coords(rng.standard_normal((4, space.n_dof)))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -10,11 +10,14 @@ from oracles import diagonal_identity, element_interior_matrices, interval_matri
 from rstokes.fem import assemble
 from rstokes.linalg import (
     DiagonalMatrix,
+    _bordered_matrix,
     SpdFactorization,
     SquareStencilMatrix,
     dst,
     matvec,
     solve_spd,
+    torus_interior,
+    torus_spectrum,
 )
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 
@@ -37,13 +40,21 @@ def test_matvec_single_interior_stiffness():
     assert matvec(space.S, np.array([1.0])).tolist() == [4.0]
 
 
+def _square_nodal(A: SquareStencilMatrix, product):
+    # Q^T product(Q x): a product or a solve of the square taken in
+    # torus-spectral coordinates, read back at the interior nodes
+    return lambda x: torus_interior(product(torus_spectrum(x, A.K)), A.K)
+
+
 def test_matvec_against_dense_oracle(rng):
     # the 1D products, taken in DST-I coordinates, against the closed-form
-    # nodal matrices, and the stencil products of the square against theirs
+    # nodal matrices, and the symbol products of the square, taken in
+    # torus-spectral coordinates and restricted to the interior, against the
+    # dense stencils
     space = assemble(build_interval_mesh(17))
     cases = [(lambda x, A=A: dst(matvec(A, dst(x))), D.toarray())
              for A, D in zip((space.M, space.S), interval_matrices(17))]
-    cases += [(partial(matvec, A), stencil_array(A))
+    cases += [(_square_nodal(A, partial(matvec, A)), stencil_array(A))
               for A in (SquareStencilMatrix(K, mass, stiff) for K in (2, 3, 5, 17) for mass, stiff in _SQUARE_CASES)]
     for product, D in cases:
         x = rng.standard_normal(D.shape[0])
@@ -83,19 +94,21 @@ def test_solve_against_dense_cholesky():
     M, S = (A.toarray() for A in interval_matrices(4))
     nodes = space.mesh.nodes[space.interior_nodes]
     b = M @ np.sin(np.pi * nodes)
-    x = space.change_basis(solve_spd(space.S, space.change_basis(b)))
+    x = space.to_nodal(solve_spd(space.S, space.to_coords(b)))
     expect = np.linalg.solve(S, b)
     assert np.max(np.abs(x - expect)) < 1e-10
 
 
 def test_solve_spd_2d_is_direct():
-    # a 2D matrix with 121 unknowns is solved by the same capacitance solve as a stepping run
+    # a 2D matrix with 121 unknowns is solved by the same capacitance solve as
+    # a stepping run; the residual is read at the interior nodes, where the
+    # product's boundary leak is dropped
     space = assemble(build_square_mesh(12))
     rng = np.random.default_rng(3)
-    b = rng.standard_normal(space.n_dof)
+    b = space.to_coords(rng.standard_normal(space.n_dof))
     x = solve_spd(space.S, b)
     assert np.array_equal(x, SpdFactorization(space.S).solve(b))
-    res = np.linalg.norm(matvec(space.S, x) - b) / np.linalg.norm(b)
+    res = np.linalg.norm(space.to_nodal(matvec(space.S, x) - b)) / np.linalg.norm(b)
     assert res <= 1e-13
 
 
@@ -107,9 +120,10 @@ _COEFFICIENT = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
 def test_solve_roundtrip_random_spd(K, mass, stiff, seed):
     assume(mass > 0.0 or stiff > 0.0)
     A = SquareStencilMatrix(K, mass, stiff)
-    b = np.random.default_rng(seed).standard_normal(A.n)
-    x = solve_spd(A, b)
-    assert np.linalg.norm(matvec(A, x) - b) <= 1e-13 * np.linalg.norm(b)
+    b = np.random.default_rng(seed).standard_normal((K - 1) ** 2)
+    x = _square_nodal(A, partial(solve_spd, A))(b)
+    residual = _square_nodal(A, partial(matvec, A))(x) - b
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
 
 
 def _condition_bound(K: int, mass: float, stiff: float) -> float:
@@ -130,7 +144,8 @@ def test_factorization_matches_splu(K):
     for mass, stiff in _SQUARE_CASES:
         A = mass * M + stiff * S
         b = rng.standard_normal(A.shape[0])
-        x = SpdFactorization(SquareStencilMatrix(K, mass, stiff)).solve(b)
+        square = SquareStencilMatrix(K, mass, stiff)
+        x = _square_nodal(square, SpdFactorization(square).solve)(b)
         assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
         bound = 4.0 * _condition_bound(K, mass, stiff) * np.finfo(float).eps
         references = [splu(A).solve(b)]
@@ -138,6 +153,73 @@ def test_factorization_matches_splu(K):
             references.append(np.linalg.solve(A.toarray(), b))
         for expect in references:
             assert np.max(np.abs(x - expect)) <= bound * np.max(np.abs(expect))
+
+
+def _torus_fold(K: int) -> np.ndarray:
+    # multiplicity of each rfft column in the full spectrum, written out here
+    fold = np.full(K // 2 + 1, 2.0)
+    fold[0] = 1.0
+    if K % 2 == 0:
+        fold[-1] = 1.0
+    return fold
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 8, 16, 17, 64])
+def test_torus_coordinates_are_an_isometry(K):
+    # Q keeps inner products and Q^T inverts it; the coordinates have the
+    # length of the real view of rfft2, and the torus boundary is left out.
+    # Through Q the symbol product is the nodal quadratic form:
+    # (Q w) . (A Q u) = w^T A u, as Q^T A Q is the nodal matrix
+    rng = np.random.default_rng(K)
+    n = (K - 1) ** 2
+    u, w = rng.standard_normal((2, n))
+    qu, qw = torus_spectrum(np.stack((u, w)), K)
+    assert qu.shape == (2 * K * (K // 2 + 1),)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(torus_interior(qu, K) - u)) <= 8 * eps * np.max(np.abs(u))
+    assert abs(qu @ qw - u @ w) <= 8 * eps * np.linalg.norm(u) * np.linalg.norm(w)
+    assert abs(qu @ qu - u @ u) <= 8 * eps * (u @ u)
+    if K <= 17:
+        for mass, stiff in _SQUARE_CASES:
+            A = SquareStencilMatrix(K, mass, stiff)
+            Au = stencil_array(A) @ u
+            assert abs(qw @ (A @ qu) - w @ Au) <= 8 * eps * np.linalg.norm(w) * np.linalg.norm(Au)
+
+
+@pytest.mark.parametrize("K", [3, 8, 17, 64])
+def test_solve_ignores_a_boundary_leak(K):
+    # the coordinates of any torus function on the boundary set B (row y = 0,
+    # column x = 0) added to a right-hand side change only the boundary
+    # unknowns of the bordered system, so the solve returns the same spectrum
+    # up to roundoff, within the bound of test_factorization_matches_splu
+    rng = np.random.default_rng(K + 5)
+    for mass, stiff in _SQUARE_CASES:
+        A = SquareStencilMatrix(K, mass, stiff)
+        solve = SpdFactorization(A).solve
+        b = torus_spectrum(rng.standard_normal((K - 1) ** 2), K)
+        g = np.zeros((K, K))
+        g[0] = rng.standard_normal(K)
+        g[1:, 0] = rng.standard_normal(K - 1)
+        leak = (np.fft.rfft2(g) * (np.sqrt(_torus_fold(K)) / K)).view(float).ravel()
+        x = solve(b)
+        bound = 4.0 * _condition_bound(K, mass, stiff) * np.finfo(float).eps
+        assert np.max(np.abs(solve(b + leak) - x)) <= bound * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("K", [2, 3, 8, 17, 128])
+def test_bordered_matrix_equals_modulo_indexing(K):
+    # the capacitance system read from g0 by slices holds bitwise the entries
+    # g0[(b_i - b_j) mod K] over the boundary nodes b, listed as
+    # (0, x) for x = 0..K-1, then (y, 0) for y = 1..K-1
+    g0 = np.random.default_rng(K).standard_normal((K, K))
+    by = np.concatenate((np.zeros(K, dtype=int), np.arange(1, K)))
+    bx = np.concatenate((np.arange(K), np.zeros(K - 1, dtype=int)))
+    nb = 2 * K - 1
+    expect = np.empty((nb + 1, nb + 1))
+    expect[:nb, :nb] = g0[(by[:, None] - by[None, :]) % K, (bx[:, None] - bx[None, :]) % K]
+    expect[:nb, nb] = expect[nb, :nb] = 1.0
+    expect[nb, nb] = -2.5
+    assert np.array_equal(_bordered_matrix(g0, -2.5), expect)
 
 
 @pytest.mark.parametrize("mass,stiff", [(-1.0, 1.0), (1.0, -1.0), (0.0, -1.0), (0.0, 0.0)])

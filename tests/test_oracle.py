@@ -555,6 +555,38 @@ def test_eval_grid_matches_bruteforce(rng):
             assert np.max(np.abs(gy[rows] - cy @ sx.T)) < 1e-11
 
 
+def test_eval_grid_forms_each_side_once_per_run_of_points(monkeypatch, rng):
+    # the 2D error pass calls eval_grid on blocks of cells with the same outer
+    # points, first along x, then (mirrored) along y: a side is formed once for
+    # a run of calls with the same points and time, and every grid equals,
+    # bitwise, that of a fresh reference that formed both sides anew
+    from rstokes import oracle
+
+    datum = InitialDatum("step2d", location=0.5)
+    ms = build_modal_solution(datum, 0.5, 1.0, t_min=0.1)
+    tables = []
+    phase_table = oracle._phase_table
+
+    def spy(J, points):
+        tables.append(len(points))
+        return phase_table(J, points)
+
+    monkeypatch.setattr(oracle, "_phase_table", spy)
+    outer = np.arange(16) / 16 + 0.01
+    inner = [rng.uniform(0.0, 1.0, n) for n in (40, 40, 37)]
+    calls = [(outer, ys, 0.1) for ys in inner] + [(xs, outer, 0.1) for xs in inner] + [(outer, inner[0], 0.01)]
+    formed = []
+    for xs, ys, t in calls:
+        before = len(tables)
+        got = ms.eval_grid(xs, ys, t)
+        formed.append(len(tables) - before)
+        fresh = build_modal_solution(datum, 0.5, 1.0, t_min=0.1).eval_grid(xs, ys, t)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+    # both sides on the first call of a run, then the inner side alone; a new
+    # time forms both sides again
+    assert formed == [2, 1, 1, 2, 1, 1, 2]
+
+
 def test_eval_grid_of_all_zero_coefficients_is_zero():
     # every frequency is skipped as exactly zero, so the products run over
     # empty frequency sets and must still give zero grids of the right shape

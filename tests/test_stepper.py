@@ -71,10 +71,10 @@ def test_scheme_config_rejects_nonfinite_gamma_and_tau(gamma, tau):
 
 def _generalized_modes(space):
     # eigenpairs of the nodal P1 pencil (S, M), the eigenvectors mapped to the
-    # space's coordinates, so that a diagonal 1D pencil is not checked against itself
+    # space's coordinates, so that a pencil diagonal there is not checked against itself
     M, S = (A.toarray() for A in nodal_matrices(space.mesh))
     lams, vecs = scipy.linalg.eigh(S, M)
-    return lams, space.change_basis(vecs.T).T
+    return lams, space.to_coords(vecs.T).T
 
 
 @pytest.mark.parametrize("mesh_builder,K", [(build_interval_mesh, 16), (build_square_mesh, 4)])
@@ -235,9 +235,10 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
     # than the oracle; N covers the edges of the first two blocks.  The
     # oracle marches in long double, so the gap is the stepper's own
     # roundoff: at most 3.1e-14 per row up to N = 300 and 5.3e-14 at N = 1000.
-    # 1D runs march in DST-I coordinates against the oracle's nodal march, so
-    # v goes in and the snapshots come out through change_basis; K = 2 and 3
-    # have 1 and 2 dofs.  K stays at 64: at K = 2048, N = 10 the stepper's
+    # Runs march in the space's coordinates (DST-I in 1D, the torus spectrum
+    # in 2D) against the oracle's nodal march, so v goes in through to_coords
+    # and the snapshots come out through to_nodal; K = 2 and 3 have 1 and 2
+    # dofs.  K stays at 64: at K = 2048, N = 10 the stepper's
     # roundoff, which grows with the condition number of the system, reaches
     # 3.1e-13; test_fine_mesh_sine_mode_matches_scalar_recurrence covers
     # K = 2048 mode by mode.
@@ -246,7 +247,7 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
     for alpha in (0.3, 0.7):
         for scheme, origin in (("be", False), ("be", True), ("sbd", False)):
             cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N, include_history_origin=origin)
-            U = space.change_basis(run_scheme(space, cfg, space.change_basis(v)).snapshots)
+            U = space.to_nodal(run_scheme(space, cfg, space.to_coords(v)).snapshots)
             ref = direct_run_scheme(space, cfg, v)
             gap = np.max(np.abs(U - ref), axis=1) / np.max(np.abs(ref), axis=1)
             assert np.max(gap) < (3e-13 if N <= 128 else 1e-12)
@@ -281,6 +282,24 @@ def test_1d_run_factors_once_and_solves_each_step_in_order(monkeypatch, scheme):
     assert np.array_equal(np.array(solved), traj.snapshots[1:])
 
 
+@pytest.mark.parametrize("N", [1, 100])
+def test_2d_run_makes_no_2d_fft_per_step(monkeypatch, N):
+    # a 2D run marches in torus-spectral coordinates: its set-up makes the one
+    # 2D transform (the Green's function of the capacitance solve), and its
+    # steps make none, however many there are
+    space = assemble(build_square_mesh(16))
+    v = l2_project(space, InitialDatum("step2d", location=0.5))
+    calls = []
+    for name in ("rfft2", "irfft2"):
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, 0.1 / N, N), v)
+    assert len(calls) <= 1
+
+
 @pytest.mark.parametrize("mesh_builder,K", [(build_interval_mesh, 16), (build_square_mesh, 4)])
 def test_run_leaves_no_reference_cycle(mesh_builder, K):
     # the snapshots are freed by reference counting alone, with no wait for the
@@ -290,7 +309,7 @@ def test_run_leaves_no_reference_cycle(mesh_builder, K):
     gc.collect()
     gc.disable()
     try:
-        traj = run_scheme(space, cfg, np.ones(space.n_dof))
+        traj = run_scheme(space, cfg, space.to_coords(np.ones(space.n_dof)))
         snapshots = weakref.ref(traj.snapshots)
         del traj
         assert snapshots() is None
