@@ -15,9 +15,12 @@ where a 2D real FFT diagonalises the 7-point stencils, and
 That product leaks onto the boundary set of the torus, where the interior
 grid's stencil has no rows.  The solve is the capacitance-matrix method of
 Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971): a dense
-system on the 2K-1 boundary nodes, inverted once, makes the periodic
-solution vanish there, and the leak drops out of it.  So a solve takes a
-spectrum and returns one, with 1D transforms of the boundary alone.  Time
+system on the 2K-1 boundary nodes makes the periodic solution vanish there,
+and the leak drops out of it.  The symbol is symmetric in theta_x and
+theta_y, so that system splits into two halves, over the sums and over the
+differences of the nodes the swap x <-> y exchanges, each inverted once.
+So a solve takes a spectrum and returns one, with 1D transforms of the
+boundary alone.  Time
 steppers, which solve the same matrix thousands of times, use
 `SpdFactorization` so the work per matrix is done once per run.
 """
@@ -201,26 +204,40 @@ def torus_interior(y: np.ndarray, K: int) -> np.ndarray:
     return (K * f[..., 1:, 1:]).reshape(y.shape[:-1] + (-1,))
 
 
-def _bordered_matrix(g0: np.ndarray, corner: float) -> np.ndarray:
-    """[[g0(b_i - b_j), 1], [1^T, corner]] over the 2K-1 nodes b of B.
+def _mirror_blocks(g0: np.ndarray, corner: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bordered capacitance system split by the swap (y, x) <-> (x, y).
 
-    B lists (0, x) for x = 0..K-1, then (y, 0) for y = 1..K-1, so the
-    blocks are the circulants of the row g0[0] and of the column g0[:, 0]
-    (row i of the circulant of c is c[i], c[i-1], ..., the reversed window
-    of c repeated twice), the rows g0[K-1:0:-1] transposed, and the rows
-    g0[1:] with their columns x read at -x.  Every entry is g0 at the same
-    index as g0[(b_i - b_j) mod K].
+    The boundary set B is the corner (0, 0), the row nodes (0, x) and the
+    column nodes (x, 0), x = 1..K-1; the swap fixes the corner and exchanges
+    (0, x) with (x, 0).  g0 is swap-symmetric, g0[y, x] = g0[x, y], and even,
+    g0(-y, -x) = g0(y, x) (see `_capacitance_solver`), so with
+    D[x, x'] = g0(0, x - x'), E[x, y] = g0(-y, x) and b = g0(0, 1..K-1) the
+    system over the corner, the row, the column and the border is
+
+        [[g0(0, 0), b^T, b^T, 1], [b, D, E, 1], [b, E, D, 1], [1, 1^T, 1^T, corner]],
+
+    and in the sums and differences of swapped pairs, divided by sqrt 2, it
+    splits into the symmetric block over the corner, the K-1 sums and the
+    border,
+
+        [[g0(0, 0), sqrt2 b^T, 1], [sqrt2 b, D + E, sqrt2], [1, sqrt2, corner]],
+
+    of size K+1, and the antisymmetric block D - E of size K-1.  Both are
+    read from g0 by slices: D from the circulant of the row g0[0] (row x is
+    the reversed window of that row repeated twice), E from the rows g0[K-1:0:-1].
     """
     K = g0.shape[0]
-    nb = 2 * K - 1
-    out = np.empty((nb + 1, nb + 1))
-    out[:K, :K] = sliding_window_view(np.concatenate((g0[0], g0[0])), K)[1:, ::-1]
-    out[K:nb, K:nb] = sliding_window_view(np.concatenate((g0[:, 0], g0[:, 0])), K)[2:, -2::-1]
-    out[:K, K:nb] = g0[K - 1 : 0 : -1].T
-    out[K:nb, :K] = np.roll(g0[1:, ::-1], 1, axis=1)
-    out[:nb, nb] = out[nb, :nb] = 1.0
-    out[nb, nb] = corner
-    return out
+    circulant = sliding_window_view(np.concatenate((g0[0], g0[0])), K)[2:, -2::-1]
+    mirror = g0[K - 1 : 0 : -1, 1:].T
+    root2 = math.sqrt(2.0)
+    sym = np.empty((K + 1, K + 1))
+    sym[0, 0] = g0[0, 0]
+    sym[0, 1:K] = sym[1:K, 0] = root2 * g0[0, 1:]
+    np.add(circulant, mirror, out=sym[1:K, 1:K])
+    sym[1:K, K] = sym[K, 1:K] = root2
+    sym[0, K] = sym[K, 0] = 1.0
+    sym[K, K] = corner
+    return sym, circulant - mirror
 
 
 def _capacitance_solver(A: SquareStencilMatrix):
@@ -236,16 +253,28 @@ def _capacitance_solver(A: SquareStencilMatrix):
     w = L0+ b and g0 the torus Green's function of L0+, mu and c solve the
     bordered system
 
-        [[g0(b_i - b_j), 1], [1^T, -K^2 lambda(0)]] [mu; c] = [-w|_B; -sum b],
+        [[g0(b_i - b_j), 1], [1^T, -K^2 lambda(0)]] [mu; c] = [-w|_B; -sum b].
 
-    inverted once here.  A solve takes the coordinates of b, reads w|_B
-    from the spectrum of w by 1D inverse transforms and sum b from its
-    constant mode, and returns the coordinates of L0+ f + c: P_B mu, a row
-    and a column, has the spectrum of the row along x plus that of the
-    column along y.  No 2D transform is made.  A right-hand side from the
-    products of `SquareStencilMatrix` is b + P_B l for some leak l on B;
-    the same system then gives mu - l for the same c, so the solution is
-    unchanged.
+    The mesh is cut along the (+1, +1) diagonal, so the symbol depends on
+    theta_x and theta_y only through s_x + s_y and s_yx: it is symmetric in
+    them, and even.  So is its inverse, and g0, its inverse transform,
+    satisfies g0[y, x] = g0[x, y] and g0(-y, -x) = g0(y, x).  The swap
+    (0, x) <-> (x, 0) maps B onto itself, and in the sums and differences
+    of swapped pairs the bordered system splits into two independent
+    blocks of sizes K+1 and K-1 (`_mirror_blocks`), inverted once here:
+    a quarter of the flops of one inverse of size 2K, and half its storage.
+    The scalings of the sums and differences and the sign of the right-hand
+    side are folded into the two inverses.
+
+    A solve takes the coordinates of b, reads w on the row and on the
+    column from the spectrum of w by 1D inverse transforms and sum b from
+    its constant mode, makes one product with each inverse, of the sums and
+    of the differences of the two, and returns the coordinates of
+    L0+ f + c: P_B mu, a row and a column, has the spectrum of the row
+    along x plus that of the column along y.  No 2D transform is made.  A
+    right-hand side from the products of `SquareStencilMatrix` is b + P_B l
+    for some leak l on B; the same system then gives mu - l for the same c,
+    so the solution is unchanged.
     """
     K = A.K
     lam = A.symbol.copy()
@@ -254,11 +283,24 @@ def _capacitance_solver(A: SquareStencilMatrix):
     if lam0 < 0.0 or not np.all(lam > 0.0):
         raise ValueError("matrix is not positive definite: its torus symbol is negative, "
                          "or zero off the constant mode")
-    green = 1.0 / lam
+    green = np.divide(1.0, lam, out=lam)
     green[0, 0] = 0.0
-    g0 = np.fft.irfft2(green, s=(K, K))
-    nb = 2 * K - 1
-    inverse = np.linalg.inv(_bordered_matrix(g0, -K * K * lam0))
+    sym, anti = _mirror_blocks(np.fft.irfft2(green, s=(K, K)), -K * K * lam0)
+    # the product with sym_inverse takes [row + col, sum b / K] (the corner
+    # appears twice in row + col) and returns [mu(0, 0) / 2, (mu on the row +
+    # mu on the column) / 2, K c]; the one with anti_inverse takes row - col
+    # and returns (mu on the row - mu on the column) / 2, with a zero row and
+    # column for the corner.  So mu on the row is the sum of the two results
+    # and mu on the column their difference, each with half of mu(0, 0).
+    scale = np.full(K + 1, math.sqrt(0.5))
+    scale[0] = 0.5
+    scale[K] = K
+    sym_inverse = np.linalg.inv(sym)
+    sym_inverse *= scale[:, None]
+    sym_inverse *= -scale
+    anti_inverse = np.zeros((K, K))
+    anti_inverse[1:, 1:] = np.linalg.inv(anti)
+    anti_inverse *= -0.5
     # with the coordinates Y = sqrt(fold) F / K of a spectrum F: irfft along x
     # at x = 0 is the half spectrum with its doubled middle terms, F @ fold / K,
     # so w on x = 0 is ifft(Y_w @ sqrt(fold)), and w on y = 0 is
@@ -268,17 +310,18 @@ def _capacitance_solver(A: SquareStencilMatrix):
 
     def solve(b: np.ndarray) -> np.ndarray:
         spectrum = _spectrum(b, K) * green
-        rhs = np.empty(nb + 1)
-        rhs[:K] = np.fft.irfft(spectrum.sum(axis=0) / root, K)   # w on y = 0
-        rhs[K:nb] = np.fft.ifft(spectrum @ root)[1:].real        # w on x = 0, y > 0
-        rhs[nb] = K * b[0]                                       # sum b: Y[0, 0] = sum b / K
-        sol = inverse @ -rhs
-        col = np.zeros(K)
-        col[1:] = sol[K:nb]
-        boundary = np.fft.rfft(sol[:K])[None, :] + np.fft.fft(col)[:, None]
+        row = np.fft.irfft(spectrum.sum(axis=0) / root, K)   # w on y = 0
+        col = np.fft.ifft(spectrum @ root).real              # w on x = 0
+        sums = np.empty(K + 1)
+        np.add(row, col, out=sums[:K])
+        sums[K] = b[0]                                       # Y[0, 0] = sum b / K
+        half = sym_inverse @ sums
+        diff = anti_inverse @ (row - col)
+        mu = half[:K]
+        boundary = np.fft.rfft(mu + diff)[None, :] + np.fft.fft(mu - diff)[:, None]
         boundary *= boundary_green
         spectrum += boundary
-        spectrum[0, 0] += K * sol[nb]
+        spectrum[0, 0] += half[K]
         return spectrum.view(float).ravel()
 
     return solve
@@ -290,10 +333,12 @@ class SpdFactorization:
     It takes and returns vectors in the coordinates the matrix acts on.  A
     `DiagonalMatrix` is solved by one division by its eigenvalues.  A
     `SquareStencilMatrix` is set up for the capacitance-matrix solve (see
-    `_capacitance_solver`): one 2D inverse FFT of the symbol and one dense
-    inverse of size 2K, after which `solve` makes 1D FFTs of the boundary
-    and one product with that inverse.  Either check rejects a matrix that is not
-    positive definite.
+    `_capacitance_solver`): one 2D inverse FFT of the symbol and two dense
+    inverses of sizes K+1 and K-1 in place of one of size 2K, as the
+    symbol's symmetry in theta_x and theta_y splits the boundary system
+    into the sums and the differences of mirrored boundary nodes.  `solve`
+    then makes 1D FFTs of the boundary and one product with each inverse.
+    Either check rejects a matrix that is not positive definite.
     """
 
     def __init__(self, A: DiagonalMatrix | SquareStencilMatrix):

@@ -169,6 +169,10 @@ def _add_far_history(U: np.ndarray, wr: np.ndarray, theta: np.ndarray, s: int, e
     Toeplitz block T[i, j] = w_{s+i-j} are the overlapping runs
     wr[N-s-i : N-i]; a chunk of its columns is one contiguous copy.
     """
+    # the first block's history is the one column theta_1..theta_{e-1}, zero
+    # for BE without the history origin
+    if s == 1 and not np.any(theta[1:e]):
+        return
     N = len(wr) - 1
     chunk = max(1, _PRODUCT_ENTRIES // (e - s))
     for j0 in range(0, s, chunk):

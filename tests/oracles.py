@@ -34,7 +34,9 @@ Square: `square_triangles` is the diagonal split of Mesh(2, K), and
 it, the reference for the closed-form 2D matrices and step load of
 `rstokes.fem`; `element_interior_matrices` keeps the same integrals sparse,
 for the sparse LU that the 2D solves are checked against.  `stencil_array`
-writes a `SquareStencilMatrix` out densely as Kronecker products.
+writes a `SquareStencilMatrix` out densely as Kronecker products, and
+`bordered_matrix` writes the whole (2K)x(2K) capacitance system out, the
+reference for the two blocks `rstokes.linalg._mirror_blocks` splits it into.
 
 Evaluation and quadrature: `direct_eval_points` is the direct sin/cos sum that
 `ModalSolution.eval_points` is checked against, `direct_error_2d` squares
@@ -49,6 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -322,6 +325,31 @@ def stencil_array(A: SquareStencilMatrix) -> np.ndarray:
     E = U + U.T
     return ((6.0 * m + 4.0 * A.stiff) * np.kron(I, I) + (m - A.stiff) * (np.kron(I, E) + np.kron(E, I))
             + m * (np.kron(U, U) + np.kron(U.T, U.T)))
+
+
+def bordered_matrix(g0: np.ndarray, corner: float) -> np.ndarray:
+    """[[g0(b_i - b_j), 1], [1^T, corner]] over the 2K-1 nodes b of the
+    square's torus boundary set B: the capacitance system written out whole.
+
+    B lists (0, x) for x = 0..K-1, then (y, 0) for y = 1..K-1, so the
+    blocks are the circulants of the row g0[0] and of the column g0[:, 0]
+    (row i of the circulant of c is c[i], c[i-1], ..., the reversed window
+    of c repeated twice), the rows g0[K-1:0:-1] transposed, and the rows
+    g0[1:] with their columns x read at -x.  Every entry is g0 at the same
+    index as g0[(b_i - b_j) mod K].  The package solves the system as the
+    two blocks of `rstokes.linalg._mirror_blocks`; this is their dense
+    reference.
+    """
+    K = g0.shape[0]
+    nb = 2 * K - 1
+    out = np.empty((nb + 1, nb + 1))
+    out[:K, :K] = sliding_window_view(np.concatenate((g0[0], g0[0])), K)[1:, ::-1]
+    out[K:nb, K:nb] = sliding_window_view(np.concatenate((g0[:, 0], g0[:, 0])), K)[2:, -2::-1]
+    out[:K, K:nb] = g0[K - 1 : 0 : -1].T
+    out[K:nb, :K] = np.roll(g0[1:, ::-1], 1, axis=1)
+    out[:nb, nb] = out[nb, :nb] = 1.0
+    out[nb, nb] = corner
+    return out
 
 
 def square_triangles(K: int) -> tuple[np.ndarray, np.ndarray]:

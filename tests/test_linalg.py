@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -6,11 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from oracles import diagonal_identity, element_interior_matrices, interval_matrices, nodal_form, stencil_array
+from oracles import (
+    bordered_matrix,
+    diagonal_identity,
+    element_interior_matrices,
+    interval_matrices,
+    nodal_form,
+    stencil_array,
+)
 from rstokes.fem import assemble
 from rstokes.linalg import (
     DiagonalMatrix,
-    _bordered_matrix,
+    _mirror_blocks,
     SpdFactorization,
     SquareStencilMatrix,
     dst,
@@ -219,7 +227,78 @@ def test_bordered_matrix_equals_modulo_indexing(K):
     expect[:nb, :nb] = g0[(by[:, None] - by[None, :]) % K, (bx[:, None] - bx[None, :]) % K]
     expect[:nb, nb] = expect[nb, :nb] = 1.0
     expect[nb, nb] = -2.5
-    assert np.array_equal(_bordered_matrix(g0, -2.5), expect)
+    assert np.array_equal(bordered_matrix(g0, -2.5), expect)
+
+
+def _green(A: SquareStencilMatrix) -> np.ndarray:
+    # g0, the torus Green's function of A's symbol with the constant mode dropped
+    lam = A.symbol.copy()
+    lam[0, 0] = 1.0
+    green = 1.0 / lam
+    green[0, 0] = 0.0
+    return np.fft.irfft2(green, s=(A.K, A.K))
+
+
+@pytest.mark.parametrize("K", [2, 3, 8, 17, 128])
+def test_green_function_is_swap_symmetric(K):
+    # the diagonal cut makes the symbol symmetric in theta_x and theta_y, and
+    # it is even, so g0[y, x] = g0[x, y] and g0(-y, -x) = g0(y, x)
+    for mass, stiff in _SQUARE_CASES:
+        g0 = _green(SquareStencilMatrix(K, mass, stiff))
+        scale = 4 * np.finfo(float).eps * np.max(np.abs(g0))
+        assert np.max(np.abs(g0 - g0.T)) <= scale
+        assert np.max(np.abs(g0 - np.roll(g0[::-1, ::-1], 1, axis=(0, 1)))) <= scale
+
+
+def _mirror_basis(K: int) -> np.ndarray:
+    # orthogonal Q over the bordered system's unknowns, ordered as in
+    # bordered_matrix (the row (0, x) for x = 0..K-1, the column (y, 0) for
+    # y = 1..K-1, the border): its first K+1 columns are the corner, the sums
+    # of (0, x) and (x, 0) over sqrt 2 and the border, the other K-1 their
+    # differences over sqrt 2
+    nb = 2 * K - 1
+    x = np.arange(1, K)
+    Q = np.zeros((nb + 1, nb + 1))
+    Q[0, 0] = Q[nb, K] = 1.0
+    Q[x, x] = Q[K - 1 + x, x] = Q[x, K + x] = np.sqrt(0.5)
+    Q[K - 1 + x, K + x] = -np.sqrt(0.5)
+    return Q
+
+
+@pytest.mark.parametrize("K", [2, 3, 8, 17, 128])
+def test_mirror_blocks_split_the_bordered_matrix(K):
+    # Q^T G Q of the whole bordered matrix G is block-diagonal, and its blocks
+    # are the two that _mirror_blocks reads from g0 (K = 2 leaves a 1 x 1
+    # antisymmetric block)
+    Q = _mirror_basis(K)
+    assert np.allclose(Q.T @ Q, np.eye(2 * K), rtol=0.0, atol=1e-15)
+    for mass, stiff in _SQUARE_CASES:
+        A = SquareStencilMatrix(K, mass, stiff)
+        g0 = _green(A)
+        corner = -K * K * A.symbol[0, 0]
+        G = bordered_matrix(g0, corner)
+        split = Q.T @ G @ Q
+        sym, anti = _mirror_blocks(g0, corner)
+        assert sym.shape == (K + 1, K + 1) and anti.shape == (K - 1, K - 1)
+        scale = 4 * np.finfo(float).eps * np.max(np.abs(G))
+        assert np.max(np.abs(split[: K + 1, K + 1 :])) <= scale
+        assert np.max(np.abs(split[K + 1 :, : K + 1])) <= scale
+        assert np.max(np.abs(split[: K + 1, : K + 1] - sym)) <= scale
+        assert np.max(np.abs(split[K + 1 :, K + 1 :] - anti)) <= scale
+
+
+def test_factorization_set_up_stays_below_one_megabyte():
+    # the K = 128 stepping matrix of a T8 run (BE, tau = 1/40, alpha = 0.5):
+    # two inverses of size about K, not one of size 2K (1.3 MB traced)
+    K, tau = 128, 1.0 / 40
+    A = SquareStencilMatrix(K, 1.0 / tau, 1.0 + tau**-0.5)
+    tracemalloc.start()
+    try:
+        SpdFactorization(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("mass,stiff", [(-1.0, 1.0), (1.0, -1.0), (0.0, -1.0), (0.0, 0.0)])
