@@ -12,23 +12,6 @@ import sys
 
 from .harness import ExperimentConfig, emit_report, run_experiment
 
-_LIST_KEYS = {"alpha", "k", "K", "N", "t"}
-_VALID_KEYS = _LIST_KEYS | {
-    "example",
-    "scheme",
-    "study",
-    "gamma",
-    "projection",
-    "include-history-origin",
-    "oracle-tol",
-    "out",
-    "format",
-}
-
-
-def _split(text: str) -> list[str]:
-    return [tok for tok in text.replace(",", " ").split() if tok]
-
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -37,6 +20,31 @@ def _parse_bool(text: str) -> bool:
     if low in ("false", "0", "no"):
         return False
     raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _list_of(cast):
+    """Cast of a comma- or space-separated list to a tuple."""
+    return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
+
+
+# config-file key -> (argparse dest, ExperimentConfig field, cast of its text),
+# in the order the settings are read
+_KEYS = {
+    "example": ("example", "example", str),
+    "scheme": ("scheme", "scheme", str),
+    "study": ("study", "study", str),
+    "projection": ("projection", "projection", str),
+    "out": ("out", "out", str),
+    "format": ("fmt", "fmt", str),
+    "gamma": ("gamma", "gamma", float),
+    "oracle-tol": ("oracle_tol", "oracle_tol", float),
+    "include-history-origin": ("include_history_origin", "include_history_origin", _parse_bool),
+    "alpha": ("alpha", "alphas", _list_of(float)),
+    "k": ("k", "ks", _list_of(int)),
+    "K": ("K", "Ks", _list_of(int)),
+    "N": ("N", "Ns", _list_of(int)),
+    "t": ("t", "ts", _list_of(float)),
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -49,7 +57,7 @@ def read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _VALID_KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
@@ -82,29 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merged_settings(args: argparse.Namespace) -> dict:
     file_vals = read_config_file(args.config) if args.config else {}
-
-    def get(flag: str, key: str):
-        cli_val = getattr(args, flag)
-        return cli_val if cli_val is not None else file_vals.get(key)
-
     settings: dict = {}
-    for flag, key in (("example", "example"), ("scheme", "scheme"), ("study", "study"),
-                      ("projection", "projection"), ("out", "out"), ("fmt", "format")):
-        val = get(flag, key)
+    for key, (dest, field, cast) in _KEYS.items():
+        val = getattr(args, dest)
+        if val is None:
+            val = file_vals.get(key)
         if val is not None:
-            settings[flag] = val
-    for flag, key in (("gamma", "gamma"), ("oracle_tol", "oracle-tol")):
-        val = get(flag, key)
-        if val is not None:
-            settings[flag] = float(val)
-    hist = get("include_history_origin", "include-history-origin")
-    if hist is not None:
-        settings["include_history_origin"] = _parse_bool(hist)
-    lists = {"alpha": ("alphas", float), "k": ("ks", int), "K": ("Ks", int), "N": ("Ns", int), "t": ("ts", float)}
-    for flag, (dest, cast) in lists.items():
-        val = get(flag, flag)
-        if val is not None:
-            settings[dest] = tuple(cast(tok) for tok in _split(val))
+            settings[field] = cast(val)
     return settings
 
 

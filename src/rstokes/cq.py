@@ -10,6 +10,8 @@ order mu at step size tau.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["DELTA", "weights"]
@@ -21,10 +23,13 @@ DELTA = {
 }
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def weights(scheme: str, mu: float, N: int) -> np.ndarray:
-    """Weights w_0..w_N with sum_j w_j xi^j = delta(xi)^mu.
+    """Weights w_0..w_N with sum_j w_j xi^j = delta(xi)^mu, read-only.
 
     The step size enters as the factor tau^-mu, which the caller applies.
+    Results are memoized per (scheme, mu, N): a spatial study asks for the
+    same weights once per mesh.
 
     J.C.P. Miller's recurrence for a power of a polynomial:
     a_0 = c_0^mu, a_n = (1/(n c_0)) sum_{k=1}^{min(n, deg)} (k(mu+1) - n) c_k a_{n-k};
@@ -44,4 +49,5 @@ def weights(scheme: str, mu: float, N: int) -> np.ndarray:
         a[n] = acc / (n * c[0])
     if not np.all(np.isfinite(a)):
         raise ValueError("weight recurrence produced non-finite values")
+    a.flags.writeable = False
     return a

@@ -11,10 +11,11 @@ coordinates are the rfft2 of the zero-extended K x K torus array, scaled so
 that Q is an isometry (`rstokes.linalg.torus_spectrum`), and Q^T restricts
 the torus function to the interior.  A matrix product there leaks onto the
 torus boundary, which the solves and the restriction drop.  Projections
-return and `error_norms` takes vectors in those coordinates.  Load vectors
-for the four initial data of the studies are integrated exactly (closed
-forms for sine and step data, point evaluation for Dirac data), which keeps
-quadrature error out of the convergence studies.
+return vectors in those coordinates, and `error_norms` takes a stack of
+them and returns a plain (2, R) array of absolute L2 and H1 errors.  Load
+vectors for the four initial data of the studies are integrated exactly
+(closed forms for sine and step data, point evaluation for Dirac data),
+which keeps quadrature error out of the convergence studies.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ if TYPE_CHECKING:
 __all__ = [
     "InitialDatum",
     "FemSpace",
-    "ErrorNorms",
     "UnsupportedDatumError",
     "assemble",
     "l2_project",
@@ -99,10 +99,6 @@ class FemSpace:
     def n_coords(self) -> int:
         return self.M.n
 
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        return self.mesh.interior_nodes
-
     def to_coords(self, u: np.ndarray) -> np.ndarray:
         """Q: interior nodal values to space coordinates, along the last axis.
 
@@ -156,7 +152,7 @@ def assemble(mesh: Mesh) -> FemSpace:
 def _sine_load_1d(space: FemSpace, m: int) -> np.ndarray:
     mesh = space.mesh
     h = mesh.h
-    x = mesh.nodes[space.interior_nodes]
+    x = mesh.nodes[mesh.interior_nodes]
     # 2 (1 - cos(m pi h)), written without the cancellation
     w = 4.0 * math.sin(m * math.pi * h / 2.0) ** 2 / (h * (m * math.pi) ** 2)
     return np.sin(m * math.pi * x) * w
@@ -166,7 +162,7 @@ def _step_load_1d(space: FemSpace, a: float) -> np.ndarray:
     # b_i = int_0^a hat_i; the tent on [x_i-h, x_i+h] split at the cut point a
     mesh = space.mesh
     h = mesh.h
-    x = mesh.nodes[space.interior_nodes]
+    x = mesh.nodes[mesh.interior_nodes]
     left = np.clip((a - (x - h)) / h, 0.0, 1.0)
     right = np.clip((a - x) / h, 0.0, 1.0)
     return h * (left**2 / 2.0 + right - right**2 / 2.0)
@@ -176,7 +172,7 @@ def _dirac_load_1d(space: FemSpace, x0: float) -> np.ndarray:
     mesh = space.mesh
     if np.any(np.isclose([0.0, 1.0], x0)):
         raise ValueError("Dirac located on a Dirichlet boundary node")
-    x = mesh.nodes[space.interior_nodes]
+    x = mesh.nodes[mesh.interior_nodes]
     return np.maximum(0.0, 1.0 - np.abs(x0 - x) / mesh.h)
 
 
@@ -216,22 +212,13 @@ def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
         raise UnsupportedDatumError(f"datum kind {v.kind!r} has no gradient representation")
     nodes = space.mesh.nodes
     vv = np.sin(v.frequency * math.pi * nodes)
-    idx = space.interior_nodes
+    idx = space.mesh.interior_nodes
     c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
     return solve_spd(space.S, space.to_coords(c))
 
 
 # ---------------------------------------------------------------------------
 # error norms against the spectral solution
-
-@dataclass(frozen=True)
-class ErrorNorms:
-    l2: float
-    h1: float
-    l2_normalized: float
-    h1_normalized: float
-    datum_norm: float | None
-
 
 # quadrature points per `eval_grid` call of the 2D error pass (a block of
 # cells): each of its temporaries is about 256 kB whatever K and p are
@@ -262,7 +249,7 @@ def _points_per_element(max_freq: int, h: float) -> int:
     return max(4, int(math.ceil(1.2 * max_freq * h)) + 6)
 
 
-def _error_1d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t: float):
+def _error_1d(space: FemSpace, rows: np.ndarray, exact: "ModalSolution", t: float):
     nodes = space.mesh.nodes
     p = _points_per_element(exact.max_frequency[0], space.mesh.h)
     g, gw = _gauss01(p)
@@ -287,7 +274,7 @@ def _error_1d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
     return out
 
 
-def _error_2d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t: float):
+def _error_2d(space: FemSpace, rows: np.ndarray, exact: "ModalSolution", t: float):
     K, h = space.mesh.K, space.mesh.h
     grid = np.arange(K) * h
     fmax = max(exact.max_frequency)
@@ -345,17 +332,17 @@ def _error_2d(space: FemSpace, rows: list[np.ndarray], exact: "ModalSolution", t
             for U in rows]
 
 
-def error_norms(
-    space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float
-) -> ErrorNorms | list[ErrorNorms]:
+def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t: float) -> np.ndarray:
     """L2 and H1-seminorm distance between mesh functions and the exact solution.
 
-    `numeric` holds one mesh function in space coordinates, or an
-    (R, n_coords) stack of R of them, for which R `ErrorNorms` are returned
-    in row order.  The reference is evaluated once per quadrature point and
-    serves every row, so the step counts of a temporal study, which share
-    the mesh and the time, cost one reference pass.  Each row goes through
-    the same floating-point operations as a single vector would.
+    `numeric` is an (R, n_coords) stack of R mesh functions in space
+    coordinates; the result is the (2, R) array of their absolute L2 and H1
+    errors in row order, so `l2, h1 = error_norms(...)`.  Normalizing by
+    the datum's norm is left to the caller (`rstokes.harness`).  The
+    reference is evaluated once per quadrature point and serves every row,
+    so the step counts of a temporal study, which share the mesh and the
+    time, cost one reference pass.  Each row goes through the same
+    floating-point operations as a stack of that row alone.
 
     Composite Gauss quadrature with at least 4 points per element;
     the point count grows with the highest retained oracle mode so that the
@@ -390,15 +377,7 @@ def error_norms(
     if t <= 0.0:
         raise ValueError(f"time must be positive, got t={t}")
     numeric = np.asarray(numeric, dtype=float)
-    if numeric.ndim not in (1, 2) or numeric.shape[-1] != space.n_coords:
-        raise ValueError(f"expected {space.n_coords} coordinates or a stack of them, got {numeric.shape}")
-    rows = list(numeric.reshape(-1, space.n_coords))
+    if numeric.ndim != 2 or numeric.shape[1] != space.n_coords:
+        raise ValueError(f"expected an (R, {space.n_coords}) stack of coordinate vectors, got shape {numeric.shape}")
     quadrature = _error_1d if space.mesh.dim == 1 else _error_2d
-    norm_v = exact.datum_norm
-    scale = norm_v if norm_v else 1.0
-    norms = []
-    for l2_sq, h1_sq in quadrature(space, rows, exact, t):
-        l2 = math.sqrt(max(l2_sq, 0.0))
-        h1 = math.sqrt(max(h1_sq, 0.0))
-        norms.append(ErrorNorms(l2=l2, h1=h1, l2_normalized=l2 / scale, h1_normalized=h1 / scale, datum_norm=norm_v))
-    return norms[0] if numeric.ndim == 1 else norms
+    return np.sqrt(np.maximum(np.array(quadrature(space, numeric, exact, t)).T, 0.0))

@@ -232,7 +232,7 @@ class _Runner:
         return self._oracles[alpha]
 
     def final_state(self, alpha: float, K: int, N: int, t: float) -> np.ndarray:
-        """U^N of one grid point; a copy, so the trajectory is freed on return."""
+        """U^N of one grid point; a copy, so the snapshots are freed on return."""
         scfg = SchemeConfig(
             scheme=self.cfg.scheme,
             alpha=alpha,
@@ -241,7 +241,7 @@ class _Runner:
             n_steps=N,
             include_history_origin=self.cfg.include_history_origin,
         )
-        return run_scheme(self.space(K), scfg, self.initial(K)).final.copy()
+        return run_scheme(self.space(K), scfg, self.initial(K))[-1].copy()
 
 
 def _study_families(cfg: ExperimentConfig):
@@ -285,21 +285,24 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                 raise ExperimentError(
                     {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
                 ) from exc
-        norms = []
+        parts = []
         for (K, t), group in itertools.groupby(zip(points, finals), key=lambda pair: (pair[0][0], pair[0][2])):
             group = list(group)
             try:
-                norms += error_norms(runner.space(K), np.stack([U for _, U in group]), runner.oracle(alpha), t)
+                parts.append(error_norms(runner.space(K), np.stack([U for _, U in group]), runner.oracle(alpha), t))
             except Exception as exc:
                 Ns = tuple(N for (_, N, _, _), _ in group)
                 raise ExperimentError(
                     {"example": cfg.example, "alpha": alpha, "K": K, "N": Ns, "t": t}, exc
                 ) from exc
-        # a datum outside L2 (Dirac) has no norm and is scaled by 1
-        normed = norms[0].datum_norm is not None
+        norms = np.concatenate(parts, axis=1)
+        # a datum outside L2 (Dirac) has no norm, and its errors stay absolute
+        datum_norm = runner.oracle(alpha).datum_norm
+        normed = datum_norm is not None
+        if normed:
+            norms /= datum_norm
+        l2s, h1s = norms.tolist()
         xs = [x for *_, x in points]
-        l2s = [en.l2_normalized for en in norms]
-        h1s = [en.h1_normalized for en in norms]
         for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)):
             report.rows.append(
                 ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, key, normed)

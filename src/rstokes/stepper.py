@@ -12,7 +12,8 @@ step n solves one constant SPD system,
 
 with theta_n = w_n for BE with `include_history_origin`, w_{n-1}/2 for
 SBD and 0 otherwise.  The history is S applied to the weighted sum of the
-stored states, so one (N+1) x dof array is kept.  SBD's first step is the
+stored states, so one (N+1) x dof array is kept, and `run_scheme` returns
+that plain array, the snapshots U^0..U^N.  SBD's first step is the
 corrected start (weight 3/2 on the startup sequence and a half-weighted
 initial stiffness term) that restores second-order accuracy for
 nonvanishing initial data.
@@ -52,7 +53,7 @@ from .cq import DELTA, weights
 from .fem import FemSpace
 from .linalg import SpdFactorization
 
-__all__ = ["SchemeConfig", "DiscreteTrajectory", "run_scheme"]
+__all__ = ["SchemeConfig", "run_scheme"]
 
 
 @dataclass(frozen=True)
@@ -84,29 +85,18 @@ class SchemeConfig:
             raise ValueError(f"need at least one step, got {self.n_steps}")
 
 
-@dataclass(frozen=True)
-class DiscreteTrajectory:
-    """Snapshots U^0..U^N of interior coefficients, in the space's coordinates."""
-
-    config: SchemeConfig
-    snapshots: np.ndarray      # (N+1, n_coords)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.snapshots[-1]
-
-
 class StepFailure(RuntimeError):
     def __init__(self, step: int, cause: Exception):
         super().__init__(f"time step {step} failed: {cause}")
         self.step = step
 
 
-def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTrajectory:
+def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
     """March U^0 = v through cfg.n_steps steps of the configured scheme.
 
-    v and the returned snapshots are in the coordinates of `space`
-    (`FemSpace.to_coords`), as the projections of `rstokes.fem` return them.
+    Returns the (N+1, n_coords) array of the snapshots U^0..U^N.  v and the
+    snapshots are in the coordinates of `space` (`FemSpace.to_coords`), as
+    the projections of `rstokes.fem` return them.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (space.n_coords,):
@@ -151,7 +141,7 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> DiscreteTra
                 U[n] = solver.solve(rhs)
             except Exception as exc:  # propagate with the failing step index
                 raise StepFailure(n, exc) from exc
-    return DiscreteTrajectory(config=cfg, snapshots=U)
+    return U
 
 
 # steps per block, the rows of each far-history product: with few dofs,

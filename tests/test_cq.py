@@ -102,3 +102,12 @@ def test_doubled_precision_recomputation():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         weights("be", 0.5, -1)
+
+
+def test_weights_are_memoized_and_read_only():
+    # a spatial study asks for the same weights once per mesh; the cached
+    # array is shared, so no caller may change it
+    w = weights("sbd", 0.37, 50)
+    assert weights("sbd", 0.37, 50) is w
+    with pytest.raises(ValueError, match="read-only"):
+        w[1] = 0.0

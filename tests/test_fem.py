@@ -28,6 +28,7 @@ from rstokes.fem import (
     l2_project,
     ritz_project,
 )
+from rstokes.harness import ExperimentConfig, run_experiment
 from rstokes.linalg import matvec, solve_spd
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.oracle import ModalSolution, build_modal_solution
@@ -81,13 +82,13 @@ def test_closed_form_2d_matches_element_oracle():
         M_full, S_full = element_matrices(K)
         # row sums of the full mass matrix are the hat integrals; they add up to 1
         assert abs(M_full.sum(axis=1).sum() - 1.0) < 1e-12
-        inner = np.ix_(space.interior_nodes, space.interior_nodes)
+        inner = np.ix_(space.mesh.interior_nodes, space.mesh.interior_nodes)
         for got, full in ((space.M, M_full), (space.S, S_full)):
             expect = full[inner]
             assert np.max(np.abs(stencil_array(got) - expect)) <= 1e-15 * np.max(np.abs(expect))
         for cut in range(1, K):
             load = _step2d_load(space, cut / K)
-            expect = element_step_load(K, cut / K)[space.interior_nodes]
+            expect = element_step_load(K, cut / K)[space.mesh.interior_nodes]
             assert np.max(np.abs(load - expect)) <= 1e-15 * space.mesh.h**2
 
 
@@ -159,7 +160,7 @@ def test_step_load_matches_quadrature():
         h = space.mesh.h
         got = _step_load_1d(space, 0.5)
         ref = np.zeros(space.n_dof)
-        for idx, i in enumerate(space.interior_nodes):
+        for idx, i in enumerate(space.mesh.interior_nodes):
             xi = space.mesh.nodes[i]
             # integrate each linear piece of the tent, split at the cut point
             breaks = sorted({xi - h, xi, xi + h, 0.5})
@@ -201,7 +202,7 @@ def test_ritz_galerkin_orthogonality():
     # projection's DST-I coefficients go back to nodal values for the nodal S
     nodes = space.mesh.nodes
     vv = np.sin(2 * math.pi * nodes)
-    idx = space.interior_nodes
+    idx = space.mesh.interior_nodes
     c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
     residual = interval_matrices(16)[1] @ space.to_nodal(x) - c
     assert np.max(np.abs(residual)) < 1e-12
@@ -227,18 +228,18 @@ def test_error_norms_of_interpolant():
     res = {}
     for K in (8, 16):
         space = assemble(build_interval_mesh(K))
-        nodes = space.mesh.nodes[space.interior_nodes]
+        nodes = space.mesh.nodes[space.mesh.interior_nodes]
         interp = u2 * np.sin(2 * math.pi * nodes)
-        res[K] = error_norms(space, space.to_coords(interp), ms, t)
-    assert res[8].l2 / res[16].l2 == pytest.approx(4.0, rel=0.15)
-    assert res[8].h1 / res[16].h1 == pytest.approx(2.0, rel=0.10)
+        res[K] = error_norms(space, space.to_coords(interp)[None], ms, t)[:, 0]
+    assert res[8][0] / res[16][0] == pytest.approx(4.0, rel=0.15)
+    assert res[8][1] / res[16][1] == pytest.approx(2.0, rel=0.10)
 
 
 def test_error_norms_validation():
     ms = build_modal_solution(InitialDatum("smooth_sine", frequency=2), 0.5, 1.0)
     space = assemble(build_interval_mesh(8))
     with pytest.raises(ValueError):
-        error_norms(space, np.zeros(space.n_dof), ms, 0.0)
+        error_norms(space, np.zeros((1, space.n_dof)), ms, 0.0)
     with pytest.raises(ValueError):
         error_norms(space, np.zeros(space.n_dof + 1), ms, 0.1)
     # a stack whose rows have the wrong length, and a 3-D array
@@ -246,6 +247,14 @@ def test_error_norms_validation():
         error_norms(space, np.zeros((2, space.n_dof + 1)), ms, 0.1)
     with pytest.raises(ValueError):
         error_norms(space, np.zeros((1, 2, space.n_dof)), ms, 0.1)
+
+
+def test_error_norms_rejects_a_single_vector():
+    # one mesh function is a stack of one row; the error names that shape
+    ms = build_modal_solution(InitialDatum("smooth_sine", frequency=2), 0.5, 1.0)
+    space = assemble(build_interval_mesh(8))
+    with pytest.raises(ValueError, match=r"expected an \(R, 7\) stack .* got shape \(7,\)"):
+        error_norms(space, np.zeros(space.n_coords), ms, 0.1)
 
 
 @pytest.mark.parametrize("datum,mesh", [
@@ -260,9 +269,9 @@ def test_error_norms_of_a_stack_equal_single_calls(datum, mesh):
     ms = build_modal_solution(datum, 0.5, 1.0, t_min=t)
     space = assemble(mesh)
     v = l2_project(space, datum)
-    finals = np.stack([run_scheme(space, SchemeConfig("be", 0.5, 1.0, t / N, N), v).final for N in (2, 4, 8)])
+    finals = np.stack([run_scheme(space, SchemeConfig("be", 0.5, 1.0, t / N, N), v)[-1] for N in (2, 4, 8)])
     stacked = error_norms(space, finals, ms, t)
-    assert stacked == [error_norms(space, U, ms, t) for U in finals]
+    assert np.array_equal(stacked, np.hstack([error_norms(space, U[None], ms, t) for U in finals]))
 
 
 class _ZeroOracle:
@@ -285,21 +294,22 @@ class _ZeroOracle:
         return self.breaks
 
 
-def _assert_mass_stiffness_norms(space, U, en):
+def _assert_mass_stiffness_norms(space, U, norms):
     # U expands by zeros on the boundary, so the interior matrices give its
     # norms, taken in space coordinates
-    assert en.l2 == pytest.approx(math.sqrt(U @ (space.M @ U)), rel=1e-12)
-    assert en.h1 == pytest.approx(math.sqrt(U @ (space.S @ U)), rel=1e-12)
+    l2, h1 = norms
+    assert l2 == pytest.approx(math.sqrt(U @ (space.M @ U)), rel=1e-12)
+    assert h1 == pytest.approx(math.sqrt(U @ (space.S @ U)), rel=1e-12)
 
 
 def _assert_stack_mass_stiffness_norms(space, oracle, rng):
-    # one vector, and a stack of three whose rows each get their own norms
+    # a stack of one, and a stack of three whose rows each get their own norms
     U = space.to_coords(rng.standard_normal((3, space.n_dof)))
-    _assert_mass_stiffness_norms(space, U[0], error_norms(space, U[0], oracle, 0.1))
+    _assert_mass_stiffness_norms(space, U[0], error_norms(space, U[:1], oracle, 0.1)[:, 0])
     stacked = error_norms(space, U, oracle, 0.1)
-    assert len(stacked) == 3
-    for row, en in zip(U, stacked):
-        _assert_mass_stiffness_norms(space, row, en)
+    assert stacked.shape == (2, 3)
+    for row, norms in zip(U, stacked.T):
+        _assert_mass_stiffness_norms(space, row, norms)
 
 
 def test_error_norms_2d_quadrature_identity(rng):
@@ -363,7 +373,7 @@ def test_error_2d_matches_direct_quadrature(rng, K):
     ms = build_modal_solution(datum, 0.5, 1.0, t_min=t)
     space = assemble(build_square_mesh(K))
     v = l2_project(space, datum)
-    rows = [run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, t / N, N), v).final
+    rows = [run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, t / N, N), v)[-1]
             for scheme in ("be", "sbd") for N in (5, 40, 200)]
     rows += [space.to_coords(rng.standard_normal(space.n_dof)), np.zeros(space.n_coords), v]
     got = _error_2d(space, rows, ms, t)
@@ -445,17 +455,23 @@ def test_error_norms_fast_reference_matches_direct(kind, K, t):
         assert len(ms.modes) == 151
     direct = _DirectModalSolution(**{f.name: getattr(ms, f.name) for f in dataclasses.fields(ms)})
     space = assemble(build_interval_mesh(K))
-    U = run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, t / 1000, 1000), l2_project(space, datum)).final
-    fast = error_norms(space, U, ms, t)
-    ref = error_norms(space, U, direct, t)
-    assert fast.l2 == pytest.approx(ref.l2, rel=1e-12)
-    assert fast.h1 == pytest.approx(ref.h1, rel=1e-12)
+    U = run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, t / 1000, 1000), l2_project(space, datum))[-1:]
+    fast_l2, fast_h1 = error_norms(space, U, ms, t)[:, 0]
+    ref_l2, ref_h1 = error_norms(space, U, direct, t)[:, 0]
+    assert fast_l2 == pytest.approx(ref_l2, rel=1e-12)
+    assert fast_h1 == pytest.approx(ref_h1, rel=1e-12)
 
 
 def test_normalization_fields():
-    ms = build_modal_solution(InitialDatum("step", location=0.5), 0.5, 1.0, t_min=0.1)
+    # error_norms returns absolute errors; the harness divides the rows of
+    # the step datum by ||v||_L2 = 2^-1/2 (the reference at the study's oracle_tol)
+    datum = InitialDatum("step", location=0.5)
+    ms = build_modal_solution(datum, 0.5, 1.0, tol=1e-6, t_min=0.1)
+    assert ms.datum_norm == pytest.approx(2**-0.5)
     space = assemble(build_interval_mesh(8))
-    x = l2_project(space, InitialDatum("step", location=0.5))
-    en = error_norms(space, x, ms, 0.1)
-    assert en.l2_normalized == pytest.approx(en.l2 / (2**-0.5))
-    assert en.datum_norm == pytest.approx(2**-0.5)
+    U = run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, 0.1 / 20, 20), l2_project(space, datum))[-1:]
+    l2, h1 = error_norms(space, U, ms, 0.1)[:, 0]
+    [row] = run_experiment(ExperimentConfig(example="b", study="spatial", ks=(3,), Ns=(20,), ts=(0.1,))).rows
+    assert row.normalized
+    assert row.l2_error == pytest.approx(l2 / (2**-0.5))
+    assert row.h1_error == pytest.approx(h1 / (2**-0.5))

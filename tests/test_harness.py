@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rstokes import harness
+from rstokes import cli, harness
 from rstokes.cli import main, read_config_file
 from rstokes.harness import (
     ErrorReport,
@@ -261,6 +262,19 @@ def test_cli_reports_errors(tmp_path, capsys):
     bad.write_text("exmaple = a\n")
     assert main(["--config", str(bad)]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cli_key_table_matches_parser_and_config(tmp_path):
+    # one table maps each config-file key to its flag's dest, its
+    # ExperimentConfig field and the cast of its text
+    actions = [a for a in cli.build_parser()._actions if a.dest not in ("help", "config")]
+    flags = {opt[2:] for a in actions for opt in a.option_strings if opt.startswith("--")}
+    assert set(cli._KEYS) == flags
+    cfgfile = tmp_path / "all.cfg"
+    cfgfile.write_text("".join(f"{key} = x\n" for key in cli._KEYS))
+    assert set(read_config_file(str(cfgfile))) == set(cli._KEYS)
+    assert {dest for dest, _, _ in cli._KEYS.values()} == {a.dest for a in actions}
+    assert {field for _, field, _ in cli._KEYS.values()} == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_config_file_parser(tmp_path):

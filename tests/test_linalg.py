@@ -100,7 +100,7 @@ def test_solve_against_dense_cholesky():
     # dense solve of the nodal matrices
     space = assemble(build_interval_mesh(4))
     M, S = (A.toarray() for A in interval_matrices(4))
-    nodes = space.mesh.nodes[space.interior_nodes]
+    nodes = space.mesh.nodes[space.mesh.interior_nodes]
     b = M @ np.sin(np.pi * nodes)
     x = space.to_nodal(solve_spd(space.S, space.to_coords(b)))
     expect = np.linalg.solve(S, b)

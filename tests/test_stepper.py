@@ -47,8 +47,8 @@ def test_zero_data_stays_zero():
     space = assemble(build_interval_mesh(8))
     for scheme in ("be", "sbd"):
         cfg = SchemeConfig(scheme, 0.5, 1.0, 0.01, 6)
-        traj = run_scheme(space, cfg, np.zeros(space.n_dof))
-        assert np.max(np.abs(traj.snapshots)) == 0.0
+        U = run_scheme(space, cfg, np.zeros(space.n_dof))
+        assert np.max(np.abs(U)) == 0.0
 
 
 def test_scheme_config_validation():
@@ -93,9 +93,9 @@ def test_mode_decoupling_all_modes(mesh_builder, K):
             cfg = SchemeConfig(scheme, alpha, 1.0, 0.01, 12, include_history_origin=origin)
             for k in range(space.n_dof):
                 v = vecs[:, k]
-                traj = run_scheme(space, cfg, v)
+                U = run_scheme(space, cfg, v)
                 ref = scalar(float(lams[k]), alpha, 1.0, 0.01, 12)
-                diff = np.max(np.abs(traj.snapshots - np.outer(ref, v)))
+                diff = np.max(np.abs(U - np.outer(ref, v)))
                 assert diff < 1e-10
 
 
@@ -123,7 +123,7 @@ def test_fine_mesh_sine_mode_matches_scalar_recurrence(scheme, origin, scalar):
         lam_k = (4.0 * K * s2) / ((1.0 - (2.0 / 3.0) * s2) / K)
         v = np.zeros(space.n_dof)
         v[k - 1] = 1.0
-        U = run_scheme(space, cfg, v).snapshots
+        U = run_scheme(space, cfg, v)
         ref = scalar(lam_k, 0.5, 1.0, tau, N)
         assert not np.any(np.delete(U, k - 1, axis=1))
         assert np.all(np.abs(U[:, k - 1] - ref) <= 1e-13 * np.abs(ref) + 5e-16)
@@ -135,9 +135,9 @@ def test_trajectory_linearity(rng):
     v2 = rng.standard_normal(space.n_dof)
     for scheme in ("be", "sbd"):
         cfg = SchemeConfig(scheme, 0.4, 1.0, 0.02, 8)
-        t1 = run_scheme(space, cfg, v1).snapshots
-        t2 = run_scheme(space, cfg, v2).snapshots
-        t12 = run_scheme(space, cfg, v1 + 2.5 * v2).snapshots
+        t1 = run_scheme(space, cfg, v1)
+        t2 = run_scheme(space, cfg, v2)
+        t12 = run_scheme(space, cfg, v1 + 2.5 * v2)
         assert np.max(np.abs(t12 - t1 - 2.5 * t2)) < 1e-11
 
 
@@ -247,7 +247,7 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
     for alpha in (0.3, 0.7):
         for scheme, origin in (("be", False), ("be", True), ("sbd", False)):
             cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N, include_history_origin=origin)
-            U = space.to_nodal(run_scheme(space, cfg, space.to_coords(v)).snapshots)
+            U = space.to_nodal(run_scheme(space, cfg, space.to_coords(v)))
             ref = direct_run_scheme(space, cfg, v)
             gap = np.max(np.abs(U - ref), axis=1) / np.max(np.abs(ref), axis=1)
             assert np.max(gap) < (3e-13 if N <= 128 else 1e-12)
@@ -276,10 +276,10 @@ def test_1d_run_factors_once_and_solves_each_step_in_order(monkeypatch, scheme):
     space = assemble(build_interval_mesh(16))
     v = l2_project(space, InitialDatum("step"))
     N = 300
-    traj = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, 0.1 / N, N), v)
+    U = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, 0.1 / N, N), v)
     assert len(built) == 1
     assert len(solved) == N
-    assert np.array_equal(np.array(solved), traj.snapshots[1:])
+    assert np.array_equal(np.array(solved), U[1:])
 
 
 @pytest.mark.parametrize("N", [1, 100])
@@ -309,9 +309,9 @@ def test_run_leaves_no_reference_cycle(mesh_builder, K):
     gc.collect()
     gc.disable()
     try:
-        traj = run_scheme(space, cfg, space.to_coords(np.ones(space.n_dof)))
-        snapshots = weakref.ref(traj.snapshots)
-        del traj
+        U = run_scheme(space, cfg, space.to_coords(np.ones(space.n_dof)))
+        snapshots = weakref.ref(U)
+        del U
         assert snapshots() is None
     finally:
         gc.enable()
@@ -321,10 +321,10 @@ def test_trajectory_metadata():
     space = assemble(build_interval_mesh(8))
     cfg = SchemeConfig("sbd", 0.5, 1.0, 0.05, 4)
     v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
-    traj = run_scheme(space, cfg, v)
-    assert np.allclose(traj.snapshots[0], v)
-    assert np.all(np.isfinite(traj.snapshots))
-    assert np.shares_memory(traj.final, traj.snapshots)
+    U = run_scheme(space, cfg, v)
+    assert U.shape == (cfg.n_steps + 1, space.n_coords)
+    assert np.allclose(U[0], v)
+    assert np.all(np.isfinite(U))
 
 
 @pytest.mark.parametrize("scheme", ["be", "sbd"])
@@ -337,11 +337,11 @@ def test_stepper_stores_one_history_array(scheme):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        traj = run_scheme(space, cfg, v)
+        U = run_scheme(space, cfg, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * traj.snapshots.nbytes
+    assert peak < 1.5 * U.nbytes
 
 
 def test_stepper_memory_at_fine_tau_scale():
@@ -353,11 +353,11 @@ def test_stepper_memory_at_fine_tau_scale():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        traj = run_scheme(space, cfg, v)
+        U = run_scheme(space, cfg, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * traj.snapshots.nbytes
+    assert peak < 1.5 * U.nbytes
 
 
 @pytest.mark.parametrize("K,N", [(8, 4000), (64, 1000), (2048, 2000)])
@@ -370,8 +370,8 @@ def test_stepper_working_memory_is_bounded(K, N):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        traj = run_scheme(space, cfg, v)
+        U = run_scheme(space, cfg, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - traj.snapshots.nbytes < 1 << 20
+    assert peak - U.nbytes < 1 << 20
