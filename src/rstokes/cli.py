@@ -1,8 +1,14 @@
 """Command-line entry point for the convergence-study harness.
 
-Flags mirror the ExperimentConfig fields; a flat key=value config file can
-seed any of them, with command-line values taking precedence.  Exit status is
-0 on success and 1 with a diagnostic on any failed grid point.
+One table, `_KEYS`, names every setting: its flag, its config-file key, its
+ExperimentConfig field and the cast of its text.  A flat key=value config
+file can seed any of them, with command-line values taking precedence.  The
+parser only collects text; each value is cast here, with its key named when
+the cast fails, and checked by ExperimentConfig, which holds the allowed
+values and fills the study defaults.  So a bad value reads the same from a
+flag and from the file.  Exit status is 0 on success and 1 with one
+`rstokes: error:` line on a bad setting or a failed grid point; argparse
+itself exits 2 on an unknown flag or a flag without its value.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ def _list_of(cast):
     return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
 
 
-# config-file key -> (argparse dest, ExperimentConfig field, cast of its text),
-# in the order the settings are read
+# config-file key (and flag name) -> (argparse dest, ExperimentConfig field,
+# cast of its text), in the order the settings are read
 _KEYS = {
     "example": ("example", "example", str),
     "scheme": ("scheme", "scheme", str),
@@ -44,6 +50,16 @@ _KEYS = {
     "K": ("K", "Ks", _list_of(int)),
     "N": ("N", "Ns", _list_of(int)),
     "t": ("t", "ts", _list_of(float)),
+}
+
+# help text of the flags that need more than their name
+_HELP = {
+    "alpha": "comma/space separated list, e.g. 0.1,0.5,0.9",
+    "k": "mesh exponents, K = 2^k",
+    "K": "explicit subdivision counts (misaligned grids)",
+    "N": "step counts",
+    "t": "observation times",
+    "out": "output path; omitted prints the report to stdout",
 }
 
 
@@ -71,20 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convergence-rate studies for the fractional Rayleigh-Stokes solver.",
     )
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--example", choices=["a", "b", "c", "d"])
-    p.add_argument("--scheme", choices=["be", "sbd"])
-    p.add_argument("--study", choices=["temporal", "spatial", "blowup"])
-    p.add_argument("--alpha", help="comma/space separated list, e.g. 0.1,0.5,0.9")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--k", help="mesh exponents, K = 2^k")
-    p.add_argument("--K", help="explicit subdivision counts (misaligned grids)")
-    p.add_argument("--N", help="step counts")
-    p.add_argument("--t", help="observation times")
-    p.add_argument("--projection", choices=["l2", "ritz"])
-    p.add_argument("--include-history-origin", dest="include_history_origin", choices=["true", "false"])
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=float)
-    p.add_argument("--out", help="output path; omitted prints a text report to stdout")
-    p.add_argument("--format", dest="fmt", choices=["csv", "text"])
+    for key, (dest, _, _) in _KEYS.items():
+        p.add_argument(f"--{key}", dest=dest, help=_HELP.get(key))
     return p
 
 
@@ -96,7 +100,10 @@ def _merged_settings(args: argparse.Namespace) -> dict:
         if val is None:
             val = file_vals.get(key)
         if val is not None:
-            settings[field] = cast(val)
+            try:
+                settings[field] = cast(val)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
     return settings
 
 

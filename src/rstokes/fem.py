@@ -75,6 +75,14 @@ class InitialDatum:
         """Dimension of the datum's domain: 2 (the square) for step2d, else 1."""
         return 2 if self.kind == "step2d" else 1
 
+    @property
+    def l2_norm(self) -> float | None:
+        """Exact L2 norm of the datum; None for Dirac data, which are not in L2.
+
+        step and step2d are the indicator of a set of measure `location`.
+        """
+        return {"dirac": None, "smooth_sine": 1.0 / math.sqrt(2.0)}.get(self.kind, math.sqrt(self.location))
+
 
 @dataclass(frozen=True)
 class FemSpace:
@@ -206,15 +214,17 @@ def l2_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
 
 
 def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
-    """Coefficients of the Ritz projection R_h v (gradient data required), in space coordinates."""
+    """Coefficients of the Ritz projection R_h v (gradient data required), in space coordinates.
+
+    On the interval it is the nodal interpolant I_h v: each phi_i' is
+    constant on a cell and v - I_h v vanishes at the cell ends, so
+    ((v - I_h v)', phi_i') = 0 for every basis function.
+    """
     _check_domain(space, v)
     if v.kind != "smooth_sine":
         raise UnsupportedDatumError(f"datum kind {v.kind!r} has no gradient representation")
-    nodes = space.mesh.nodes
-    vv = np.sin(v.frequency * math.pi * nodes)
-    idx = space.mesh.interior_nodes
-    c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
-    return solve_spd(space.S, space.to_coords(c))
+    x = space.mesh.nodes[space.mesh.interior_nodes]
+    return space.to_coords(np.sin(v.frequency * math.pi * x))
 
 
 # ---------------------------------------------------------------------------

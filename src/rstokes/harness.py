@@ -5,11 +5,18 @@ A study is one of
   spatial:  fixed step count, sweep the mesh over K = 2^k (or explicit K),
   blowup:   fixed mesh and N with tau = t/N, sweep t toward zero.
 
-Errors are measured against the spectral solution; reported values are
-normalized by ||v||_L2 except for Dirac data, whose errors are absolute.
-The points of a family are stepped first, and one pass of the error
-quadrature per mesh and time then serves every step count of a temporal
-family.
+`ExperimentConfig` decides a study's settings in one place: it fills the
+grid lists a study omits with that study's defaults and rejects a bad value
+(an alpha outside (0, 1), a blowup study without sbd, ...) before any mesh
+is built; `meshes` lists the subdivision counts it resolves to.
+
+Errors are measured against the spectral solution.  A report's errors are
+normalized by the datum's `InitialDatum.l2_norm`, except for Dirac data,
+whose errors are absolute (`ErrorReport.normalized`).  The points of a
+family are stepped first, and one pass of the error quadrature per mesh and
+time then serves every step count of a temporal family.  A `ReportRow`
+holds only its own values; `emit_report` takes the example, the scheme, the
+format and the output path from the report's config.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import io
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -70,30 +77,56 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.example not in ("a", "b", "c", "d"):
+        if self.example not in _DATA:
             raise ValueError(f"example must be one of a,b,c,d, got {self.example!r}")
         if self.scheme not in ("be", "sbd"):
             raise ValueError(f"scheme must be be or sbd, got {self.scheme!r}")
         if self.study not in ("temporal", "spatial", "blowup"):
             raise ValueError(f"unknown study {self.study!r}")
+        # omitted grid lists take the defaults of the study, then the
+        # resolved settings are checked
+        ks, Ns, ts = self.ks, self.Ns, self.ts
+        if not ks and not self.Ks:
+            square = _DATA[self.example].dim == 2
+            if self.study == "temporal":
+                ks = (6,) if square else (11,)
+            elif self.study == "spatial":
+                ks = (3, 4, 5, 6) if square else (3, 4, 5, 6, 7)
+            else:
+                ks = (6,)
+        if not Ns:
+            if self.study == "temporal":
+                Ns = (5, 10, 20, 40, 80)
+            elif self.study == "spatial":
+                defaults = {"a": 2000, "d": 200}
+                Ns = (defaults.get(self.example, 1000),)
+            else:
+                Ns = (1000,)
+        if not ts:
+            ts = tuple(10.0 ** (-e) for e in range(3, 9)) if self.study == "blowup" else (0.1,)
+        for name, value in (("ks", ks), ("Ns", Ns), ("ts", ts)):
+            object.__setattr__(self, name, value)
+        if self.study == "blowup" and self.scheme != "sbd":
+            raise ValueError("blowup study requires the second-order scheme (sbd)")
         if not self.alphas:
             raise ValueError("alpha list must be nonempty")
+        if not all(0.0 < alpha < 1.0 for alpha in self.alphas):
+            raise ValueError(f"alpha must lie in (0,1), got alpha list {self.alphas}")
         for name, values in (("t", self.ts), ("gamma", (self.gamma,)), ("oracle_tol", (self.oracle_tol,))):
             if not all(math.isfinite(v) and v > 0 for v in values):
                 raise ValueError(f"{name} must be finite and positive, got {values}")
         if any(N < 1 for N in self.Ns):
             raise ValueError(f"step counts must be at least 1, got N list {self.Ns}")
         # a repeated sweep value gives a zero log-ratio in the rate formula
-        meshes = _mesh_list(self)
         lists = {"alpha": self.alphas, "k": self.ks, "K": self.Ks, "N": self.Ns, "t": self.ts,
-                 "mesh (k and K together)": meshes}
+                 "mesh (k and K together)": self.meshes}
         for name, values in lists.items():
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} list repeats a value: {tuple(values)}")
         # the axes a study does not sweep hold one value each
-        if self.study != "spatial" and len(meshes) > 1:
+        if self.study != "spatial" and len(self.meshes) > 1:
             raise ValueError(f"{self.study} study holds the mesh fixed; "
-                             f"got mesh (k and K together) list {tuple(meshes)}")
+                             f"got mesh (k and K together) list {self.meshes}")
         if self.study != "temporal" and len(self.Ns) > 1:
             raise ValueError(f"{self.study} study holds N fixed; got N list {self.Ns}")
         if self.projection not in ("l2", "ritz"):
@@ -103,34 +136,14 @@ class ExperimentConfig:
         if self.fmt not in ("csv", "text"):
             raise ValueError(f"format must be csv or text, got {self.fmt!r}")
 
-
-def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
-    ks, Ns, ts = cfg.ks, cfg.Ns, cfg.ts
-    if not ks and not cfg.Ks:
-        square = _DATA[cfg.example].dim == 2
-        if cfg.study == "temporal":
-            ks = (6,) if square else (11,)
-        elif cfg.study == "spatial":
-            ks = (3, 4, 5, 6) if square else (3, 4, 5, 6, 7)
-        else:
-            ks = (6,)
-    if not Ns:
-        if cfg.study == "temporal":
-            Ns = (5, 10, 20, 40, 80)
-        elif cfg.study == "spatial":
-            defaults = {"a": 2000, "d": 200}
-            Ns = (defaults.get(cfg.example, 1000),)
-        else:
-            Ns = (1000,)
-    if not ts:
-        ts = tuple(10.0 ** (-e) for e in range(3, 9)) if cfg.study == "blowup" else (0.1,)
-    return replace(cfg, ks=ks, Ns=Ns, ts=ts)
+    @property
+    def meshes(self) -> tuple[int, ...]:
+        """Subdivision counts of the study's meshes: 2^k for each k, then each K."""
+        return tuple(2**k for k in self.ks) + tuple(self.Ks)
 
 
 @dataclass(frozen=True)
 class ReportRow:
-    example: str
-    scheme: str
     alpha: float
     h: float
     tau: float
@@ -138,8 +151,6 @@ class ReportRow:
     l2_error: float
     h1_error: float
     rate: float | None
-    family: str
-    normalized: bool
 
 
 @dataclass(frozen=True)
@@ -158,6 +169,11 @@ class ErrorReport:
     config: ExperimentConfig
     rows: list[ReportRow] = field(default_factory=list)
     families: list[Family] = field(default_factory=list)
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the errors are divided by ||v||_L2; Dirac data have no such norm."""
+        return _DATA[self.config.example].l2_norm is not None
 
 
 def pair_rates(xs, errors) -> list[float | None]:
@@ -190,10 +206,6 @@ _DATA = {
     "c": InitialDatum("dirac", location=0.5),
     "d": InitialDatum("step2d", location=0.5),
 }
-
-
-def _mesh_list(cfg: ExperimentConfig) -> list[int]:
-    return [2**k for k in cfg.ks] + list(cfg.Ks)
 
 
 class _Runner:
@@ -246,7 +258,7 @@ class _Runner:
 
 def _study_families(cfg: ExperimentConfig):
     """Yield (key, x name, alpha, [(K, N, t, x), ...]) for each study family."""
-    meshes = _mesh_list(cfg)
+    meshes = cfg.meshes
     for alpha in cfg.alphas:
         head = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}"
         if cfg.study == "blowup":
@@ -270,9 +282,6 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     states: one reference pass serves every step count of a temporal family,
     while spatial and blowup families make one call per point.
     """
-    cfg = _with_defaults(cfg)
-    if cfg.study == "blowup" and cfg.scheme != "sbd":
-        raise ValueError("blowup study requires the second-order scheme (sbd)")
     fit = loglog_slope if cfg.study == "blowup" else fitted_rate
     runner = _Runner(cfg)
     report = ErrorReport(config=cfg)
@@ -297,16 +306,12 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                 ) from exc
         norms = np.concatenate(parts, axis=1)
         # a datum outside L2 (Dirac) has no norm, and its errors stay absolute
-        datum_norm = runner.oracle(alpha).datum_norm
-        normed = datum_norm is not None
-        if normed:
-            norms /= datum_norm
+        if report.normalized:
+            norms /= runner.datum.l2_norm
         l2s, h1s = norms.tolist()
         xs = [x for *_, x in points]
         for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)):
-            report.rows.append(
-                ReportRow(cfg.example, cfg.scheme, alpha, 1.0 / K, t / N, t, l2, h1, rate, key, normed)
-            )
+            report.rows.append(ReportRow(alpha, 1.0 / K, t / N, t, l2, h1, rate))
         report.families.append(
             Family(key, x_name, tuple(xs), tuple(l2s), tuple(h1s), fit(xs, l2s), fit(xs, h1s))
         )
@@ -326,8 +331,8 @@ def _emit_csv(report: ErrorReport, stream) -> None:
     for r in report.rows:
         writer.writerow(
             [
-                r.example,
-                r.scheme,
+                report.config.example,
+                report.config.scheme,
                 _fmt(r.alpha),
                 _fmt(r.h),
                 _fmt(r.tau),
@@ -340,30 +345,23 @@ def _emit_csv(report: ErrorReport, stream) -> None:
 
 
 def _emit_text(report: ErrorReport, stream) -> None:
-    by_family: dict[str, list[ReportRow]] = {}
-    for r in report.rows:
-        by_family.setdefault(r.family, []).append(r)
-    fams = {f.key: f for f in report.families}
-    for key, rows in by_family.items():
-        fam = fams[key]
-        label = "absolute" if not rows[0].normalized else "normalized"
-        stream.write(f"# {key}  ({label} errors)\n")
+    label = "normalized" if report.normalized else "absolute"
+    rows = iter(report.rows)   # in family order, len(fam.xs) rows each
+    for fam in report.families:
+        stream.write(f"# {fam.key}  ({label} errors)\n")
         stream.write(f"{fam.x_name:>12s} {'l2_error':>14s} {'h1_error':>14s} {'rate':>8s}\n")
+        # zip reads fam.xs first, so it stops at the family's end without taking a row
         for x, r in zip(fam.xs, rows):
             rate = "" if r.rate is None else f"{r.rate:8.3f}"
             stream.write(f"{x:12.6g} {r.l2_error:14.6e} {r.h1_error:14.6e} {rate:>8s}\n")
         stream.write(f"fitted: l2 rate {fam.l2_rate:.3f}, h1 rate {fam.h1_rate:.3f}\n\n")
 
 
-def emit_report(report: ErrorReport, fmt: str | None = None, path: str | None = None) -> str:
-    """Write the report; returns the emitted text (also written to path if given)."""
-    fmt = fmt or report.config.fmt
-    if fmt not in ("csv", "text"):
-        raise ValueError(f"format must be csv or text, got {fmt!r}")
+def emit_report(report: ErrorReport) -> str:
+    """Write the report in its config's format; returns the text, also written to config.out if set."""
     buf = io.StringIO()
-    (_emit_csv if fmt == "csv" else _emit_text)(report, buf)
+    (_emit_csv if report.config.fmt == "csv" else _emit_text)(report, buf)
     text = buf.getvalue()
-    target = path or report.config.out
-    if target:
-        Path(target).write_text(text)
+    if report.config.out:
+        Path(report.config.out).write_text(text)
     return text

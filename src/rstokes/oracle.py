@@ -207,8 +207,7 @@ class ModalSolution:
     coefficients built by hand) `coeffs` pair with the plain factors u_j.
 
     `tail_bound` bounds the sup norm of the dropped modes at every t >= t_min
-    (0.0 when nothing is dropped); `datum_norm` is the exact L2 norm of v (None
-    when v is not in L2).
+    (0.0 when nothing is dropped).
     """
 
     alpha: float
@@ -217,9 +216,7 @@ class ModalSolution:
     coeffs: np.ndarray
     datum: InitialDatum | None = None
     tail_bound: float = 0.0
-    datum_norm: float | None = None
     _factors: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
-    _beta1: dict[float, float] = field(default_factory=dict, repr=False)
     _amplitudes: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
     _grid_sides: dict[str, tuple[tuple, tuple[np.ndarray, ...]]] = field(default_factory=dict, repr=False)
 
@@ -237,11 +234,7 @@ class ModalSolution:
 
     def beta1(self, t: float) -> float:
         """Split amplitude: inverse transform of 1/(1 + gamma z^alpha)."""
-        cached = self._beta1.get(t)
-        if cached is None:
-            cached = float(_bromwich(None, t, self.gamma, self.alpha, "limit")[0])
-            self._beta1[t] = cached
-        return cached
+        return float(_bromwich(None, t, self.gamma, self.alpha, "limit")[0])
 
     # -- evaluation --------------------------------------------------------
     def eval_points(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -418,8 +411,5 @@ def build_modal_solution(
     tails = np.concatenate([suffix[1:], [0.0]]) + rest
     meets = np.flatnonzero(tails < tol)
     keep = int(meets[0]) + 1 if len(meets) else len(modes)
-    # step and step2d are the indicator of a set of measure `location`; Dirac is not in L2
-    norm = {"dirac": None, "smooth_sine": 1.0 / math.sqrt(2.0)}.get(datum.kind, math.sqrt(datum.location))
     kept = ModeSet(domain, modes.jx[:keep], modes.jy[:keep], modes.lam[:keep])
-    return ModalSolution(alpha, gamma, kept, coeffs[:keep], datum=split, tail_bound=float(tails[keep - 1]),
-                         datum_norm=norm)
+    return ModalSolution(alpha, gamma, kept, coeffs[:keep], datum=split, tail_bound=float(tails[keep - 1]))

@@ -440,7 +440,7 @@ def test_criterion_9d_sector_audit():
 
 def test_criterion_9e_projection_identities(rng):
     # a mesh function v (zero on the boundary) has L2 load M v and Ritz load
-    # S v; l2_project and ritz_project solve M and S with solve_spd
+    # S v; solving M and S with solve_spd must give v back
     worst = 0.0
     for builder, K in ((build_interval_mesh, 12), (build_square_mesh, 4)):
         space = assemble(builder(K))

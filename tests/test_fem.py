@@ -117,7 +117,7 @@ def test_l2_projection_reproduces_mesh_functions(rng):
 
 
 def test_ritz_projection_reproduces_mesh_functions(rng):
-    # the Ritz load of a mesh function v (zero on the boundary) is S v; ritz_project solves S
+    # the Ritz load of a mesh function v (zero on the boundary) is S v, so solving S reproduces v
     for mesh in (build_interval_mesh(8), build_square_mesh(4)):
         space = assemble(mesh)
         v = space.to_coords(rng.standard_normal(space.n_dof))
@@ -194,14 +194,15 @@ def test_datum_dimension_checks():
         ritz_project(space1, InitialDatum("dirac"))
 
 
-def test_ritz_galerkin_orthogonality():
+@pytest.mark.parametrize("m", [2, 19])   # 19: a frequency above K
+def test_ritz_galerkin_orthogonality(m):
     space = assemble(build_interval_mesh(16))
-    datum = InitialDatum("smooth_sine", frequency=2)
+    datum = InitialDatum("smooth_sine", frequency=m)
     x = ritz_project(space, datum)
     # residual of the gradient equation vanishes per basis function; the
     # projection's DST-I coefficients go back to nodal values for the nodal S
     nodes = space.mesh.nodes
-    vv = np.sin(2 * math.pi * nodes)
+    vv = np.sin(m * math.pi * nodes)
     idx = space.mesh.interior_nodes
     c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
     residual = interval_matrices(16)[1] @ space.to_nodal(x) - c
@@ -277,8 +278,6 @@ def test_error_norms_of_a_stack_equal_single_calls(datum, mesh):
 class _ZeroOracle:
     """Zero reference: the quadrature then returns the mass/stiffness norms of U."""
 
-    datum_norm = 1.0
-
     def __init__(self, max_frequency, breaks=()):
         self.max_frequency = max_frequency
         self.breaks = list(breaks)
@@ -324,8 +323,6 @@ class _P1Oracle:
     Cell (iy, ix) is cut along its (+1, +1) diagonal into the lower triangle
     (a, b, c), where x - x_a >= y - y_a, and the upper one (a, c, d).
     """
-
-    datum_norm = 1.0
 
     def __init__(self, V):
         self.V = V                       # (K+1, K+1) nodal values [iy, ix]
@@ -467,11 +464,12 @@ def test_normalization_fields():
     # the step datum by ||v||_L2 = 2^-1/2 (the reference at the study's oracle_tol)
     datum = InitialDatum("step", location=0.5)
     ms = build_modal_solution(datum, 0.5, 1.0, tol=1e-6, t_min=0.1)
-    assert ms.datum_norm == pytest.approx(2**-0.5)
+    assert datum.l2_norm == pytest.approx(2**-0.5)
     space = assemble(build_interval_mesh(8))
     U = run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, 0.1 / 20, 20), l2_project(space, datum))[-1:]
     l2, h1 = error_norms(space, U, ms, 0.1)[:, 0]
-    [row] = run_experiment(ExperimentConfig(example="b", study="spatial", ks=(3,), Ns=(20,), ts=(0.1,))).rows
-    assert row.normalized
+    rep = run_experiment(ExperimentConfig(example="b", study="spatial", ks=(3,), Ns=(20,), ts=(0.1,)))
+    [row] = rep.rows
+    assert rep.normalized
     assert row.l2_error == pytest.approx(l2 / (2**-0.5))
     assert row.h1_error == pytest.approx(h1 / (2**-0.5))

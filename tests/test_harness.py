@@ -10,7 +10,6 @@ import pytest
 from rstokes import cli, harness
 from rstokes.cli import main, read_config_file
 from rstokes.harness import (
-    ErrorReport,
     ExperimentConfig,
     ExperimentError,
     emit_report,
@@ -73,6 +72,70 @@ def test_config_validation():
         ExperimentConfig(example="a", fmt="json")
 
 
+_BLOWUP_TIMES = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+@pytest.mark.parametrize("example,study,ks,Ns,ts", [
+    ("a", "temporal", (11,), (5, 10, 20, 40, 80), (0.1,)),
+    ("a", "spatial", (3, 4, 5, 6, 7), (2000,), (0.1,)),
+    ("b", "spatial", (3, 4, 5, 6, 7), (1000,), (0.1,)),
+    ("b", "blowup", (6,), (1000,), _BLOWUP_TIMES),
+    ("d", "temporal", (6,), (5, 10, 20, 40, 80), (0.1,)),
+    ("d", "spatial", (3, 4, 5, 6), (200,), (0.1,)),
+    ("d", "blowup", (6,), (1000,), _BLOWUP_TIMES),
+])
+def test_config_holds_resolved_defaults(example, study, ks, Ns, ts):
+    # the config itself fills the grid lists a study omits, so what it holds
+    # is what runs; an explicit K list keeps the k list empty
+    cfg = ExperimentConfig(example=example, study=study)
+    assert (cfg.ks, cfg.Ks, cfg.Ns) == (ks, (), Ns)
+    assert cfg.ts == pytest.approx(ts, rel=1e-15)
+    assert cfg.meshes == tuple(2**k for k in ks)
+    explicit = ExperimentConfig(example=example, study="spatial", Ks=(9, 17))
+    assert (explicit.ks, explicit.meshes) == ((), (9, 17))
+
+
+def test_alpha_outside_unit_interval_rejected_before_any_mesh(capsys, monkeypatch):
+    def no_mesh(K):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_interval_mesh", no_mesh)
+    assert main(["--example", "a", "--alpha", "0.5,1.5", "--k", "3", "--N", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "alpha list (0.5, 1.5)" in err and "grid point" not in err
+    for alphas in ((0.0,), (1.0,), (math.nan,)):
+        with pytest.raises(ValueError, match="alpha list"):
+            ExperimentConfig(example="a", alphas=alphas)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("scheme", "cn"),
+    ("study", "x"),
+    ("projection", "y"),
+    ("format", "json"),
+    ("include-history-origin", "maybe"),
+    ("gamma", "fast"),
+])
+def test_bad_value_reads_the_same_from_flag_and_file(tmp_path, capsys, key, value):
+    # the allowed values live in ExperimentConfig alone, so a flag and a
+    # config-file key fail with the same line and exit code
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"example = a\n{key} = {value}\n")
+    assert main(["--example", "a", f"--{key}", value]) == 1
+    from_flag = capsys.readouterr().err
+    assert main(["--config", str(cfgfile)]) == 1
+    from_file = capsys.readouterr().err
+    assert from_flag == from_file
+    assert from_flag.startswith("rstokes: error: ") and from_flag.count("\n") == 1
+    assert key in from_flag and value in from_flag
+
+
+@pytest.mark.parametrize("key,value", [("N", "1.5"), ("k", "three"), ("alpha", "half"), ("oracle-tol", "tiny")])
+def test_failed_cast_names_its_key(capsys, key, value):
+    assert main(["--example", "a", f"--{key}", value]) == 1
+    assert capsys.readouterr().err.startswith(f"rstokes: error: {key}: ")
+
+
 def test_repeated_step_count_rejected(capsys):
     argv = ["--example", "a", "--study", "temporal", "--N", "10,10", "--k", "4"]
     assert main(argv) == 1
@@ -100,7 +163,7 @@ def test_temporal_report_structure():
     assert len(rep.rows) == 2
     assert rep.rows[0].rate is None
     assert rep.rows[1].rate is not None
-    assert rep.rows[0].normalized
+    assert rep.normalized
     assert rep.rows[0].tau == pytest.approx(0.1 / 4)
     assert len(rep.families) == 1
     assert rep.families[0].x_name == "tau"
@@ -110,7 +173,7 @@ def test_dirac_rows_absolute():
     cfg = ExperimentConfig(example="c", scheme="sbd", study="spatial",
                            alphas=(0.5,), ks=(3, 4), Ns=(50,), ts=(0.1,))
     rep = run_experiment(cfg)
-    assert not rep.rows[0].normalized
+    assert not rep.normalized
 
 
 def test_blowup_requires_second_order_scheme():
@@ -178,11 +241,11 @@ def test_temporal_study_keeps_one_trajectory_alive():
 
 
 def test_emit_csv_roundtrip(tmp_path):
-    cfg = ExperimentConfig(example="a", scheme="sbd", study="temporal",
-                           alphas=(0.5,), ks=(4,), Ns=(4, 8, 16), ts=(0.1,))
-    rep = run_experiment(cfg)
     path = tmp_path / "out.csv"
-    text = emit_report(rep, fmt="csv", path=str(path))
+    cfg = ExperimentConfig(example="a", scheme="sbd", study="temporal",
+                           alphas=(0.5,), ks=(4,), Ns=(4, 8, 16), ts=(0.1,), out=str(path), fmt="csv")
+    rep = run_experiment(cfg)
+    text = emit_report(rep)
     lines = text.strip().splitlines()
     assert lines[0] == "example,scheme,alpha,h,tau,t,l2_error,h1_error,rate"
     assert sum(1 for ln in lines if ln.startswith("example,")) == 1
@@ -196,16 +259,10 @@ def test_emit_csv_roundtrip(tmp_path):
 
 def test_emit_text_contains_fit(tmp_path):
     cfg = ExperimentConfig(example="a", scheme="sbd", study="temporal",
-                           alphas=(0.5,), ks=(4,), Ns=(4, 8), ts=(0.1,))
-    text = emit_report(run_experiment(cfg), fmt="text")
+                           alphas=(0.5,), ks=(4,), Ns=(4, 8), ts=(0.1,), fmt="text")
+    text = emit_report(run_experiment(cfg))
     assert "fitted: l2 rate" in text
     assert "normalized errors" in text
-
-
-def test_emit_rejects_bad_format():
-    rep = ErrorReport(config=ExperimentConfig(example="a"))
-    with pytest.raises(ValueError):
-        emit_report(rep, fmt="yaml")
 
 
 def test_cli_runs_and_writes(tmp_path, capsys):

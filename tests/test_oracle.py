@@ -668,9 +668,9 @@ def test_eval_points_outside_interval_and_nonfinite():
 
 
 def test_datum_norms():
-    assert build_modal_solution(InitialDatum("smooth_sine"), 0.5, 1.0).datum_norm == pytest.approx(2**-0.5)
-    assert build_modal_solution(InitialDatum("step"), 0.5, 1.0, t_min=0.1).datum_norm == pytest.approx(2**-0.5)
-    assert build_modal_solution(InitialDatum("dirac"), 0.5, 1.0).datum_norm is None
+    assert InitialDatum("smooth_sine").l2_norm == pytest.approx(2**-0.5)
+    assert InitialDatum("step").l2_norm == pytest.approx(2**-0.5)
+    assert InitialDatum("dirac").l2_norm is None
 
 
 def test_mode_cap_binds_for_tiny_times():
