@@ -7,16 +7,19 @@ A study is one of
 
 `ExperimentConfig` decides a study's settings in one place: it fills the
 grid lists a study omits with that study's defaults and rejects a bad value
-(an alpha outside (0, 1), a blowup study without sbd, ...) before any mesh
-is built; `meshes` lists the subdivision counts it resolves to.
+(an alpha outside (0, 1), a mesh of fewer than two cells, a blowup study
+without sbd, ...) before any mesh is built; `meshes` lists the subdivision
+counts it resolves to.
 
 Errors are measured against the spectral solution.  A report's errors are
 normalized by the datum's `InitialDatum.l2_norm`, except for Dirac data,
 whose errors are absolute (`ErrorReport.normalized`).  The points of a
 family are stepped first, and one pass of the error quadrature per mesh and
-time then serves every step count of a temporal family.  A `ReportRow`
-holds only its own values; `emit_report` takes the example, the scheme, the
-format and the output path from the report's config.
+time then serves every step count of a temporal family.  A report is its
+families: each `Family` owns its rows, and `ErrorReport.rows` joins them in
+order.  A `ReportRow` holds only its own values, among them the family's
+sweep variable; `emit_report` takes the example, the scheme, the format and
+the output path from the report's config.
 """
 
 from __future__ import annotations
@@ -115,8 +118,10 @@ class ExperimentConfig:
         for name, values in (("t", self.ts), ("gamma", (self.gamma,)), ("oracle_tol", (self.oracle_tol,))):
             if not all(math.isfinite(v) and v > 0 for v in values):
                 raise ValueError(f"{name} must be finite and positive, got {values}")
-        if any(N < 1 for N in self.Ns):
-            raise ValueError(f"step counts must be at least 1, got N list {self.Ns}")
+        for what, name, values, least in (("step counts", "N", self.Ns, 1), ("mesh exponents", "k", self.ks, 1),
+                                          ("subdivision counts", "K", self.Ks, 2)):
+            if any(v < least for v in values):
+                raise ValueError(f"{what} must be at least {least}, got {name} list {values}")
         # a repeated sweep value gives a zero log-ratio in the rate formula
         lists = {"alpha": self.alphas, "k": self.ks, "K": self.Ks, "N": self.Ns, "t": self.ts,
                  "mesh (k and K together)": self.meshes}
@@ -156,10 +161,8 @@ class ReportRow:
 @dataclass(frozen=True)
 class Family:
     key: str
-    x_name: str                 # sweep variable: tau, h, or t
-    xs: tuple[float, ...]
-    l2_errors: tuple[float, ...]
-    h1_errors: tuple[float, ...]
+    x_name: str                 # sweep variable, a field of its rows: tau, h, or t
+    rows: tuple[ReportRow, ...]
     l2_rate: float
     h1_rate: float
 
@@ -167,8 +170,12 @@ class Family:
 @dataclass
 class ErrorReport:
     config: ExperimentConfig
-    rows: list[ReportRow] = field(default_factory=list)
     families: list[Family] = field(default_factory=list)
+
+    @property
+    def rows(self) -> tuple[ReportRow, ...]:
+        """The families' rows, joined in family order."""
+        return tuple(r for fam in self.families for r in fam.rows)
 
     @property
     def normalized(self) -> bool:
@@ -310,11 +317,9 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
             norms /= runner.datum.l2_norm
         l2s, h1s = norms.tolist()
         xs = [x for *_, x in points]
-        for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)):
-            report.rows.append(ReportRow(alpha, 1.0 / K, t / N, t, l2, h1, rate))
-        report.families.append(
-            Family(key, x_name, tuple(xs), tuple(l2s), tuple(h1s), fit(xs, l2s), fit(xs, h1s))
-        )
+        rows = tuple(ReportRow(alpha, 1.0 / K, t / N, t, l2, h1, rate)
+                     for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)))
+        report.families.append(Family(key, x_name, rows, fit(xs, l2s), fit(xs, h1s)))
     return report
 
 
@@ -346,14 +351,12 @@ def _emit_csv(report: ErrorReport, stream) -> None:
 
 def _emit_text(report: ErrorReport, stream) -> None:
     label = "normalized" if report.normalized else "absolute"
-    rows = iter(report.rows)   # in family order, len(fam.xs) rows each
     for fam in report.families:
         stream.write(f"# {fam.key}  ({label} errors)\n")
         stream.write(f"{fam.x_name:>12s} {'l2_error':>14s} {'h1_error':>14s} {'rate':>8s}\n")
-        # zip reads fam.xs first, so it stops at the family's end without taking a row
-        for x, r in zip(fam.xs, rows):
+        for r in fam.rows:
             rate = "" if r.rate is None else f"{r.rate:8.3f}"
-            stream.write(f"{x:12.6g} {r.l2_error:14.6e} {r.h1_error:14.6e} {rate:>8s}\n")
+            stream.write(f"{getattr(r, fam.x_name):12.6g} {r.l2_error:14.6e} {r.h1_error:14.6e} {rate:>8s}\n")
         stream.write(f"fitted: l2 rate {fam.l2_rate:.3f}, h1 rate {fam.h1_rate:.3f}\n\n")
 
 

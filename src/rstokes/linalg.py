@@ -135,13 +135,8 @@ def matvec(A: DiagonalMatrix | SquareStencilMatrix, x: np.ndarray) -> np.ndarray
 def solve_spd(A: DiagonalMatrix | SquareStencilMatrix, b: np.ndarray) -> np.ndarray:
     """Solve Ax=b for SPD A, exactly up to roundoff, in the space's coordinates.
 
-    One `SpdFactorization` solve; a zero right-hand side short-circuits to zero.
+    One `SpdFactorization` solve, which returns exact zeros for a zero right-hand side.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.n,):
-        raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, rhs has shape {b.shape}")
-    if not np.any(b):
-        return np.zeros_like(b)
     return SpdFactorization(A).solve(b)
 
 

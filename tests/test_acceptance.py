@@ -337,25 +337,25 @@ def test_criterion_8_error_magnitudes(
         for alpha in ALPHAS:
             fam = fam_errors(t1_reports[scheme], alpha=alpha)
             checks += [(f"T1 {scheme} a={alpha}", o, p)
-                       for o, p in zip(fam.l2_errors, TABLE1[(scheme, alpha)])]
+                       for o, p in zip([r.l2_error for r in fam.rows], TABLE1[(scheme, alpha)])]
             fam = fam_errors(t3_reports[scheme], alpha=alpha)
             checks += [(f"T3 {scheme} a={alpha}", o, p)
-                       for o, p in zip(fam.l2_errors, TABLE3[(scheme, alpha)])]
+                       for o, p in zip([r.l2_error for r in fam.rows], TABLE3[(scheme, alpha)])]
     for alpha in ALPHAS:
         fam = fam_errors(t2_report, alpha=alpha)
-        checks += [(f"T2 L2 a={alpha}", o, p) for o, p in zip(fam.l2_errors, TABLE2[alpha][0])]
-        checks += [(f"T2 H1 a={alpha}", o, p) for o, p in zip(fam.h1_errors, TABLE2[alpha][1])]
+        checks += [(f"T2 L2 a={alpha}", o, p) for o, p in zip([r.l2_error for r in fam.rows], TABLE2[alpha][0])]
+        checks += [(f"T2 H1 a={alpha}", o, p) for o, p in zip([r.h1_error for r in fam.rows], TABLE2[alpha][1])]
     for t in (0.1, 0.01, 0.001):
         for label, report, table in (("T4", t4_report, TABLE4), ("T6", t6_report, TABLE6),
                                      ("T7", t7_report, TABLE7), ("T9", t9_report, TABLE9)):
             fam = fam_errors(report, t=t)
-            checks += [(f"{label} L2 t={t}", o, p) for o, p in zip(fam.l2_errors, table[t][0])]
-            checks += [(f"{label} H1 t={t}", o, p) for o, p in zip(fam.h1_errors, table[t][1])]
+            checks += [(f"{label} L2 t={t}", o, p) for o, p in zip([r.l2_error for r in fam.rows], table[t][0])]
+            checks += [(f"{label} H1 t={t}", o, p) for o, p in zip([r.h1_error for r in fam.rows], table[t][1])]
     for ex in ("a", "b"):
         fam = t5_reports[ex].families[0]
-        checks += [(f"T5 ({ex})", o, p) for o, p in zip(fam.l2_errors, TABLE5[ex])]
+        checks += [(f"T5 ({ex})", o, p) for o, p in zip([r.l2_error for r in fam.rows], TABLE5[ex])]
     fam = fam_errors(t8_reports["be"], alpha=0.5)
-    checks += [("T8 BE", o, p) for o, p in zip(fam.l2_errors, TABLE8_BE)]
+    checks += [("T8 BE", o, p) for o, p in zip([r.l2_error for r in fam.rows], TABLE8_BE)]
 
     bad = [(label, ours, ref) for label, ours, ref in checks
            if not 0.5 <= ours / ref <= 2.0]

@@ -108,6 +108,19 @@ def test_alpha_outside_unit_interval_rejected_before_any_mesh(capsys, monkeypatc
             ExperimentConfig(example="a", alphas=alphas)
 
 
+@pytest.mark.parametrize("flag,value", [("k", "0"), ("k", "-1"), ("K", "1")])
+def test_mesh_size_rejected_before_any_mesh(capsys, monkeypatch, flag, value):
+    # a mesh needs K >= 2 cells, so k >= 1 and an explicit K >= 2
+    def no_mesh(K):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_interval_mesh", no_mesh)
+    assert main(["--example", "a", "--study", "spatial", f"--{flag}", value]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("rstokes: error:") and f"{flag} list ({value},)" in line
+    assert ExperimentConfig(example="a", study="spatial", ks=(1,), Ks=(3,)).meshes == (2, 3)
+
+
 @pytest.mark.parametrize("key,value", [
     ("scheme", "cn"),
     ("study", "x"),
@@ -263,6 +276,35 @@ def test_emit_text_contains_fit(tmp_path):
     text = emit_report(run_experiment(cfg))
     assert "fitted: l2 rate" in text
     assert "normalized errors" in text
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(example="a", study="temporal", alphas=(0.3, 0.7), ks=(4,), Ns=(4, 8, 16), ts=(0.1, 0.05)),
+    ExperimentConfig(example="c", study="spatial", ks=(3,), Ks=(9, 17), Ns=(50,)),
+    ExperimentConfig(example="b", study="blowup", ks=(3,), Ns=(20,), ts=(1e-3, 1e-4, 1e-5)),
+], ids=["temporal", "spatial", "blowup"])
+def test_report_is_its_families(cfg):
+    # the report's rows are its families' rows in order; each row's x_name
+    # field is the x its family was fitted on, and the text writer prints one
+    # block per family: header, one line per row, fitted rates
+    rep = run_experiment(dataclasses.replace(cfg, fmt="text"))
+    assert rep.rows == tuple(r for fam in rep.families for r in fam.rows)
+    fit = loglog_slope if cfg.study == "blowup" else fitted_rate
+    lines = emit_report(rep).splitlines()
+    label = "normalized" if rep.normalized else "absolute"
+    for fam in rep.families:
+        assert fam.x_name == {"temporal": "tau", "spatial": "h", "blowup": "t"}[cfg.study]
+        xs = [getattr(r, fam.x_name) for r in fam.rows]
+        l2s, h1s = [r.l2_error for r in fam.rows], [r.h1_error for r in fam.rows]
+        assert [r.rate for r in fam.rows] == pair_rates(xs, l2s)
+        assert (fam.l2_rate, fam.h1_rate) == (fit(xs, l2s), fit(xs, h1s))
+        assert lines.pop(0) == f"# {fam.key}  ({label} errors)"
+        assert lines.pop(0).split() == [fam.x_name, "l2_error", "h1_error", "rate"]
+        for x in xs:
+            assert lines.pop(0).split()[0] == f"{x:.6g}"
+        assert lines.pop(0) == f"fitted: l2 rate {fam.l2_rate:.3f}, h1 rate {fam.h1_rate:.3f}"
+        assert lines.pop(0) == ""
+    assert not lines
 
 
 def test_cli_runs_and_writes(tmp_path, capsys):

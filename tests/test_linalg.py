@@ -90,9 +90,11 @@ def test_solve_identity(rng):
 
 
 def test_solve_zero_rhs():
-    space = assemble(build_interval_mesh(16))
-    x = solve_spd(space.S, np.zeros(space.n_dof))
-    assert np.array_equal(x, np.zeros(space.n_dof))
+    # both solvers give exact zeros, with no negative zero, for a zero rhs
+    for space in (assemble(build_interval_mesh(16)), assemble(build_square_mesh(8))):
+        for A in (space.M, space.S):
+            x = solve_spd(A, np.zeros(space.n_coords))
+            assert np.array_equal(x, np.zeros(space.n_coords)) and not np.signbit(x).any()
 
 
 def test_solve_against_dense_cholesky():
