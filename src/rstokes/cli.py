@@ -19,18 +19,16 @@ import sys
 from .harness import ExperimentConfig, emit_report, run_experiment
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
 def _list_of(cast):
-    """Cast of a comma- or space-separated list to a tuple."""
-    return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
+    """Cast of a comma- or space-separated list to a nonempty tuple."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(cast(tok) for tok in text.replace(",", " ").split())
+        if not values:
+            raise ValueError(f"expected at least one value, got {text!r}")
+        return values
+
+    return parse
 
 
 # config-file key (and flag name) -> (argparse dest, ExperimentConfig field,
@@ -44,7 +42,6 @@ _KEYS = {
     "format": ("fmt", "fmt", str),
     "gamma": ("gamma", "gamma", float),
     "oracle-tol": ("oracle_tol", "oracle_tol", float),
-    "include-history-origin": ("include_history_origin", "include_history_origin", _parse_bool),
     "alpha": ("alpha", "alphas", _list_of(float)),
     "k": ("k", "ks", _list_of(int)),
     "K": ("K", "Ks", _list_of(int)),

@@ -74,7 +74,6 @@ class ExperimentConfig:
     Ns: tuple[int, ...] = ()
     ts: tuple[float, ...] = ()
     projection: str = "l2"
-    include_history_origin: bool = False
     oracle_tol: float = 1e-6
     out: str | None = None
     fmt: str = "csv"
@@ -258,7 +257,6 @@ class _Runner:
             gamma=self.cfg.gamma,
             tau=t / N,
             n_steps=N,
-            include_history_origin=self.cfg.include_history_origin,
         )
         return run_scheme(self.space(K), scfg, self.initial(K))[-1].copy()
 

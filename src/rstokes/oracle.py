@@ -172,25 +172,21 @@ _ENVELOPE = {"smooth_sine": (0.0, 0.0), "step": (2.0 * math.sqrt(2.0) / math.pi,
 
 
 def _inverse_laplacian(v: "InitialDatum", x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w = (-d^2/dx^2)^-1 v with w(0) = w(1) = 0, and w', in closed form.
+    """w = (-d^2/dx^2)^-1 v with w(0) = w(1) = 0, and w', in closed form on [0, 1].
 
-    w is sum_j c_j phi_j / lam_j; finite x outside [0, 1] get the odd,
-    2-periodic extension of that series."""
-    y = np.mod(x, 2.0)
-    odd = y > 1.0
-    y = np.where(odd, 2.0 - y, y)
+    w is sum_j c_j phi_j / lam_j."""
     a = v.location
-    left = y <= a
+    left = x <= a
     if v.kind == "smooth_sine":
         k = v.frequency * np.pi
-        w, dw = np.sin(k * y) / k**2, np.cos(k * y) / k
+        w, dw = np.sin(k * x) / k**2, np.cos(k * x) / k
     elif v.kind == "step":  # -w'' = 1 on (0, a), 0 on (a, 1)
-        w = np.where(left, y * (a - 0.5 * a * a) - 0.5 * y * y, 0.5 * a * a * (1.0 - y))
-        dw = np.where(left, a - 0.5 * a * a - y, -0.5 * a * a)
+        w = np.where(left, x * (a - 0.5 * a * a) - 0.5 * x * x, 0.5 * a * a * (1.0 - x))
+        dw = np.where(left, a - 0.5 * a * a - x, -0.5 * a * a)
     else:  # dirac: the Green's function with pole a
-        w = np.where(left, y * (1.0 - a), a * (1.0 - y))
+        w = np.where(left, x * (1.0 - a), a * (1.0 - x))
         dw = np.where(left, 1.0 - a, -a)
-    return np.where(odd, -w, w), dw
+    return w, dw
 
 
 @dataclass
@@ -247,23 +243,23 @@ class ModalSolution:
             sum_j a_j exp(i pi j x) = sum_s (d^s / s!) G_s[m],
             G_s[m] = sum_j a_j (ij/L)^s exp(i pi j m / L),
 
-        and each G_s is one length-2L inverse FFT, read at m mod 2L (the sine
-        series is odd and 2-periodic).  Values keep s < S and derivatives,
+        and each G_s is one length-2L inverse FFT, read at m in [0, L].
+        Values keep s < S and derivatives,
         pi L times the same sum over G_{s+1}, keep s < S as well, with
         S = _TAYLOR_TERMS = 18: the dropped terms are below
         (pi/4)^S / S! e^(pi/4) < 1e-17 times sum_j |a_j| (times sum_j |a_j| j pi
-        for derivatives).  Work is S (P + 2L log 2L) and memory O(L + P).  Any
-        finite x gives the odd, 2-periodic extension; nan or inf raise."""
+        for derivatives).  Work is S (P + 2L log 2L) and memory O(L + P).  A
+        point outside [0, 1], nan or inf raises."""
         if self.modes.domain != "interval":
             raise ValueError("eval_points applies to interval solutions")
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("evaluation points must be finite")
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError("evaluation points must be finite and lie in [0, 1]")
         a = self.coeffs * self.factors(t)
         L = 1 << (2 * self.max_frequency[0] - 1).bit_length()
         m = np.rint(x * L)
         d = np.pi * (x * L - m)
-        m = m.astype(np.intp) % (2 * L)
+        m = m.astype(np.intp)
         b = np.zeros(2 * L, dtype=complex)
         b[self.modes.jx] = (2 * L) * a
         step = 1j * np.arange(2 * L) / L

@@ -10,13 +10,16 @@ step n solves one constant SPD system,
         = -(M/tau) sum_{k>=1} c_k U^{n-k}
           - gamma tau^-a S (sum_{j=1}^{n-1} w_{n-j} U^j + theta_n U^0),
 
-with theta_n = w_n for BE with `include_history_origin`, w_{n-1}/2 for
-SBD and 0 otherwise.  The history is S applied to the weighted sum of the
-stored states, so one (N+1) x dof array is kept, and `run_scheme` returns
-that plain array, the snapshots U^0..U^N.  SBD's first step is the
-corrected start (weight 3/2 on the startup sequence and a half-weighted
-initial stiffness term) that restores second-order accuracy for
-nonvanishing initial data.
+with theta_n = w_{n-1}/2 for SBD and theta_n = 0 for BE.  BE's history
+has no U^0 term: written out literally, the convolution would add w_n U^0,
+and that scheme's temporal rate falls to about 1/2
+(`tests/test_stepper.py::test_history_origin_variants_differ_in_rate`), so
+it is not the first-order scheme the paper analyses.  The history is S
+applied to the weighted sum of the stored states, so one (N+1) x dof array
+is kept, and `run_scheme` returns that plain array, the snapshots
+U^0..U^N.  SBD's first step is the corrected start (weight 3/2 on the
+startup sequence and a half-weighted initial stiffness term) that restores
+second-order accuracy for nonvanishing initial data.
 
 The weighted sum is split at blocks of `_BLOCK` steps.  Before the steps
 s..e-1 of a block are solved, their history from U^0..U^{s-1} (the far
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,11 +64,10 @@ __all__ = ["SchemeConfig", "run_scheme"]
 class SchemeConfig:
     """Time-discretization parameters.
 
-    include_history_origin keeps the j=0 term of the BE fractional history
-    (the convolution written out literally); the default omits it, which is
-    the first-order-accurate startup -- keeping the term degrades the
-    temporal rate to about 1/2.  The SBD scheme has its own corrected
-    startup and ignores the flag.
+    BE's fractional history omits the U^0 term (theta_n = 0), which keeps the
+    scheme first order; the literal convolution with that term converges at
+    about 1/2 (`test_history_origin_variants_differ_in_rate`).  SBD has its
+    own corrected startup.
     """
 
     scheme: str
@@ -72,7 +75,9 @@ class SchemeConfig:
     gamma: float
     tau: float
     n_steps: int
-    include_history_origin: bool = False
+    # not a field: the traced benchmark's step count (perfbench/spans.py,
+    # Recorder._count_steps) reads it; ROADMAP item 1(a) deletes that read
+    include_history_origin: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.scheme not in ("be", "sbd"):
@@ -119,7 +124,7 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
         # corrected first step: half-weighted initial stiffness term 0.5 diag S U^0
         theta[1] = 0.5 * diag
     else:
-        theta = frac * w if cfg.include_history_origin else np.zeros(N + 1)
+        theta = np.zeros(N + 1)
     # weights of U^{n-d}..U^{n-1} in the mass term: minus the multistep part
     past = -np.array(c[:0:-1]) / tau
     d = len(past)
@@ -160,7 +165,7 @@ def _add_far_history(U: np.ndarray, wr: np.ndarray, theta: np.ndarray, s: int, e
     wr[N-s-i : N-i]; a chunk of its columns is one contiguous copy.
     """
     # the first block's history is the one column theta_1..theta_{e-1}, zero
-    # for BE without the history origin
+    # for BE
     if s == 1 and not np.any(theta[1:e]):
         return
     N = len(wr) - 1

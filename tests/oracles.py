@@ -258,7 +258,7 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
     if cfg.scheme == "sbd":
         theta = np.concatenate(([0.0], 0.5 * w[:-1]))
     else:
-        theta = w if cfg.include_history_origin else np.zeros(N + 1)
+        theta = np.zeros(N + 1)
 
     U = np.empty((N + 1, space.n_dof), dtype=np.longdouble)
     U[0] = v
@@ -453,9 +453,8 @@ def direct_eval_points(ms, x, t):
     """Reference for `ModalSolution.eval_points`: the direct sin/cos sum.
 
     Points go in blocks of max(1, 2**14 // J) against all J modes, so a phase
-    matrix holds at most max(2**14, J) entries.  For any finite x the sine
-    series gives the odd, 2-periodic extension; a split expansion adds the same
-    closed-form beta1(t) w as the fast path.
+    matrix holds at most max(2**14, J) entries.  A split expansion adds the
+    same closed-form beta1(t) w as the fast path.
     """
     x = np.asarray(x, dtype=float)
     a = ms.coeffs * ms.factors(t)

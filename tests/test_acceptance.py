@@ -7,8 +7,11 @@ unresolved scales differently).  Run with
 `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 """
 
+import csv
+import io
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from oracles import (
     uj_eval,
 )
 from rstokes.fem import assemble
-from rstokes.harness import ExperimentConfig, run_experiment
+from rstokes.harness import ExperimentConfig, emit_report, run_experiment
 from rstokes.linalg import solve_spd
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.stepper import SchemeConfig, run_scheme
@@ -363,6 +366,44 @@ def test_criterion_8_error_magnitudes(
     detail = (f"{len(checks)} table entries, worst ratio {worst[1] / worst[2]:.2f} at {worst[0]}"
               + (f"; violations: {bad[:4]}" if bad else ""))
     _announce(8, "error magnitudes within 2x of printed values", not bad, detail)
+
+
+# ------------------------------------------------------------ pinned rows
+
+# the CSV report of each study above, recorded under tests/expected/: file
+# name -> (fixture, key of the report in a fixture that holds several)
+PINNED = {
+    "t1_be": ("t1_reports", "be"), "t1_sbd": ("t1_reports", "sbd"), "t2": ("t2_report", None),
+    "t3_be": ("t3_reports", "be"), "t3_sbd": ("t3_reports", "sbd"), "t4": ("t4_report", None),
+    "t5a": ("t5_reports", "a"), "t5b": ("t5_reports", "b"), "t6": ("t6_report", None),
+    "t7": ("t7_report", None), "t8_be": ("t8_reports", "be"), "t8_sbd": ("t8_reports", "sbd"),
+    "t9": ("t9_report", None),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_rows_match_recorded(request, name):
+    # The tables above accept any error within 2x; this pins every row.  The
+    # relative tolerance 1e-8 lies far above the spread between BLAS thread
+    # counts (measured at most 2.3e-10) and far below any change of method.  An
+    # intended numeric change re-records the file as emit_report(report) and
+    # states the largest move per file; it never loosens the tolerance.
+    fixture, key = PINNED[name]
+    report = request.getfixturevalue(fixture)
+    if key is not None:
+        report = report[key]
+    got = list(csv.reader(io.StringIO(emit_report(report))))
+    with open(Path(__file__).parent / "expected" / f"{name}.csv", newline="") as fh:
+        want = list(csv.reader(fh))
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        # example, scheme and the grid point (alpha, h, tau, t) as written
+        assert row[:6] == ref[:6]
+        assert [float(c) for c in row[6:8]] == pytest.approx([float(c) for c in ref[6:8]], rel=1e-8, abs=0.0)
+        # the rate: blank on the first row of a family, O(1) otherwise
+        assert (row[8] == "") == (ref[8] == "")
+        if ref[8]:
+            assert float(row[8]) == pytest.approx(float(ref[8]), rel=1e-8, abs=1e-8)
 
 
 # ------------------------------------------------- criterion 9: properties

@@ -126,8 +126,8 @@ def test_mesh_size_rejected_before_any_mesh(capsys, monkeypatch, flag, value):
     ("study", "x"),
     ("projection", "y"),
     ("format", "json"),
-    ("include-history-origin", "maybe"),
     ("gamma", "fast"),
+    ("N", ""),
 ])
 def test_bad_value_reads_the_same_from_flag_and_file(tmp_path, capsys, key, value):
     # the allowed values live in ExperimentConfig alone, so a flag and a
@@ -143,8 +143,10 @@ def test_bad_value_reads_the_same_from_flag_and_file(tmp_path, capsys, key, valu
     assert key in from_flag and value in from_flag
 
 
-@pytest.mark.parametrize("key,value", [("N", "1.5"), ("k", "three"), ("alpha", "half"), ("oracle-tol", "tiny")])
+@pytest.mark.parametrize("key,value", [("N", "1.5"), ("k", "three"), ("alpha", "half"), ("oracle-tol", "tiny"),
+                                       ("N", ""), ("k", ""), ("t", ""), ("K", ""), ("alpha", "")])
 def test_failed_cast_names_its_key(capsys, key, value):
+    # an empty list is an error, not a request for the study defaults
     assert main(["--example", "a", f"--{key}", value]) == 1
     assert capsys.readouterr().err.startswith(f"rstokes: error: {key}: ")
 
@@ -394,17 +396,6 @@ def test_config_file_rejects_repeated_key(tmp_path, capsys):
         read_config_file(str(f))
     assert main(["--config", str(f), "--study", "temporal", "--k", "3", "--N", "4", "--t", "0.1"]) == 1
     assert "repeated key 'alpha'" in capsys.readouterr().err
-
-
-def test_history_origin_flag_plumbs_through():
-    base = ExperimentConfig(example="a", scheme="be", study="temporal",
-                            alphas=(0.5,), ks=(4,), Ns=(8,), ts=(0.1,))
-    keep = ExperimentConfig(example="a", scheme="be", study="temporal",
-                            alphas=(0.5,), ks=(4,), Ns=(8,), ts=(0.1,),
-                            include_history_origin=True)
-    e_omit = run_experiment(base).rows[0].l2_error
-    e_keep = run_experiment(keep).rows[0].l2_error
-    assert e_keep != pytest.approx(e_omit, rel=1e-6)
 
 
 @pytest.mark.parametrize("study,flags,name", [

@@ -465,10 +465,11 @@ def test_inverse_laplacian_matches_series(datum):
         dw_tail = np.sum(1.0 / np.abs(np.sin(half)), axis=0) / (math.pi * (J + 1))
     assert np.all(np.abs(w - w_sum) <= w_tail)
     assert np.all(np.abs(dw - dw_sum) <= dw_tail)
-    # outside [0, 1]: the odd, 2-periodic extension, as for the series
-    w_out, dw_out = _inverse_laplacian(datum, np.concatenate([-x, x + 2.0]))
-    assert w_out == pytest.approx(np.concatenate([-w, w]), rel=0.0, abs=1e-15)
-    assert dw_out == pytest.approx(np.concatenate([dw, dw]), rel=0.0, abs=1e-15)
+    # w is defined on [0, 1] only: its one caller, eval_points, rejects points outside
+    ms = build_modal_solution(datum, 0.5, 1.0, tol=1e-6, t_min=1e-3)
+    for outside in (-x, x + 2.0):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            ms.eval_points(outside, 0.1)
     # Parseval: ||w||^2 against sum c_j^2 / lam_j^2, whose tail past J is < 1e-15
     assert _W_NORM_SQ[datum.kind](datum) == pytest.approx(float(b @ b), rel=1e-12)
 
@@ -653,18 +654,15 @@ def test_eval_points_matches_direct_sum(J, seed, n):
 
 
 def test_eval_points_outside_interval_and_nonfinite():
-    # the sine series is odd and 2-periodic for any finite x; nan and inf have
-    # no grid bin and must not return a value
+    # the solution lives on [0, 1]: a point outside it, nan or inf must not
+    # return a value, while both ends are evaluated
     for kind in ("step", "dirac"):
         ms = build_modal_solution(InitialDatum(kind, location=0.5), 0.5, 1.0, tol=1e-6, t_min=1e-3)
-        x = np.array([-0.3, 1.7, 2.5])
-        vals, grads = ms.eval_points(x, 1e-3)
-        v_ref, g_ref = direct_eval_points(ms, x, 1e-3)
-        assert vals == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
-        assert grads == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
+        for bad in (-0.3, -1e-300, 1.0 + 2**-52, 1.7, 2.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
                 ms.eval_points(np.array([0.25, bad]), 1e-3)
+        vals, _ = ms.eval_points(np.array([0.0, 1.0]), 1e-3)
+        assert vals == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_datum_norms():

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rstokes
+from rstokes.cli import build_parser
 
 MODULES = ["rstokes"] + [f"rstokes.{m.name}" for m in pkgutil.iter_modules(rstokes.__path__)]
 
@@ -23,6 +25,15 @@ def test_star_import():
     namespace: dict = {}
     exec("from rstokes import *", namespace)
     assert set(rstokes.__all__) <= set(namespace)
+
+
+def test_readme_command_line_flags_exist():
+    # a flag removed from the parser must not linger in the README's usage
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    known = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert flags and flags <= known, sorted(flags - known)
 
 
 _LOADED_MODULES = """

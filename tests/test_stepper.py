@@ -2,7 +2,6 @@ import gc
 import math
 import tracemalloc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -83,14 +82,9 @@ def test_mode_decoupling_all_modes(mesh_builder, K):
     space = assemble(mesh_builder(K))
     assert space.n_dof <= 15
     lams, vecs = _generalized_modes(space)
-    schemes = (
-        ("be", False, scalar_trajectory_be),
-        ("be", True, partial(scalar_trajectory_be, include_history_origin=True)),
-        ("sbd", False, scalar_trajectory_sbd),
-    )
     for alpha in (0.3, 0.7):
-        for scheme, origin, scalar in schemes:
-            cfg = SchemeConfig(scheme, alpha, 1.0, 0.01, 12, include_history_origin=origin)
+        for scheme, scalar in (("be", scalar_trajectory_be), ("sbd", scalar_trajectory_sbd)):
+            cfg = SchemeConfig(scheme, alpha, 1.0, 0.01, 12)
             for k in range(space.n_dof):
                 v = vecs[:, k]
                 U = run_scheme(space, cfg, v)
@@ -99,13 +93,8 @@ def test_mode_decoupling_all_modes(mesh_builder, K):
                 assert diff < 1e-10
 
 
-@pytest.mark.parametrize("scheme,origin,scalar", [
-    pytest.param("be", False, scalar_trajectory_be, id="be-scalar_trajectory_be"),
-    pytest.param("be", True, partial(scalar_trajectory_be, include_history_origin=True),
-                 id="be-origin-scalar_trajectory_be"),
-    pytest.param("sbd", False, scalar_trajectory_sbd, id="sbd-scalar_trajectory_sbd"),
-])
-def test_fine_mesh_sine_mode_matches_scalar_recurrence(scheme, origin, scalar):
+@pytest.mark.parametrize("scheme,scalar", [("be", scalar_trajectory_be), ("sbd", scalar_trajectory_sbd)])
+def test_fine_mesh_sine_mode_matches_scalar_recurrence(scheme, scalar):
     # fine_tau size: K = 2048, N = 500.  The unit DST-I vector e_k is the nodal
     # sine mode k, an exact discrete eigenvector with lambda_k = sigma_k / mu_k
     # (DST-I eigenvalues of S and M, written here without cancellation), for the
@@ -117,7 +106,7 @@ def test_fine_mesh_sine_mode_matches_scalar_recurrence(scheme, origin, scalar):
     # lie up to 8e-17 (1.6e-9 of the row) from a long-double recurrence.
     K, N, tau = 2048, 500, 0.1 / 500
     space = assemble(build_interval_mesh(K))
-    cfg = SchemeConfig(scheme, 0.5, 1.0, tau, N, include_history_origin=origin)
+    cfg = SchemeConfig(scheme, 0.5, 1.0, tau, N)
     for k in (1, 2, K // 2, K - 1):
         s2 = math.sin(math.pi * k / (2 * K)) ** 2
         lam_k = (4.0 * K * s2) / ((1.0 - (2.0 / 3.0) * s2) / K)
@@ -149,7 +138,7 @@ def test_scalar_be_positive_and_decreasing():
 
 def test_history_origin_variants_differ_in_rate():
     # dropping the origin term gives the first-order scheme; keeping it
-    # degrades the rate to ~1/2, so the flag changes accuracy class
+    # degrades the rate to ~1/2, which is why run_scheme's BE history omits it
     lam = 4 * PI2
     exact = uj_eval(KernelDensity(lam, 1.0, 0.5), 0.1)
     errs = {flag: [] for flag in (False, True)}
@@ -245,8 +234,8 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
     space = assemble(mesh_builder(K))
     v = rng.standard_normal(space.n_dof)
     for alpha in (0.3, 0.7):
-        for scheme, origin in (("be", False), ("be", True), ("sbd", False)):
-            cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N, include_history_origin=origin)
+        for scheme in ("be", "sbd"):
+            cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N)
             U = space.to_nodal(run_scheme(space, cfg, space.to_coords(v)))
             ref = direct_run_scheme(space, cfg, v)
             gap = np.max(np.abs(U - ref), axis=1) / np.max(np.abs(ref), axis=1)
