@@ -125,20 +125,6 @@ class FemSpace:
         return dst(y) if self.mesh.dim == 1 else torus_interior(y, self.mesh.K)
 
 
-def _assemble_1d(mesh: Mesh) -> FemSpace:
-    # DST-I eigenvalues of the interior P1 matrices, s_k = sin(pi k / 2K), k = 1..K-1;
-    # past K/2, s_k^2 = (1 + cos(pi (K-k) / K)) / 2, as accurate and exactly 1/2 at K/2
-    K, h = mesh.K, mesh.h
-    k = np.arange(1, K)
-    s2 = np.where(2 * k < K, np.sin(np.pi * k / (2 * K)) ** 2, 0.5 + 0.5 * np.cos(np.pi * (K - k) / K))
-    M = DiagonalMatrix(h * (1.0 - (2.0 / 3.0) * s2))
-    return FemSpace(mesh=mesh, M=M, S=DiagonalMatrix((4.0 / h) * s2))
-
-
-def _assemble_2d(mesh: Mesh) -> FemSpace:
-    return FemSpace(mesh=mesh, M=SquareStencilMatrix(mesh.K, 1.0, 0.0), S=SquareStencilMatrix(mesh.K, 0.0, 1.0))
-
-
 def assemble(mesh: Mesh) -> FemSpace:
     """Interior P1 mass and stiffness matrices of the mesh, in closed form.
 
@@ -151,7 +137,14 @@ def assemble(mesh: Mesh) -> FemSpace:
     U^T(x)U^T) a 7-point stencil that follows the cell diagonals; both are
     `SquareStencilMatrix`.
     """
-    return _assemble_1d(mesh) if mesh.dim == 1 else _assemble_2d(mesh)
+    K, h = mesh.K, mesh.h
+    if mesh.dim == 2:
+        return FemSpace(mesh=mesh, M=SquareStencilMatrix(K, 1.0, 0.0), S=SquareStencilMatrix(K, 0.0, 1.0))
+    # DST-I eigenvalues of the interior P1 matrices, s_k = sin(pi k / 2K), k = 1..K-1;
+    # past K/2, s_k^2 = (1 + cos(pi (K-k) / K)) / 2, as accurate and exactly 1/2 at K/2
+    k = np.arange(1, K)
+    s2 = np.where(2 * k < K, np.sin(np.pi * k / (2 * K)) ** 2, 0.5 + 0.5 * np.cos(np.pi * (K - k) / K))
+    return FemSpace(mesh=mesh, M=DiagonalMatrix(h * (1.0 - (2.0 / 3.0) * s2)), S=DiagonalMatrix((4.0 / h) * s2))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +153,7 @@ def assemble(mesh: Mesh) -> FemSpace:
 def _sine_load_1d(space: FemSpace, m: int) -> np.ndarray:
     mesh = space.mesh
     h = mesh.h
-    x = mesh.nodes[mesh.interior_nodes]
+    x = mesh.nodes[1:-1]
     # 2 (1 - cos(m pi h)), written without the cancellation
     w = 4.0 * math.sin(m * math.pi * h / 2.0) ** 2 / (h * (m * math.pi) ** 2)
     return np.sin(m * math.pi * x) * w
@@ -170,7 +163,7 @@ def _step_load_1d(space: FemSpace, a: float) -> np.ndarray:
     # b_i = int_0^a hat_i; the tent on [x_i-h, x_i+h] split at the cut point a
     mesh = space.mesh
     h = mesh.h
-    x = mesh.nodes[mesh.interior_nodes]
+    x = mesh.nodes[1:-1]
     left = np.clip((a - (x - h)) / h, 0.0, 1.0)
     right = np.clip((a - x) / h, 0.0, 1.0)
     return h * (left**2 / 2.0 + right - right**2 / 2.0)
@@ -180,7 +173,7 @@ def _dirac_load_1d(space: FemSpace, x0: float) -> np.ndarray:
     mesh = space.mesh
     if np.any(np.isclose([0.0, 1.0], x0)):
         raise ValueError("Dirac located on a Dirichlet boundary node")
-    x = mesh.nodes[mesh.interior_nodes]
+    x = mesh.nodes[1:-1]
     return np.maximum(0.0, 1.0 - np.abs(x0 - x) / mesh.h)
 
 
@@ -223,7 +216,7 @@ def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     _check_domain(space, v)
     if v.kind != "smooth_sine":
         raise UnsupportedDatumError(f"datum kind {v.kind!r} has no gradient representation")
-    x = space.mesh.nodes[space.mesh.interior_nodes]
+    x = space.mesh.nodes[1:-1]
     return space.to_coords(np.sin(v.frequency * math.pi * x))
 
 

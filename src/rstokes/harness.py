@@ -8,8 +8,8 @@ A study is one of
 `ExperimentConfig` decides a study's settings in one place: it fills the
 grid lists a study omits with that study's defaults and rejects a bad value
 (an alpha outside (0, 1), a mesh of fewer than two cells, a blowup study
-without sbd, ...) before any mesh is built; `meshes` lists the subdivision
-counts it resolves to.
+without sbd, an output path in a missing directory, ...) before any mesh is
+built; `meshes` lists the subdivision counts it resolves to.
 
 Errors are measured against the spectral solution.  A report's errors are
 normalized by the datum's `InitialDatum.l2_norm`, except for Dirac data,
@@ -36,7 +36,7 @@ import numpy as np
 
 from .fem import InitialDatum, assemble, error_norms, l2_project, ritz_project
 from .mesh import build_interval_mesh, build_square_mesh
-from .oracle import ModalSolution, build_modal_solution
+from .oracle import build_modal_solution
 from .stepper import SchemeConfig, run_scheme
 
 __all__ = [
@@ -139,6 +139,8 @@ class ExperimentConfig:
             raise ValueError(f"example ({self.example}) has no H1 datum; Ritz projection unavailable")
         if self.fmt not in ("csv", "text"):
             raise ValueError(f"format must be csv or text, got {self.fmt!r}")
+        if self.out and not Path(self.out).parent.is_dir():
+            raise ValueError(f"out: the directory of {self.out!r} does not exist")
 
     @property
     def meshes(self) -> tuple[int, ...]:
@@ -183,10 +185,14 @@ class ErrorReport:
 
 
 def pair_rates(xs, errors) -> list[float | None]:
-    """Per-pair empirical rates log(e_i-1/e_i) / log(x_i-1/x_i); None for row 0."""
+    """Per-pair empirical rates log(e_i-1/e_i) / log(x_i-1/x_i); None for row 0,
+    nan for a pair with a zero error."""
     out: list[float | None] = [None]
     for i in range(1, len(xs)):
-        out.append(math.log(errors[i - 1] / errors[i]) / math.log(xs[i - 1] / xs[i]))
+        if min(errors[i - 1], errors[i]) > 0.0:
+            out.append(math.log(errors[i - 1] / errors[i]) / math.log(xs[i - 1] / xs[i]))
+        else:
+            out.append(math.nan)
     return out
 
 def fitted_rate(xs, errors) -> float:
@@ -200,8 +206,9 @@ def fitted_rate(xs, errors) -> float:
     return float(np.mean(pr))
 
 def loglog_slope(xs, errors) -> float:
-    """Least-squares slope of log e against log x (blowup studies); nan below two points."""
-    if len(xs) < 2:
+    """Least-squares slope of log e against log x (blowup studies); nan below
+    two points or with a zero error."""
+    if len(xs) < 2 or min(errors) == 0.0:
         return float("nan")
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(errors)), 1)[0])
 
@@ -214,110 +221,91 @@ _DATA = {
 }
 
 
-class _Runner:
-    """Caches meshes, projections and modal solutions across grid points."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.datum = _DATA[cfg.example]
-        self._spaces: dict[int, object] = {}
-        self._initial: dict[int, np.ndarray] = {}
-        self._oracles: dict[float, ModalSolution] = {}
-        self.t_min = min(cfg.ts)
-
-    def space(self, K: int):
-        if K not in self._spaces:
-            mesh = build_square_mesh(K) if self.datum.dim == 2 else build_interval_mesh(K)
-            self._spaces[K] = assemble(mesh)
-        return self._spaces[K]
-
-    def initial(self, K: int) -> np.ndarray:
-        if K not in self._initial:
-            project = ritz_project if self.cfg.projection == "ritz" else l2_project
-            self._initial[K] = project(self.space(K), self.datum)
-        return self._initial[K]
-
-    def oracle(self, alpha: float) -> ModalSolution:
-        if alpha not in self._oracles:
-            ms = build_modal_solution(
-                self.datum, alpha, self.cfg.gamma, tol=self.cfg.oracle_tol, t_min=self.t_min
-            )
-            if ms.tail_bound > self.cfg.oracle_tol:
-                print(f"rstokes: warning: reference for alpha={alpha:g} at t_min={self.t_min:g} keeps "
-                      f"{len(ms.modes)} modes; its tail bound {ms.tail_bound:.3g} exceeds oracle_tol "
-                      f"{self.cfg.oracle_tol:g}", file=sys.stderr)
-            self._oracles[alpha] = ms
-        return self._oracles[alpha]
-
-    def final_state(self, alpha: float, K: int, N: int, t: float) -> np.ndarray:
-        """U^N of one grid point; a copy, so the snapshots are freed on return."""
-        scfg = SchemeConfig(
-            scheme=self.cfg.scheme,
-            alpha=alpha,
-            gamma=self.cfg.gamma,
-            tau=t / N,
-            n_steps=N,
-        )
-        return run_scheme(self.space(K), scfg, self.initial(K))[-1].copy()
-
-
-def _study_families(cfg: ExperimentConfig):
-    """Yield (key, x name, alpha, [(K, N, t, x), ...]) for each study family."""
+def _study_families(cfg: ExperimentConfig, alpha: float):
+    """Yield (key, x name, [(K, N, t, x), ...]) for each study family at alpha."""
     meshes = cfg.meshes
-    for alpha in cfg.alphas:
-        head = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}"
-        if cfg.study == "blowup":
-            K, N = meshes[0], cfg.Ns[0]
-            yield f"{head}/blowup", "t", alpha, [(K, N, t, t) for t in sorted(cfg.ts, reverse=True)]
-            continue
-        for t in cfg.ts:
-            key = f"{head}/t={t:g}/{cfg.study}"
-            if cfg.study == "temporal":
-                yield key, "tau", alpha, [(meshes[0], N, t, t / N) for N in cfg.Ns]
-            else:
-                yield key, "h", alpha, [(K, cfg.Ns[0], t, 1.0 / K) for K in meshes]
+    head = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}"
+    if cfg.study == "blowup":
+        K, N = meshes[0], cfg.Ns[0]
+        yield f"{head}/blowup", "t", [(K, N, t, t) for t in sorted(cfg.ts, reverse=True)]
+        return
+    for t in cfg.ts:
+        key = f"{head}/t={t:g}/{cfg.study}"
+        if cfg.study == "temporal":
+            yield key, "tau", [(meshes[0], N, t, t / N) for N in cfg.Ns]
+        else:
+            yield key, "h", [(K, cfg.Ns[0], t, 1.0 / K) for K in meshes]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     """Sweep the configured grid; one row per (alpha, mesh, step count, time).
 
-    Every point of a family is stepped first, keeping only its final state.
-    Then each run of consecutive points on the same mesh and time has its
-    errors measured by one `error_norms` call on the stack of their final
-    states: one reference pass serves every step count of a temporal family,
-    while spatial and blowup families make one call per point.
+    Each mesh is built, assembled and given its projected initial vector
+    once.  Every point of a family is stepped first, keeping only a copy of
+    its final state, so its snapshots are freed at once.  Then each run of
+    consecutive points on the same mesh and time has its errors measured by
+    one `error_norms` call on the stack of their final states: one reference
+    pass serves every step count of a temporal family, while spatial and
+    blowup families make one call per point.  Each alpha's reference is
+    built at its first error pass, for the study's smallest time.  An error
+    pass that overflows or returns a non-finite norm fails its grid point.
     """
     fit = loglog_slope if cfg.study == "blowup" else fitted_rate
-    runner = _Runner(cfg)
+    datum = _DATA[cfg.example]
+    project = ritz_project if cfg.projection == "ritz" else l2_project
+    t_min = min(cfg.ts)
+    spaces: dict[int, tuple] = {}   # K -> (space, initial vector)
+
+    def space_of(K: int) -> tuple:
+        if K not in spaces:
+            space = assemble(build_square_mesh(K) if datum.dim == 2 else build_interval_mesh(K))
+            spaces[K] = space, project(space, datum)
+        return spaces[K]
+
     report = ErrorReport(config=cfg)
-    for key, x_name, alpha, points in _study_families(cfg):
-        finals = []
-        for K, N, t, _ in points:
-            try:
-                finals.append(runner.final_state(alpha, K, N, t))
-            except Exception as exc:
-                raise ExperimentError(
-                    {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
-                ) from exc
-        parts = []
-        for (K, t), group in itertools.groupby(zip(points, finals), key=lambda pair: (pair[0][0], pair[0][2])):
-            group = list(group)
-            try:
-                parts.append(error_norms(runner.space(K), np.stack([U for _, U in group]), runner.oracle(alpha), t))
-            except Exception as exc:
-                Ns = tuple(N for (_, N, _, _), _ in group)
-                raise ExperimentError(
-                    {"example": cfg.example, "alpha": alpha, "K": K, "N": Ns, "t": t}, exc
-                ) from exc
-        norms = np.concatenate(parts, axis=1)
-        # a datum outside L2 (Dirac) has no norm, and its errors stay absolute
-        if report.normalized:
-            norms /= runner.datum.l2_norm
-        l2s, h1s = norms.tolist()
-        xs = [x for *_, x in points]
-        rows = tuple(ReportRow(alpha, 1.0 / K, t / N, t, l2, h1, rate)
-                     for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)))
-        report.families.append(Family(key, x_name, rows, fit(xs, l2s), fit(xs, h1s)))
+    for alpha in cfg.alphas:
+        reference = None
+        for key, x_name, points in _study_families(cfg, alpha):
+            finals = []
+            for K, N, t, _ in points:
+                try:
+                    space, v = space_of(K)
+                    scfg = SchemeConfig(scheme=cfg.scheme, alpha=alpha, gamma=cfg.gamma, tau=t / N, n_steps=N)
+                    finals.append(run_scheme(space, scfg, v)[-1].copy())
+                except Exception as exc:
+                    raise ExperimentError(
+                        {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
+                    ) from exc
+            parts = []
+            for (K, t), group in itertools.groupby(zip(points, finals), key=lambda pair: (pair[0][0], pair[0][2])):
+                group = list(group)
+                try:
+                    stack = np.stack([U for _, U in group])
+                    if reference is None:
+                        reference = build_modal_solution(datum, alpha, cfg.gamma, tol=cfg.oracle_tol, t_min=t_min)
+                        if reference.tail_bound > cfg.oracle_tol:
+                            print(f"rstokes: warning: reference for alpha={alpha:g} at t_min={t_min:g} keeps "
+                                  f"{len(reference.modes)} modes; its tail bound {reference.tail_bound:.3g} exceeds "
+                                  f"oracle_tol {cfg.oracle_tol:g}", file=sys.stderr)
+                    with np.errstate(over="raise", invalid="raise"):
+                        norms = error_norms(spaces[K][0], stack, reference, t)
+                    if not np.all(np.isfinite(norms)):
+                        raise FloatingPointError(f"error norms are not finite: {norms.tolist()}")
+                    parts.append(norms)
+                except Exception as exc:
+                    Ns = tuple(N for (_, N, _, _), _ in group)
+                    raise ExperimentError(
+                        {"example": cfg.example, "alpha": alpha, "K": K, "N": Ns, "t": t}, exc
+                    ) from exc
+            norms = np.concatenate(parts, axis=1)
+            # a datum outside L2 (Dirac) has no norm, and its errors stay absolute
+            if report.normalized:
+                norms /= datum.l2_norm
+            l2s, h1s = norms.tolist()
+            xs = [x for *_, x in points]
+            rows = tuple(ReportRow(alpha, 1.0 / K, t / N, t, l2, h1, rate)
+                         for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)))
+            report.families.append(Family(key, x_name, rows, fit(xs, l2s), fit(xs, h1s)))
     return report
 
 

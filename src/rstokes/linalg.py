@@ -38,7 +38,6 @@ __all__ = [
     "dst",
     "torus_spectrum",
     "torus_interior",
-    "matvec",
     "solve_spd",
     "SpdFactorization",
 ]
@@ -66,11 +65,11 @@ class DiagonalMatrix:
         """Return a*self + b*other as a new matrix."""
         return DiagonalMatrix(a * self.eigenvalues + b * other.eigenvalues)
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        return self.eigenvalues * x
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self, x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"dimension mismatch: matrix is {self.n}x{self.n}, vector has shape {x.shape}")
+        return self.eigenvalues * x
 
 
 class SquareStencilMatrix:
@@ -118,18 +117,11 @@ class SquareStencilMatrix:
         """Return a*self + b*other as a new matrix."""
         return SquareStencilMatrix(self.K, a * self.mass + b * other.mass, a * self.stiff + b * other.stiff)
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        return (_spectrum(x, self.K) * self.symbol).view(float).ravel()
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self, x)
-
-
-def matvec(A: DiagonalMatrix | SquareStencilMatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.n,):
-        raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, vector has shape {x.shape}")
-    return A._product(x)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"dimension mismatch: matrix is {self.n}x{self.n}, vector has shape {x.shape}")
+        return (_spectrum(x, self.K) * self.symbol).view(float).ravel()
 
 
 def solve_spd(A: DiagonalMatrix | SquareStencilMatrix, b: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ __all__ = ["Mesh", "build_interval_mesh", "build_square_mesh"]
 class Mesh:
     """Uniform mesh of (0,1) (dim 1) or (0,1)^2 (dim 2) with K cells per side.
 
-    nodes has shape (K+1,) in 1D and ((K+1)^2, 2) in 2D, square nodes
-    ordered by (y, x); the boundary nodes carry the Dirichlet condition and
-    interior_nodes indexes the others.  h = 1/K is the cell side.
+    nodes are the K+1 grid coordinates of one side, 0, h, ..., 1 with
+    h = 1/K the cell side; the square's nodes are their pairs.  The end
+    nodes carry the Dirichlet condition, so nodes[1:-1] are the interior
+    nodes of the interval.
     """
 
     dim: int
@@ -40,18 +41,7 @@ class Mesh:
 
     @property
     def nodes(self) -> np.ndarray:
-        side = np.linspace(0.0, 1.0, self.K + 1)
-        if self.dim == 1:
-            return side
-        xg, yg = np.meshgrid(side, side)  # row index = y, col index = x
-        return np.column_stack([xg.ravel(), yg.ravel()])
-
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        inner = np.arange(1, self.K)
-        if self.dim == 1:
-            return inner
-        return (inner[:, None] * (self.K + 1) + inner[None, :]).ravel()
+        return np.linspace(0.0, 1.0, self.K + 1)
 
 
 def build_interval_mesh(K: int) -> Mesh:

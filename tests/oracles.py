@@ -21,7 +21,9 @@ both schemes, written out independently of `rstokes.stepper.run_scheme`, and
 history directly at every step, the reference for the stepper's blocked
 history and its march in the space's coordinates.  It steps in long double
 with the nodal matrices of `nodal_matrices` and scipy's sparse LU, so it
-shares no code with `rstokes.linalg`.
+shares no code with `rstokes.linalg`.  `generating_function_state` reads the
+final state of every mode of an interval run from the scheme's generating
+function, a reference at any K.
 
 Interval: `interval_matrices` are the closed-form nodal P1 matrices
 (h/6) tridiag(1, 4, 1) and (1/h) tridiag(-1, 2, -1), the reference for the
@@ -29,7 +31,8 @@ DST-I eigenvalues that `rstokes.fem` keeps in their place, and
 `sine_matrix` is the orthonormal DST-I matrix written out entry by entry,
 which `nodal_form` uses to turn a 1D matrix back into nodal form.
 
-Square: `square_triangles` is the diagonal split of Mesh(2, K), and
+Square: `square_nodes` is the node table of Mesh(2, K), whose `nodes` are
+the grid of one side, and `square_triangles` its diagonal split;
 `element_matrices`/`element_step_load` integrate P1 element by element over
 it, the reference for the closed-form 2D matrices and step load of
 `rstokes.fem`; `element_interior_matrices` keeps the same integrals sparse,
@@ -277,6 +280,44 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
     return U
 
 
+def generating_function_state(space, cfg, v: np.ndarray) -> np.ndarray:
+    """U^N of `run_scheme` on the interval, every DST-I mode from its closed form.
+
+    Mode k has the mass and stiffness eigenvalues mu and sigma of the space,
+    and with W = delta(xi)^alpha, the generating function of the CQ weights,
+    and frac = gamma tau^-alpha, the recurrence of the scheme sums to
+    U(xi) = sum_n U^n xi^n = v num / den, with
+
+        den = (mu/tau) delta + sigma (1 + frac W),
+        BE:  num = mu/tau + sigma (1 + frac W),
+        SBD: num = (mu/tau)(3/2 - xi/2) + sigma (1 + frac W - xi frac W / 2 - xi / 2),
+
+    the numerators holding the U^0 terms: the multistep mass terms, SBD's
+    corrected first step and the half-weighted U^0 of its history.  U^N is
+    the Cauchy integral of U(xi) xi^(-N-1), read by the L = 4N + 16 point
+    trapezoid rule on |xi| = rho with rho^N = eps^(1/5): its aliasing error,
+    rho^L times the later U^(N+L), and the roundoff that rho^-N amplifies
+    are both near eps^(4/5).  No weight, history sum or solve of the stepper
+    is used.
+    """
+    N, tau = cfg.n_steps, cfg.tau
+    frac = cfg.gamma * tau ** (-cfg.alpha)
+    mass, stiff = space.M.eigenvalues / tau, space.S.eigenvalues
+    L = 4 * N + 16
+    rho = np.finfo(float).eps ** (1.0 / (5 * N))
+    total = np.zeros(len(v), dtype=complex)
+    for xi in rho * np.exp(2j * np.pi * np.arange(L) / L):
+        delta = 1.0 - xi if cfg.scheme == "be" else 1.5 - 2.0 * xi + 0.5 * xi * xi
+        fw = frac * delta**cfg.alpha
+        den = mass * delta + stiff * (1.0 + fw)
+        if cfg.scheme == "be":
+            num = mass + stiff * (1.0 + fw)
+        else:
+            num = mass * (1.5 - 0.5 * xi) + stiff * (1.0 + fw - 0.5 * xi * fw - 0.5 * xi)
+        total += num / den * xi ** (-N)
+    return v * (total.real / L)
+
+
 # ---------------------------------------------------------------------------
 # matrices, evaluation and quadrature
 
@@ -352,6 +393,18 @@ def bordered_matrix(g0: np.ndarray, corner: float) -> np.ndarray:
     return out
 
 
+def square_nodes(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ((K+1)^2, 2) node coordinates (x, y) of Mesh(2, K), ordered by
+    (y, x) as `square_triangles` numbers them, and the indices of its
+    (K-1)^2 interior nodes in that order.  Each coordinate is a node of the
+    side grid `Mesh.nodes`.
+    """
+    side = Mesh(2, K).nodes
+    xg, yg = np.meshgrid(side, side)   # row index = y, column index = x
+    inner = np.arange(1, K)
+    return np.column_stack([xg.ravel(), yg.ravel()]), (inner[:, None] * (K + 1) + inner[None, :]).ravel()
+
+
 def square_triangles(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points (ix, iy) of Mesh(2, K) in its node order, and its triangles.
 
@@ -419,7 +472,7 @@ def element_interior_matrices(K: int):
     `rstokes.linalg` are checked against by scipy's sparse LU.
     """
     rows, cols, m_local, s_local, n = _element_entries(K)
-    inner = Mesh(2, K).interior_nodes
+    inner = square_nodes(K)[1]
     return tuple(sparse.csr_matrix((local, (rows, cols)), shape=(n, n))[inner][:, inner].tocsc()
                  for local in (m_local, s_local))
 

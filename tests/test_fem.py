@@ -14,6 +14,7 @@ from oracles import (
     gauss_panels,
     interval_matrices,
     nodal_form,
+    square_nodes,
     stencil_array,
     uj_eval,
 )
@@ -29,7 +30,7 @@ from rstokes.fem import (
     ritz_project,
 )
 from rstokes.harness import ExperimentConfig, run_experiment
-from rstokes.linalg import matvec, solve_spd
+from rstokes.linalg import solve_spd
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.oracle import ModalSolution, build_modal_solution
 from rstokes.stepper import SchemeConfig, run_scheme
@@ -82,13 +83,14 @@ def test_closed_form_2d_matches_element_oracle():
         M_full, S_full = element_matrices(K)
         # row sums of the full mass matrix are the hat integrals; they add up to 1
         assert abs(M_full.sum(axis=1).sum() - 1.0) < 1e-12
-        inner = np.ix_(space.mesh.interior_nodes, space.mesh.interior_nodes)
+        interior = square_nodes(K)[1]
+        inner = np.ix_(interior, interior)
         for got, full in ((space.M, M_full), (space.S, S_full)):
             expect = full[inner]
             assert np.max(np.abs(stencil_array(got) - expect)) <= 1e-15 * np.max(np.abs(expect))
         for cut in range(1, K):
             load = _step2d_load(space, cut / K)
-            expect = element_step_load(K, cut / K)[space.mesh.interior_nodes]
+            expect = element_step_load(K, cut / K)[interior]
             assert np.max(np.abs(load - expect)) <= 1e-15 * space.mesh.h**2
 
 
@@ -145,7 +147,7 @@ def test_sine_projection_second_order():
         space = assemble(build_interval_mesh(K))
         datum = InitialDatum("smooth_sine", frequency=2)
         x = l2_project(space, datum)
-        b = matvec(space.M, x)
+        b = space.M @ x
         # ||v - P_h v||^2 = ||v||^2 - (P_h v, P_h v), all terms exact
         errs.append(math.sqrt(max(0.5 - x @ b, 0.0)))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -160,8 +162,7 @@ def test_step_load_matches_quadrature():
         h = space.mesh.h
         got = _step_load_1d(space, 0.5)
         ref = np.zeros(space.n_dof)
-        for idx, i in enumerate(space.mesh.interior_nodes):
-            xi = space.mesh.nodes[i]
+        for idx, xi in enumerate(space.mesh.nodes[1:-1]):
             # integrate each linear piece of the tent, split at the cut point
             breaks = sorted({xi - h, xi, xi + h, 0.5})
             acc = 0.0
@@ -203,8 +204,7 @@ def test_ritz_galerkin_orthogonality(m):
     # projection's DST-I coefficients go back to nodal values for the nodal S
     nodes = space.mesh.nodes
     vv = np.sin(m * math.pi * nodes)
-    idx = space.mesh.interior_nodes
-    c = (2.0 * vv[idx] - vv[idx - 1] - vv[idx + 1]) / space.mesh.h
+    c = (2.0 * vv[1:-1] - vv[:-2] - vv[2:]) / space.mesh.h
     residual = interval_matrices(16)[1] @ space.to_nodal(x) - c
     assert np.max(np.abs(residual)) < 1e-12
 
@@ -229,7 +229,7 @@ def test_error_norms_of_interpolant():
     res = {}
     for K in (8, 16):
         space = assemble(build_interval_mesh(K))
-        nodes = space.mesh.nodes[space.mesh.interior_nodes]
+        nodes = space.mesh.nodes[1:-1]
         interp = u2 * np.sin(2 * math.pi * nodes)
         res[K] = error_norms(space, space.to_coords(interp)[None], ms, t)[:, 0]
     assert res[8][0] / res[16][0] == pytest.approx(4.0, rel=0.15)

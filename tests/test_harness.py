@@ -121,6 +121,19 @@ def test_mesh_size_rejected_before_any_mesh(capsys, monkeypatch, flag, value):
     assert ExperimentConfig(example="a", study="spatial", ks=(1,), Ks=(3,)).meshes == (2, 3)
 
 
+def test_missing_out_directory_rejected_before_any_mesh(tmp_path, capsys, monkeypatch):
+    # before the check a study ran every grid point and then failed to write
+    def no_mesh(K):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_interval_mesh", no_mesh)
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(["--example", "a", "--study", "temporal", "--k", "3", "--N", "4", "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("rstokes: error: out: ") and str(out) in line
+    assert ExperimentConfig(example="a", out="rows.csv").out == "rows.csv"   # the working directory
+
+
 @pytest.mark.parametrize("key,value", [
     ("scheme", "cn"),
     ("study", "x"),
@@ -237,6 +250,48 @@ def test_error_failure_names_the_family_points(monkeypatch):
         run_experiment(cfg)
     point = err.value.point
     assert (point["K"], point["t"], point["N"]) == (8, 0.1, (4, 8, 16))
+
+
+@pytest.mark.parametrize("study,Ns,ts", [
+    ("temporal", (4, 8), (1e300,)),
+    ("blowup", (4,), (1e300, 1e299)),
+    ("temporal", (4, 8), (1e300, 0.1)),
+], ids=["temporal", "blowup", "temporal-two-times"])
+def test_vanishing_error_has_nan_rates(capsys, study, Ns, ts):
+    # at t = 1e300 the reference and the scheme have both decayed to exact
+    # zeros: a rate or a fit over a zero error is nan, and the rows, with
+    # any valid family beside them, are still reported
+    argv = ["--example", "c", "--study", study, "--k", "3", "--N", ",".join(map(str, Ns)),
+            "--t", ",".join(map(str, ts))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+        rep = run_experiment(ExperimentConfig(example="c", study=study, ks=(3,), Ns=Ns, ts=ts))
+    assert capsys.readouterr().err == ""
+    assert len(rep.rows) == len(Ns) * len(ts)
+    for fam in rep.families:
+        vanished = fam.rows[0].t > 1.0
+        assert all((r.l2_error == 0.0) == (r.h1_error == 0.0) == vanished for r in fam.rows)
+        rates = [r.rate for r in fam.rows[1:]] + [fam.l2_rate, fam.h1_rate]
+        assert all(math.isnan(rate) == vanished for rate in rates)
+
+
+def test_nonfinite_error_norm_fails_its_grid_point(capsys, monkeypatch):
+    # at t = 1e-300 the reference overflows inside the error pass; the study
+    # stops at that grid point rather than print rows of nan
+    argv = ["--example", "b", "--study", "temporal", "--k", "3", "--N", "4,8", "--t", "1e-300"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    warning, error = captured.err.splitlines()
+    assert warning.startswith("rstokes: warning: reference for alpha=0.5 at t_min=1e-300")
+    assert error.startswith("rstokes: error: grid point (example=b, alpha=0.5, K=8, N=(4, 8), t=1e-300) failed:")
+    # a non-finite norm that raised no floating-point error fails the same way
+    monkeypatch.setattr(harness, "error_norms", lambda space, rows, exact, t: np.full((2, len(rows)), np.inf))
+    cfg = ExperimentConfig(example="a", study="temporal", ks=(3,), Ns=(4, 8), ts=(0.1,))
+    with pytest.raises(ExperimentError, match="not finite") as err:
+        run_experiment(cfg)
+    assert err.value.point == {"example": "a", "alpha": 0.5, "K": 8, "N": (4, 8), "t": 0.1}
 
 
 def test_temporal_study_keeps_one_trajectory_alive():
@@ -375,7 +430,13 @@ def test_cli_key_table_matches_parser_and_config(tmp_path):
     cfgfile.write_text("".join(f"{key} = x\n" for key in cli._KEYS))
     assert set(read_config_file(str(cfgfile))) == set(cli._KEYS)
     assert {dest for dest, _, _ in cli._KEYS.values()} == {a.dest for a in actions}
-    assert {field for _, field, _ in cli._KEYS.values()} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_cli_keys_map_one_to_one_onto_config_fields():
+    # a setting added to only one of cli._KEYS and ExperimentConfig, or one
+    # field read by two keys, fails here
+    fields = sorted(field for _, field, _ in cli._KEYS.values())
+    assert fields == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def test_config_file_parser(tmp_path):
