@@ -15,7 +15,10 @@ return vectors in those coordinates, and `error_norms` takes a stack of
 them and returns a plain (2, R) array of absolute L2 and H1 errors.  Load
 vectors for the four initial data of the studies are integrated exactly
 (closed forms for sine and step data, point evaluation for Dirac data),
-which keeps quadrature error out of the convergence studies.
+which keeps quadrature error out of the convergence studies.  The sine's
+load and its Ritz projection are written in DST-I coordinates directly,
+one nonzero entry each (`_sine_coords`), so a 1D run of the sine marches one
+mode (`rstokes.stepper.run_scheme`).
 """
 
 from __future__ import annotations
@@ -150,13 +153,22 @@ def assemble(mesh: Mesh) -> FemSpace:
 # ---------------------------------------------------------------------------
 # load vectors (exact integration per datum kind)
 
-def _sine_load_1d(space: FemSpace, m: int) -> np.ndarray:
-    mesh = space.mesh
-    h = mesh.h
-    x = mesh.nodes[1:-1]
-    # 2 (1 - cos(m pi h)), written without the cancellation
-    w = 4.0 * math.sin(m * math.pi * h / 2.0) ** 2 / (h * (m * math.pi) ** 2)
-    return np.sin(m * math.pi * x) * w
+def _sine_coords(space: FemSpace, m: int) -> np.ndarray:
+    """Orthonormal DST-I coordinates of the nodal sine sin(m pi x_i), in closed form.
+
+    Over the interior nodes, sum_i sin(m pi x_i) sin(k pi x_i) is K/2 when
+    k = m and -K/2 when k = -m, mod 2K, and 0 otherwise.  So with m folded
+    to r = m mod 2K, the coordinates are sqrt(K/2) e_r for r < K,
+    -sqrt(K/2) e_(2K-r) for r > K, and zero when K divides m.  Through
+    `dst`, the other K-2 entries would hold roundoff, which `run_scheme`
+    would march.
+    """
+    K = space.mesh.K
+    y = np.zeros(space.n_coords)
+    r = m % (2 * K)
+    if r % K:
+        y[min(r, 2 * K - r) - 1] = math.copysign(math.sqrt(K / 2.0), K - r)
+    return y
 
 
 def _step_load_1d(space: FemSpace, a: float) -> np.ndarray:
@@ -193,17 +205,21 @@ def _check_domain(space: FemSpace, v: InitialDatum) -> None:
         raise UnsupportedDatumError(f"{v.kind} datum is {v.dim}D, the mesh {space.mesh.dim}D")
 
 
-def _load_vector(space: FemSpace, v: InitialDatum) -> np.ndarray:
+def _load_coords(space: FemSpace, v: InitialDatum) -> np.ndarray:
+    """The load vector of the datum, in space coordinates."""
     _check_domain(space, v)
     if v.kind == "smooth_sine":
-        return _sine_load_1d(space, v.frequency)
+        # the sine's load is its nodal values times
+        # w = 2 (1 - cos(m pi h)) / (h (m pi)^2), written without the cancellation
+        m, h = v.frequency, space.mesh.h
+        return 4.0 * math.sin(m * math.pi * h / 2.0) ** 2 / (h * (m * math.pi) ** 2) * _sine_coords(space, m)
     load = {"step": _step_load_1d, "dirac": _dirac_load_1d, "step2d": _step2d_load}[v.kind]
-    return load(space, v.location)
+    return space.to_coords(load(space, v.location))
 
 
 def l2_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     """Coefficients of the L2 projection P_h v (duality pairing for Dirac), in space coordinates."""
-    return solve_spd(space.M, space.to_coords(_load_vector(space, v)))
+    return solve_spd(space.M, _load_coords(space, v))
 
 
 def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
@@ -216,8 +232,7 @@ def ritz_project(space: FemSpace, v: InitialDatum) -> np.ndarray:
     _check_domain(space, v)
     if v.kind != "smooth_sine":
         raise UnsupportedDatumError(f"datum kind {v.kind!r} has no gradient representation")
-    x = space.mesh.nodes[1:-1]
-    return space.to_coords(np.sin(v.frequency * math.pi * x))
+    return _sine_coords(space, v.frequency)
 
 
 # ---------------------------------------------------------------------------

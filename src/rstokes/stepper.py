@@ -36,8 +36,13 @@ and never changes them: v and the snapshots are in those coordinates, and M,
 S and the system act in them, so one loop serves both dimensions.  The
 system matrix is set up once per run by `SpdFactorization`.  On the
 interval the space's DST-I coordinates make every matrix diagonal, and a
-solve is one division.  On the square the coordinates are the scaled
-spectrum of the zero-extended torus array: M and S multiply by their torus
+solve is one division.  So each mode marches alone, and one whose entry of
+v is 0 stays exactly 0: each of its products is 0 times a finite weight.  A
+1D run therefore marches only the support of v and writes it into the
+columns of a zero snapshot array: the sine datum's closed-form coordinates
+have one nonzero entry, and the L2 projection of the step at 1/2 has three
+quarters of them.  On the square the coordinates are the scaled spectrum of
+the zero-extended torus array: M and S multiply by their torus
 symbols, whose products leak onto the torus boundary, and the
 capacitance-matrix solve, which the leak does not change, takes and returns
 spectra.  So a 2D step makes no 2D FFT.  The snapshots hold n_coords
@@ -55,7 +60,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cq import DELTA, weights
 from .fem import FemSpace
-from .linalg import SpdFactorization
+from .linalg import DiagonalMatrix, SpdFactorization
 
 __all__ = ["SchemeConfig", "run_scheme"]
 
@@ -101,7 +106,10 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
 
     Returns the (N+1, n_coords) array of the snapshots U^0..U^N.  v and the
     snapshots are in the coordinates of `space` (`FemSpace.to_coords`), as
-    the projections of `rstokes.fem` return them.
+    the projections of `rstokes.fem` return them.  In 1D the march covers
+    the support of v alone, as the columns off it are exactly 0 at every
+    step; the factorization, the N solves, their order and the step a
+    `StepFailure` names are those of the full-width march.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (space.n_coords,):
@@ -111,7 +119,12 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
     w = weights(cfg.scheme, cfg.alpha, N)
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
-    solver = SpdFactorization(space.M.scaled_sum(c[0] / tau, space.S, diag))
+    M, S, keep = space.M, space.S, np.arange(space.n_coords)
+    if isinstance(M, DiagonalMatrix):
+        # each DST-I mode marches alone, and one whose U^0 is 0 stays exactly 0
+        keep = np.flatnonzero(v)
+        M, S = DiagonalMatrix(M.eigenvalues[keep]), DiagonalMatrix(S.eigenvalues[keep])
+    solver = SpdFactorization(M.scaled_sum(c[0] / tau, S, diag))
     # the history enters as S applied to the weighted sum with weights
     # frac w_k, reversed so that every run of them a product needs is a
     # contiguous slice: wr[N-k] = frac w_k for k >= 1.  wr[N] = 1 is the
@@ -130,22 +143,26 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
     d = len(past)
 
     # rows 1..N start at zero: each holds its far history until it is solved
-    U = np.zeros((N + 1, space.n_coords))
-    U[0] = v
+    X = np.zeros((N + 1, keep.size))
+    X[0] = v[keep]
     for s in range(1, N + 1, _BLOCK):
         e = min(s + _BLOCK, N + 1)
-        _add_far_history(U, wr, theta, s, e)
+        _add_far_history(X, wr, theta, s, e)
         for n in range(s, e):
             if n < d:  # SBD's corrected first step: c_0 M U^0 / tau
-                rhs = space.M @ ((c[0] / tau) * U[0])
+                rhs = M @ ((c[0] / tau) * X[0])
             else:
-                rhs = space.M @ (past @ U[n - d : n])
+                rhs = M @ (past @ X[n - d : n])
             # far history plus the near part frac w_{n-s}..frac w_1 on U^s..U^{n-1}
-            rhs -= space.S @ (wr[N - n + s :] @ U[s : n + 1])
+            rhs -= S @ (wr[N - n + s :] @ X[s : n + 1])
             try:
-                U[n] = solver.solve(rhs)
+                X[n] = solver.solve(rhs)
             except Exception as exc:  # propagate with the failing step index
                 raise StepFailure(n, exc) from exc
+    if keep.size == space.n_coords:
+        return X
+    U = np.zeros((N + 1, space.n_coords))
+    U[:, keep] = X
     return U
 
 

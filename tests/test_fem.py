@@ -154,6 +154,45 @@ def test_sine_projection_second_order():
     assert all(1.9 < r < 2.1 for r in rates)
 
 
+def _sine_dst_route(space, m):
+    # the sine's Ritz and L2 projections through the FFT of dst: the nodal
+    # sine, and its load, mapped to coordinates, the load then solved by M.
+    # The nodal phase m pi i / K is reduced mod 2 pi in integers: computed as
+    # m pi x_i it is off by up to eps m pi, which moves the sine by up to 3e-12
+    # at m = 2K + 2, K = 2048, above the 1e-13 of the comparison
+    K, h = space.mesh.K, space.mesh.h
+    nodal = np.sin(np.pi * (m * np.arange(1, K) % (2 * K)) / K)
+    w = 4.0 * math.sin(m * math.pi * h / 2.0) ** 2 / (h * (m * math.pi) ** 2)
+    return space.to_coords(nodal), solve_spd(space.M, space.to_coords(w * nodal))
+
+
+@pytest.mark.parametrize("K", [8, 64, 2048])
+@pytest.mark.parametrize("times,plus,sign,k", [
+    pytest.param(0, 1, 1, 1, id="m=1"), pytest.param(0, 2, 1, 2, id="m=2"),
+    pytest.param(1, -1, 1, -1, id="m=K-1"), pytest.param(1, 0, 0, 0, id="m=K"),
+    pytest.param(1, 3, -1, -3, id="m=K+3"), pytest.param(2, 2, 1, 2, id="m=2K+2"),
+])
+def test_sine_coordinates_are_one_folded_mode(K, times, plus, sign, k):
+    # sin(m pi x), m = times K + plus, has DST-I coordinates sign sqrt(K/2) e_k
+    # with k = m folded mod 2K (k + K for a negative k below); none when K
+    # divides m, and a fold past K, as for m = K + 3, flips the sign.  Both
+    # projections keep that single entry and agree with the dst route.
+    space = assemble(build_interval_mesh(K))
+    datum = InitialDatum("smooth_sine", frequency=times * K + plus)
+    ritz, l2 = ritz_project(space, datum), l2_project(space, datum)
+    ritz_dst, l2_dst = _sine_dst_route(space, datum.frequency)
+    if sign == 0:
+        assert not np.any(ritz) and not np.any(l2)
+        assert np.max(np.abs(ritz_dst)) <= 1e-13 * math.sqrt(K / 2.0)
+        return
+    index = (k if k > 0 else K + k) - 1
+    assert np.flatnonzero(ritz).tolist() == [index] and np.flatnonzero(l2).tolist() == [index]
+    assert ritz[index] == sign * math.sqrt(K / 2.0)
+    assert np.sign(l2[index]) == sign
+    for closed, route in ((ritz, ritz_dst), (l2, l2_dst)):
+        assert np.max(np.abs(closed - route)) <= 1e-13 * np.max(np.abs(route))
+
+
 def test_step_load_matches_quadrature():
     from rstokes.fem import _step_load_1d
 

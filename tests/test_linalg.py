@@ -302,6 +302,22 @@ def test_factorization_set_up_stays_below_one_megabyte():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("K", [3, 8, 128])
+def test_capacitance_solves_return_fresh_spectra(K):
+    # each solve returns a fresh spectrum, which a later solve of the same
+    # factorization leaves alone, and solving the same b again gives the
+    # same bits
+    rng = np.random.default_rng(K)
+    solve = SpdFactorization(SquareStencilMatrix(K, 2.0, 21.0)).solve
+    b, c = (torus_spectrum(rng.standard_normal((K - 1) ** 2), K) for _ in range(2))
+    x = solve(b)
+    first = x.copy()
+    y = solve(c)
+    assert not np.shares_memory(x, y)
+    assert np.array_equal(x, first)
+    assert np.array_equal(solve(b), first)
+
+
 @pytest.mark.parametrize("mass,stiff", [(-1.0, 1.0), (1.0, -1.0), (0.0, -1.0), (0.0, 0.0)])
 def test_factorization_rejects_indefinite_square_matrix(mass, stiff):
     with pytest.raises(ValueError):

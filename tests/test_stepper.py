@@ -243,6 +243,78 @@ def test_blocked_history_matches_direct_sum(mesh_builder, K, N, rng):
             assert np.max(gap) < (3e-13 if N <= 128 else 1e-12)
 
 
+@pytest.mark.parametrize("datum", ["step", "dirac", "random"])
+@pytest.mark.parametrize("N", [40, 2 * _BLOCK + 1, 300])
+def test_restricted_march_matches_direct_sum(datum, N, rng):
+    # a 1D run marches only the modes where v is nonzero; against the
+    # full-width nodal march of the oracle it keeps the gap bound of
+    # test_blocked_history_matches_direct_sum, and the other modes are exactly
+    # 0 at every step.  The L2 projections of the step and the Dirac datum at
+    # 1/2 have exact zeros (a quarter and half of the DST-I modes); the random
+    # vector has about a third of its entries zeroed.
+    space = assemble(build_interval_mesh(64))
+    if datum == "random":
+        v = rng.standard_normal(space.n_coords)
+        v[rng.random(space.n_coords) < 1.0 / 3.0] = 0.0
+    else:
+        v = l2_project(space, InitialDatum(datum))
+    zero = v == 0.0
+    assert 0 < np.count_nonzero(zero) < space.n_coords
+    for alpha in (0.3, 0.7):
+        for scheme in ("be", "sbd"):
+            cfg = SchemeConfig(scheme, alpha, 1.0, 0.1 / N, N)
+            U = run_scheme(space, cfg, v)
+            assert U.shape == (N + 1, space.n_coords)
+            assert np.all(U[:, zero] == 0.0)
+            ref = direct_run_scheme(space, cfg, space.to_nodal(v))
+            gap = np.max(np.abs(space.to_nodal(U) - ref), axis=1) / np.max(np.abs(ref), axis=1)
+            assert np.max(gap) < (3e-13 if N <= 128 else 1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["be", "sbd"])
+def test_all_zero_initial_vector_marches_no_mode(monkeypatch, scheme):
+    # an empty support still makes one factorization and one solve per step,
+    # each of no entries, and returns the full array of zeros
+    import rstokes.stepper as stepper_mod
+
+    sizes = []
+
+    class CountingFactorization(stepper_mod.SpdFactorization):
+        def solve(self, b):
+            sizes.append(b.size)
+            return super().solve(b)
+
+    monkeypatch.setattr(stepper_mod, "SpdFactorization", CountingFactorization)
+    space = assemble(build_interval_mesh(64))
+    N = 2 * _BLOCK + 1
+    U = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, 0.1 / N, N), np.zeros(space.n_coords))
+    assert U.shape == (N + 1, space.n_coords)
+    assert not np.any(U)
+    assert sizes == [0] * N
+
+
+def test_restricted_march_memory_is_bounded():
+    # a 1D run on part of the modes marches them in an (N+1) x len(keep) array
+    # and then writes it into the zero snapshot array.  At the T3 step-datum
+    # runs' largest size, K = 2048 and N = 80, that array is 1 MB (1,536 of
+    # 2,047 modes), and beyond the two the working memory bound of
+    # test_stepper_working_memory_is_bounded holds
+    space = assemble(build_interval_mesh(2048))
+    v = l2_project(space, InitialDatum("step"))
+    n_keep = np.count_nonzero(v)
+    assert 0 < n_keep < space.n_coords
+    N = 80
+    cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / N, N)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        U = run_scheme(space, cfg, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - U.nbytes - (N + 1) * n_keep * 8 < 1 << 20
+
+
 @pytest.mark.parametrize("scheme", ["be", "sbd"])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("N", [5, 250])
@@ -261,7 +333,9 @@ def test_production_mesh_matches_generating_function(scheme, alpha, N, rng):
 def test_1d_run_factors_once_and_solves_each_step_in_order(monkeypatch, scheme):
     # the traced benchmark counts linalg.factor_calls and linalg.solve_calls at
     # stepper.SpdFactorization, so a 1D run must build one and solve through it
-    # once per step; the k-th solve returns U^k itself, in DST-I coordinates
+    # once per step; the k-th solve returns U^k, in DST-I coordinates, on the
+    # support of v (the step's L2 projection at K = 16 has 3 zero modes), and
+    # U^k is exactly 0 off that support
     import rstokes.stepper as stepper_mod
 
     built, solved = [], []
@@ -281,9 +355,12 @@ def test_1d_run_factors_once_and_solves_each_step_in_order(monkeypatch, scheme):
     v = l2_project(space, InitialDatum("step"))
     N = 300
     U = run_scheme(space, SchemeConfig(scheme, 0.5, 1.0, 0.1 / N, N), v)
+    keep = v != 0.0
+    assert 0 < np.count_nonzero(keep) < space.n_coords
     assert len(built) == 1
     assert len(solved) == N
-    assert np.array_equal(np.array(solved), U[1:])
+    assert np.array_equal(np.array(solved), U[1:, keep])
+    assert np.all(U[:, ~keep] == 0.0)
 
 
 @pytest.mark.parametrize("N", [1, 100])
@@ -332,11 +409,12 @@ def test_trajectory_metadata():
 
 
 @pytest.mark.parametrize("scheme", ["be", "sbd"])
-def test_stepper_stores_one_history_array(scheme):
+def test_stepper_stores_one_history_array(scheme, rng):
     # the history is S applied to the weighted sum of stored states, so a run
-    # keeps the (N+1) x dof snapshots and no second array of that size
+    # keeps the (N+1) x dof snapshots and no second array of that size.  The
+    # datum has every mode nonzero, so the 1D march is full width
     space = assemble(build_interval_mesh(512))
-    v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
+    v = _dense_datum(space, rng)
     cfg = SchemeConfig(scheme, 0.5, 1.0, 0.1 / 400, 400)
     tracemalloc.start()
     try:
@@ -348,11 +426,12 @@ def test_stepper_stores_one_history_array(scheme):
     assert peak < 1.5 * U.nbytes
 
 
-def test_stepper_memory_at_fine_tau_scale():
+def test_stepper_memory_at_fine_tau_scale(rng):
     # K = 2^11, N = 2000: the far-history products are chunked, so the peak
-    # stays within half the snapshot array above it
+    # stays within half the snapshot array above it.  The datum has every
+    # mode nonzero, so the products run on all 2,047 columns
     space = assemble(build_interval_mesh(2048))
-    v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
+    v = _dense_datum(space, rng)
     cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / 2000, 2000)
     tracemalloc.start()
     try:
@@ -365,11 +444,12 @@ def test_stepper_memory_at_fine_tau_scale():
 
 
 @pytest.mark.parametrize("K,N", [(8, 4000), (64, 1000), (2048, 2000)])
-def test_stepper_working_memory_is_bounded(K, N):
+def test_stepper_working_memory_is_bounded(K, N, rng):
     # beyond the snapshots a run keeps its weights and the chunks of one
-    # far-history product, whatever N and the dof count
+    # far-history product, whatever N and the dof count (every mode of the
+    # datum is nonzero, so the march is full width)
     space = assemble(build_interval_mesh(K))
-    v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
+    v = _dense_datum(space, rng)
     cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / N, N)
     tracemalloc.start()
     try:
@@ -379,3 +459,9 @@ def test_stepper_working_memory_is_bounded(K, N):
     finally:
         tracemalloc.stop()
     assert peak - U.nbytes < 1 << 20
+
+
+def _dense_datum(space, rng):
+    v = rng.standard_normal(space.n_coords)
+    assert np.all(v != 0.0)
+    return v
