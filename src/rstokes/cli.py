@@ -1,14 +1,15 @@
 """Command-line entry point for the convergence-study harness.
 
-One table, `_KEYS`, names every setting: its flag, its config-file key, its
-ExperimentConfig field and the cast of its text.  A flat key=value config
-file can seed any of them, with command-line values taking precedence.  The
-parser only collects text; each value is cast here, with its key named when
-the cast fails, and checked by ExperimentConfig, which holds the allowed
-values and fills the study defaults.  So a bad value reads the same from a
-flag and from the file.  Exit status is 0 on success and 1 with one
-`rstokes: error:` line on a bad setting or a failed grid point; argparse
-itself exits 2 on an unknown flag or a flag without its value.
+One table, `_KEYS`, names every setting: its flag and config-file key, its
+ExperimentConfig field (which is also the flag's dest), the cast of its text
+and its help; nothing else in this module lists a setting.  A flat
+key=value config file can seed any of them, with command-line values taking
+precedence.  The parser only collects text; each value is cast here, with
+its key named when the cast fails, and checked by ExperimentConfig, which
+holds the allowed values and fills the study defaults.  So a bad value reads
+the same from a flag and from the file.  Exit status is 0 on success and 1
+with one `rstokes: error:` line on a bad setting or a failed grid point;
+argparse itself exits 2 on an unknown flag or a flag without its value.
 """
 
 from __future__ import annotations
@@ -31,32 +32,23 @@ def _list_of(cast):
     return parse
 
 
-# config-file key (and flag name) -> (argparse dest, ExperimentConfig field,
-# cast of its text), in the order the settings are read
+# config-file key (and flag name) -> (ExperimentConfig field, which is also
+# the flag's argparse dest, cast of its text, flag help), in the order the
+# settings are read
 _KEYS = {
-    "example": ("example", "example", str),
-    "scheme": ("scheme", "scheme", str),
-    "study": ("study", "study", str),
-    "projection": ("projection", "projection", str),
-    "out": ("out", "out", str),
-    "format": ("fmt", "fmt", str),
-    "gamma": ("gamma", "gamma", float),
-    "oracle-tol": ("oracle_tol", "oracle_tol", float),
-    "alpha": ("alpha", "alphas", _list_of(float)),
-    "k": ("k", "ks", _list_of(int)),
-    "K": ("K", "Ks", _list_of(int)),
-    "N": ("N", "Ns", _list_of(int)),
-    "t": ("t", "ts", _list_of(float)),
-}
-
-# help text of the flags that need more than their name
-_HELP = {
-    "alpha": "comma/space separated list, e.g. 0.1,0.5,0.9",
-    "k": "mesh exponents, K = 2^k",
-    "K": "explicit subdivision counts (misaligned grids)",
-    "N": "step counts",
-    "t": "observation times",
-    "out": "output path; omitted prints the report to stdout",
+    "example": ("example", str, None),
+    "scheme": ("scheme", str, None),
+    "study": ("study", str, None),
+    "projection": ("projection", str, None),
+    "out": ("out", str, "output path; omitted prints the report to stdout"),
+    "format": ("fmt", str, None),
+    "gamma": ("gamma", float, None),
+    "oracle-tol": ("oracle_tol", float, None),
+    "alpha": ("alphas", _list_of(float), "comma/space separated list, e.g. 0.1,0.5,0.9"),
+    "k": ("ks", _list_of(int), "mesh exponents, K = 2^k"),
+    "K": ("Ks", _list_of(int), "explicit subdivision counts (misaligned grids)"),
+    "N": ("Ns", _list_of(int), "step counts"),
+    "t": ("ts", _list_of(float), "observation times"),
 }
 
 
@@ -84,16 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convergence-rate studies for the fractional Rayleigh-Stokes solver.",
     )
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    for key, (dest, _, _) in _KEYS.items():
-        p.add_argument(f"--{key}", dest=dest, help=_HELP.get(key))
+    for key, (field, _, text) in _KEYS.items():
+        p.add_argument(f"--{key}", dest=field, help=text)
     return p
 
 
 def _merged_settings(args: argparse.Namespace) -> dict:
     file_vals = read_config_file(args.config) if args.config else {}
     settings: dict = {}
-    for key, (dest, field, cast) in _KEYS.items():
-        val = getattr(args, dest)
+    for key, (field, cast, _) in _KEYS.items():
+        val = getattr(args, field)
         if val is None:
             val = file_vals.get(key)
         if val is not None:

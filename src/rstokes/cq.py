@@ -36,7 +36,7 @@ def weights(scheme: str, mu: float, N: int) -> np.ndarray:
     for backward Euler it is the binomial recurrence.
     """
     if scheme not in DELTA:
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'be' or 'sbd'")
+        raise ValueError(f"scheme must be one of {', '.join(DELTA)}, got {scheme!r}")
     if N < 0:
         raise ValueError(f"weight count must be nonnegative, got N={N}")
     c = DELTA[scheme]

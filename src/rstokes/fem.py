@@ -44,6 +44,7 @@ __all__ = [
     "l2_project",
     "ritz_project",
     "error_norms",
+    "mesh_line",
 ]
 
 
@@ -189,12 +190,18 @@ def _dirac_load_1d(space: FemSpace, x0: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(x0 - x) / mesh.h)
 
 
+def mesh_line(x: float, K: int) -> int | None:
+    """Index i of the grid line x = i/K of K cells per side, or None if x lies on none."""
+    i = round(x * K)
+    return i if np.isclose(x * K, i) else None
+
+
 def _step2d_load(space: FemSpace, a: float) -> np.ndarray:
     # a hat integrates to h^2, half of it on either side of its column line:
     # h^2 left of the cut x = a, h^2/2 on it and 0 right of it
     K, h = space.mesh.K, space.mesh.h
-    cut = round(a * K)
-    if not np.isclose(a * K, cut):
+    cut = mesh_line(a, K)
+    if cut is None:
         raise UnsupportedDatumError("2D step cut must align with a mesh line")
     ix = np.tile(np.arange(1, K), K - 1)   # column of each (y, x)-ordered interior node
     return (0.5 * h * h) * (1.0 + np.sign(cut - ix))

@@ -6,10 +6,13 @@ A study is one of
   blowup:   fixed mesh and N with tau = t/N, sweep t toward zero.
 
 `ExperimentConfig` decides a study's settings in one place: it fills the
-grid lists a study omits with that study's defaults and rejects a bad value
-(an alpha outside (0, 1), a mesh of fewer than two cells, a blowup study
-without sbd, an output path in a missing directory, ...) before any mesh is
-built; `meshes` lists the subdivision counts it resolves to.
+grid lists a study omits from one table of study defaults (`_DEFAULTS`),
+checks each named setting against the one source of its allowed values
+(`_DATA`, `cq.DELTA`, `_DEFAULTS`) and rejects a bad value (an alpha outside
+(0, 1), a mesh of fewer than two cells, a mesh on which the 2D step's cut
+lies on no mesh line, a blowup study without sbd, an output path that names
+a directory or lies in a missing one, ...) before any mesh is built;
+`meshes` lists the subdivision counts it resolves to.
 
 Errors are measured against the spectral solution.  A report's errors are
 normalized by the datum's `InitialDatum.l2_norm`, except for Dirac data,
@@ -28,13 +31,15 @@ import csv
 import io
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .fem import InitialDatum, assemble, error_norms, l2_project, ritz_project
+from .cq import DELTA
+from .fem import InitialDatum, assemble, error_norms, l2_project, mesh_line, ritz_project
 from .mesh import build_interval_mesh, build_square_mesh
 from .oracle import build_modal_solution
 from .stepper import SchemeConfig, run_scheme
@@ -62,6 +67,15 @@ class ExperimentError(RuntimeError):
         self.point = point
 
 
+# study -> the defaults of its omitted grid lists: (k on the interval, k on
+# the square, N, t); the spatial study's N, left empty here, is per example
+_DEFAULTS = {
+    "temporal": ((11,), (6,), (5, 10, 20, 40, 80), (0.1,)),
+    "spatial": ((3, 4, 5, 6, 7), (3, 4, 5, 6), (), (0.1,)),
+    "blowup": ((6,), (6,), (1000,), tuple(10.0 ** (-e) for e in range(3, 9))),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     example: str
@@ -79,35 +93,20 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.example not in _DATA:
-            raise ValueError(f"example must be one of a,b,c,d, got {self.example!r}")
-        if self.scheme not in ("be", "sbd"):
-            raise ValueError(f"scheme must be be or sbd, got {self.scheme!r}")
-        if self.study not in ("temporal", "spatial", "blowup"):
-            raise ValueError(f"unknown study {self.study!r}")
+        for key, value, allowed in (("example", self.example, _DATA), ("scheme", self.scheme, DELTA),
+                                    ("study", self.study, _DEFAULTS), ("projection", self.projection, ("l2", "ritz")),
+                                    ("format", self.fmt, ("csv", "text"))):
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
         # omitted grid lists take the defaults of the study, then the
         # resolved settings are checked
-        ks, Ns, ts = self.ks, self.Ns, self.ts
-        if not ks and not self.Ks:
-            square = _DATA[self.example].dim == 2
-            if self.study == "temporal":
-                ks = (6,) if square else (11,)
-            elif self.study == "spatial":
-                ks = (3, 4, 5, 6) if square else (3, 4, 5, 6, 7)
-            else:
-                ks = (6,)
-        if not Ns:
-            if self.study == "temporal":
-                Ns = (5, 10, 20, 40, 80)
-            elif self.study == "spatial":
-                defaults = {"a": 2000, "d": 200}
-                Ns = (defaults.get(self.example, 1000),)
-            else:
-                Ns = (1000,)
-        if not ts:
-            ts = tuple(10.0 ** (-e) for e in range(3, 9)) if self.study == "blowup" else (0.1,)
+        datum = _DATA[self.example]
+        line_ks, square_ks, Ns, ts = _DEFAULTS[self.study]
+        ks = () if self.Ks else square_ks if datum.dim == 2 else line_ks
+        Ns = Ns or ({"a": 2000, "d": 200}.get(self.example, 1000),)
         for name, value in (("ks", ks), ("Ns", Ns), ("ts", ts)):
-            object.__setattr__(self, name, value)
+            if not getattr(self, name):
+                object.__setattr__(self, name, value)
         if self.study == "blowup" and self.scheme != "sbd":
             raise ValueError("blowup study requires the second-order scheme (sbd)")
         if not self.alphas:
@@ -133,12 +132,13 @@ class ExperimentConfig:
                              f"got mesh (k and K together) list {self.meshes}")
         if self.study != "temporal" and len(self.Ns) > 1:
             raise ValueError(f"{self.study} study holds N fixed; got N list {self.Ns}")
-        if self.projection not in ("l2", "ritz"):
-            raise ValueError(f"projection must be l2 or ritz, got {self.projection!r}")
+        if datum.kind == "step2d" and any(mesh_line(datum.location, K) is None for K in self.meshes):
+            raise ValueError(f"the 2D step cut x = {datum.location:g} must lie on a mesh line; "
+                             f"got mesh (k and K together) list {self.meshes}")
         if self.projection == "ritz" and self.example != "a":
             raise ValueError(f"example ({self.example}) has no H1 datum; Ritz projection unavailable")
-        if self.fmt not in ("csv", "text"):
-            raise ValueError(f"format must be csv or text, got {self.fmt!r}")
+        if self.out and (self.out.endswith(("/", os.sep)) or Path(self.out).is_dir()):
+            raise ValueError(f"out: {self.out!r} names a directory, not a file")
         if self.out and not Path(self.out).parent.is_dir():
             raise ValueError(f"out: the directory of {self.out!r} does not exist")
 

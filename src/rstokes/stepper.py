@@ -85,8 +85,8 @@ class SchemeConfig:
     include_history_origin: ClassVar[bool] = False
 
     def __post_init__(self):
-        if self.scheme not in ("be", "sbd"):
-            raise ValueError(f"scheme must be 'be' or 'sbd', got {self.scheme!r}")
+        if self.scheme not in DELTA:
+            raise ValueError(f"scheme must be one of {', '.join(DELTA)}, got {self.scheme!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         if not all(math.isfinite(x) and x > 0.0 for x in (self.gamma, self.tau)):

@@ -23,7 +23,9 @@ history and its march in the space's coordinates.  It steps in long double
 with the nodal matrices of `nodal_matrices` and scipy's sparse LU, so it
 shares no code with `rstokes.linalg`.  `generating_function_state` reads the
 final state of every mode of an interval run from the scheme's generating
-function, a reference at any K.
+function, a reference at any K; `generating_function_state_2d` does the same
+on the square for the generalized eigenpairs of the element matrices, at
+small K.
 
 Interval: `interval_matrices` are the closed-form nodal P1 matrices
 (h/6) tridiag(1, 4, 1) and (1/h) tridiag(-1, 2, -1), the reference for the
@@ -56,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from rstokes.cq import DELTA, weights
@@ -280,13 +283,12 @@ def direct_run_scheme(space, cfg, v: np.ndarray) -> np.ndarray:
     return U
 
 
-def generating_function_state(space, cfg, v: np.ndarray) -> np.ndarray:
-    """U^N of `run_scheme` on the interval, every DST-I mode from its closed form.
+def _generating_function_factor(cfg, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """U^N / U^0 of the scheme's recurrence for each mode of mass mu and stiffness sigma.
 
-    Mode k has the mass and stiffness eigenvalues mu and sigma of the space,
-    and with W = delta(xi)^alpha, the generating function of the CQ weights,
-    and frac = gamma tau^-alpha, the recurrence of the scheme sums to
-    U(xi) = sum_n U^n xi^n = v num / den, with
+    With W = delta(xi)^alpha, the generating function of the CQ weights, and
+    frac = gamma tau^-alpha, the recurrence of a mode sums to
+    U(xi) = sum_n U^n xi^n = U^0 num / den, with
 
         den = (mu/tau) delta + sigma (1 + frac W),
         BE:  num = mu/tau + sigma (1 + frac W),
@@ -302,10 +304,10 @@ def generating_function_state(space, cfg, v: np.ndarray) -> np.ndarray:
     """
     N, tau = cfg.n_steps, cfg.tau
     frac = cfg.gamma * tau ** (-cfg.alpha)
-    mass, stiff = space.M.eigenvalues / tau, space.S.eigenvalues
+    mass, stiff = mu / tau, sigma
     L = 4 * N + 16
     rho = np.finfo(float).eps ** (1.0 / (5 * N))
-    total = np.zeros(len(v), dtype=complex)
+    total = np.zeros(len(mu), dtype=complex)
     for xi in rho * np.exp(2j * np.pi * np.arange(L) / L):
         delta = 1.0 - xi if cfg.scheme == "be" else 1.5 - 2.0 * xi + 0.5 * xi * xi
         fw = frac * delta**cfg.alpha
@@ -315,7 +317,32 @@ def generating_function_state(space, cfg, v: np.ndarray) -> np.ndarray:
         else:
             num = mass * (1.5 - 0.5 * xi) + stiff * (1.0 + fw - 0.5 * xi * fw - 0.5 * xi)
         total += num / den * xi ** (-N)
-    return v * (total.real / L)
+    return total.real / L
+
+
+def generating_function_state(space, cfg, v: np.ndarray) -> np.ndarray:
+    """U^N of `run_scheme` on the interval, every DST-I mode from its closed form.
+
+    Mode k has the mass and stiffness eigenvalues mu and sigma of the space,
+    and its U^N is v_k times `_generating_function_factor`.
+    """
+    return v * _generating_function_factor(cfg, space.M.eigenvalues, space.S.eigenvalues)
+
+
+def generating_function_state_2d(space, cfg, v: np.ndarray) -> np.ndarray:
+    """U^N of `run_scheme` on the square, as interior nodal values, every mode from its closed form.
+
+    The modes are the generalized eigenpairs S phi = lambda M phi of the
+    dense element matrices (`element_interior_matrices`), M-orthonormal, so
+    each has mu = 1 and sigma = lambda; v's nodal values are split into them
+    by the M inner product, and each amplitude is scaled by
+    `_generating_function_factor`.  Nothing of `rstokes.linalg` (symbols,
+    capacitance solves) is used, only the space's `to_nodal` for v.
+    """
+    M, S = (A.toarray() for A in element_interior_matrices(space.mesh.K))
+    lam, phi = eigh(S, M)
+    amplitudes = phi.T @ (M @ space.to_nodal(v))
+    return phi @ (amplitudes * _generating_function_factor(cfg, np.ones_like(lam), lam))
 
 
 # ---------------------------------------------------------------------------

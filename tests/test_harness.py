@@ -86,13 +86,14 @@ _BLOWUP_TIMES = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 ])
 def test_config_holds_resolved_defaults(example, study, ks, Ns, ts):
     # the config itself fills the grid lists a study omits, so what it holds
-    # is what runs; an explicit K list keeps the k list empty
+    # is what runs; an explicit K list keeps the k list empty (even K, so
+    # that the cut of example d lies on a mesh line)
     cfg = ExperimentConfig(example=example, study=study)
     assert (cfg.ks, cfg.Ks, cfg.Ns) == (ks, (), Ns)
     assert cfg.ts == pytest.approx(ts, rel=1e-15)
     assert cfg.meshes == tuple(2**k for k in ks)
-    explicit = ExperimentConfig(example=example, study="spatial", Ks=(9, 17))
-    assert (explicit.ks, explicit.meshes) == ((), (9, 17))
+    explicit = ExperimentConfig(example=example, study="spatial", Ks=(10, 18))
+    assert (explicit.ks, explicit.meshes) == ((), (10, 18))
 
 
 def test_alpha_outside_unit_interval_rejected_before_any_mesh(capsys, monkeypatch):
@@ -132,6 +133,34 @@ def test_missing_out_directory_rejected_before_any_mesh(tmp_path, capsys, monkey
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("rstokes: error: out: ") and str(out) in line
     assert ExperimentConfig(example="a", out="rows.csv").out == "rows.csv"   # the working directory
+
+
+@pytest.mark.parametrize("suffix", ["", "/nodir/"], ids=["existing-directory", "trailing-separator"])
+def test_directory_out_path_rejected_before_any_mesh(tmp_path, capsys, monkeypatch, suffix):
+    # before the check an existing directory ran the whole study and then
+    # failed to write, and a trailing separator wrote a file without it
+    def no_mesh(K):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_interval_mesh", no_mesh)
+    out = f"{tmp_path}{suffix}"
+    assert main(["--example", "a", "--study", "temporal", "--k", "3", "--N", "4", "--out", out]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("rstokes: error: out: ") and out in line
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_misaligned_2d_step_mesh_rejected_before_any_mesh(capsys, monkeypatch):
+    # the cut x = 1/2 of example d lies on no mesh line of K = 5; before the
+    # check the study stepped K = 4 and then failed at K = 5
+    def no_mesh(K):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_square_mesh", no_mesh)
+    assert main(["--example", "d", "--study", "spatial", "--K", "4,5", "--N", "4", "--t", "0.1"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("rstokes: error:") and "list (4, 5)" in line
+    assert ExperimentConfig(example="d", study="spatial", ks=(1,), Ks=(6,)).meshes == (2, 6)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -229,12 +258,16 @@ def test_one_time_blowup_slope_is_nan():
     assert math.isnan(rep.families[0].h1_rate)
 
 
-def test_experiment_error_carries_grid_point():
+def test_experiment_error_carries_grid_point(monkeypatch):
+    def fail(space, cfg, v):
+        raise FloatingPointError("step failed")
+
+    monkeypatch.setattr(harness, "run_scheme", fail)
     cfg = ExperimentConfig(example="d", scheme="sbd", study="spatial",
-                           alphas=(0.5,), Ks=(5,), Ns=(4,), ts=(0.1,))
-    with pytest.raises(ExperimentError) as err:
+                           alphas=(0.5,), Ks=(6,), Ns=(4,), ts=(0.1,))
+    with pytest.raises(ExperimentError, match="step failed") as err:
         run_experiment(cfg)
-    assert err.value.point["K"] == 5
+    assert err.value.point["K"] == 6
 
 
 def test_error_failure_names_the_family_points(monkeypatch):
@@ -421,21 +454,21 @@ def test_cli_reports_errors(tmp_path, capsys):
 
 
 def test_cli_key_table_matches_parser_and_config(tmp_path):
-    # one table maps each config-file key to its flag's dest, its
-    # ExperimentConfig field and the cast of its text
+    # one table maps each config-file key to its ExperimentConfig field,
+    # which is also its flag's dest, the cast of its text and its help
     actions = [a for a in cli.build_parser()._actions if a.dest not in ("help", "config")]
     flags = {opt[2:] for a in actions for opt in a.option_strings if opt.startswith("--")}
     assert set(cli._KEYS) == flags
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{key} = x\n" for key in cli._KEYS))
     assert set(read_config_file(str(cfgfile))) == set(cli._KEYS)
-    assert {dest for dest, _, _ in cli._KEYS.values()} == {a.dest for a in actions}
+    assert {field for field, _, _ in cli._KEYS.values()} == {a.dest for a in actions}
 
 
 def test_cli_keys_map_one_to_one_onto_config_fields():
     # a setting added to only one of cli._KEYS and ExperimentConfig, or one
     # field read by two keys, fails here
-    fields = sorted(field for _, field, _ in cli._KEYS.values())
+    fields = sorted(field for field, _, _ in cli._KEYS.values())
     assert fields == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import rstokes
-from rstokes.cli import build_parser
+from rstokes import cli
+from rstokes.cli import build_parser, main, read_config_file
+from rstokes.harness import ExperimentConfig
 
 MODULES = ["rstokes"] + [f"rstokes.{m.name}" for m in pkgutil.iter_modules(rstokes.__path__)]
 
@@ -27,13 +29,36 @@ def test_star_import():
     assert set(rstokes.__all__) <= set(namespace)
 
 
+def _readme_command_line() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_command_line_flags_exist():
     # a flag removed from the parser must not linger in the README's usage
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme_command_line()
     flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
     known = {opt for action in build_parser()._actions for opt in action.option_strings}
     assert flags and flags <= known, sorted(flags - known)
+
+
+def test_readme_config_example_and_error_lines_hold(tmp_path, monkeypatch, capsys):
+    # the README's config file is one the CLI reads into a valid config, and
+    # each error line it quotes is the line main prints
+    section = _readme_command_line()
+    [example] = [block for block in section.split("```")[1::2] if block.startswith("\n")]   # no language tag
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(example)
+    values = read_config_file(str(cfgfile))
+    assert values and set(values) <= set(cli._KEYS)
+    monkeypatch.chdir(tmp_path)   # its output path is relative
+    ExperimentConfig(**cli._merged_settings(build_parser().parse_args(["--config", str(cfgfile)])))
+    prose = " ".join(section.split())
+    quoted = re.findall(r"`(--\S+ \S+)`(?: and `[^`]*` both)? prints? `(rstokes: error: [^`]*)`", prose)
+    assert [flag for flag, _ in quoted] == ["--gamma fast", "--scheme cn"]
+    for flag, line in quoted:
+        assert main(["--example", "a", *flag.split()]) == 1
+        assert capsys.readouterr().err == line + "\n"
 
 
 _LOADED_MODULES = """
