@@ -4,17 +4,20 @@ One table, `_KEYS`, names every setting: its flag and config-file key, its
 ExperimentConfig field (which is also the flag's dest), the cast of its text
 and its help; nothing else in this module lists a setting.  A flat
 key=value config file can seed any of them, with command-line values taking
-precedence.  The parser only collects text; each value is cast here, with
-its key named when the cast fails, and checked by ExperimentConfig, which
-holds the allowed values and fills the study defaults.  So a bad value reads
-the same from a flag and from the file.  Exit status is 0 on success and 1
-with one `rstokes: error:` line on a bad setting or a failed grid point;
-argparse itself exits 2 on an unknown flag or a flag without its value.
+precedence; in it a '#' at the start of a line or after whitespace starts a
+comment, and any other '#' belongs to its value.  The parser only collects
+text; each value is cast here, with its key named when the cast fails, and
+checked by ExperimentConfig, which holds the allowed values and fills the
+study defaults.  So a bad value reads the same from a flag and from the
+file.  Exit status is 0 on success and 1 with one `rstokes: error:` line on
+a bad setting or a failed grid point; argparse itself exits 2 on an unknown
+flag or a flag without its value.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .harness import ExperimentConfig, emit_report, run_experiment
@@ -56,7 +59,9 @@ def read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            # a comment starts at a '#' that opens the line or follows
+            # whitespace, so a value such as res#1.csv keeps its '#'
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

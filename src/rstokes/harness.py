@@ -16,12 +16,16 @@ a directory or lies in a missing one, ...) before any mesh is built;
 
 Errors are measured against the spectral solution.  A report's errors are
 normalized by the datum's `InitialDatum.l2_norm`, except for Dirac data,
-whose errors are absolute (`ErrorReport.normalized`).  The points of a
-family are stepped first, and one pass of the error quadrature per mesh and
-time then serves every step count of a temporal family.  A report is its
-families: each `Family` owns its rows, and `ErrorReport.rows` joins them in
-order.  A `ReportRow` holds only its own values, among them the family's
-sweep variable; `emit_report` takes the example, the scheme, the format and
+whose errors are absolute (`ErrorReport.normalized`).  A family is its
+passes: a pass is one mesh and one time with the step counts stepped on
+them, and one error quadrature measures their final states before the next
+pass is stepped.  A temporal family is one pass; a spatial family makes one
+per mesh and a blowup family one per t.  A report is its families: each
+`Family` owns its rows, and `ErrorReport.rows` joins them in order.  A
+`ReportRow` holds only its own values, among them the family's sweep
+variable; a CSV row is the example and the scheme, then the `ReportRow`
+fields in order, so `_CSV_HEADER` and the writer read the columns from the
+one dataclass.  `emit_report` takes the example, the scheme, the format and
 the output path from the report's config.
 """
 
@@ -29,11 +33,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +59,6 @@ __all__ = [
     "fitted_rate",
     "loglog_slope",
 ]
-
-_CSV_HEADER = ["example", "scheme", "alpha", "h", "tau", "t", "l2_error", "h1_error", "rate"]
 
 
 class ExperimentError(RuntimeError):
@@ -159,6 +160,10 @@ class ReportRow:
     rate: float | None
 
 
+# a CSV row is the report's example and scheme, then the row's fields in order
+_CSV_HEADER = ["example", "scheme", *(f.name for f in fields(ReportRow))]
+
+
 @dataclass(frozen=True)
 class Family:
     key: str
@@ -222,33 +227,34 @@ _DATA = {
 
 
 def _study_families(cfg: ExperimentConfig, alpha: float):
-    """Yield (key, x name, [(K, N, t, x), ...]) for each study family at alpha."""
-    meshes = cfg.meshes
+    """Yield (key, x name, passes) for each study family at alpha.  A pass
+    (K, t, Ns) is one mesh and one time with the step counts stepped on them:
+    a temporal family is one pass with every N, a spatial family one pass
+    per mesh and a blowup family one per t, each with the study's one N."""
     head = f"{cfg.example}/{cfg.scheme}/alpha={alpha:g}"
     if cfg.study == "blowup":
-        K, N = meshes[0], cfg.Ns[0]
-        yield f"{head}/blowup", "t", [(K, N, t, t) for t in sorted(cfg.ts, reverse=True)]
+        yield f"{head}/blowup", "t", [(cfg.meshes[0], t, cfg.Ns) for t in sorted(cfg.ts, reverse=True)]
         return
     for t in cfg.ts:
-        key = f"{head}/t={t:g}/{cfg.study}"
-        if cfg.study == "temporal":
-            yield key, "tau", [(meshes[0], N, t, t / N) for N in cfg.Ns]
-        else:
-            yield key, "h", [(K, cfg.Ns[0], t, 1.0 / K) for K in meshes]
+        # a temporal study holds the mesh fixed, so its family is one pass
+        yield (f"{head}/t={t:g}/{cfg.study}", "tau" if cfg.study == "temporal" else "h",
+               [(K, t, cfg.Ns) for K in cfg.meshes])
 
 
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     """Sweep the configured grid; one row per (alpha, mesh, step count, time).
 
-    Each mesh is built, assembled and given its projected initial vector
-    once.  Every point of a family is stepped first, keeping only a copy of
-    its final state, so its snapshots are freed at once.  Then each run of
-    consecutive points on the same mesh and time has its errors measured by
-    one `error_norms` call on the stack of their final states: one reference
-    pass serves every step count of a temporal family, while spatial and
-    blowup families make one call per point.  Each alpha's reference is
-    built at its first error pass, for the study's smallest time.  An error
-    pass that overflows or returns a non-finite norm fails its grid point.
+    A family is its passes, each one mesh and one time, and the passes run
+    in order.  Each mesh is built, assembled and given its projected initial
+    vector once.  A pass steps each of its step counts, keeping only a copy
+    of the final state, so the snapshots are freed at once; then one
+    `error_norms` call measures the stack of those final states.  So one
+    reference pass serves every step count of a temporal family, while
+    spatial and blowup families make one call per row.  Each alpha's
+    reference is built at its first error pass, for the study's smallest
+    time, after the first march.  A failed march names its grid point, and
+    a failed error pass, or one that overflows or returns a non-finite
+    norm, names the mesh, the time and every step count of the pass.
     """
     fit = loglog_slope if cfg.study == "blowup" else fitted_rate
     datum = _DATA[cfg.example]
@@ -265,22 +271,20 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     report = ErrorReport(config=cfg)
     for alpha in cfg.alphas:
         reference = None
-        for key, x_name, points in _study_families(cfg, alpha):
-            finals = []
-            for K, N, t, _ in points:
+        for key, x_name, passes in _study_families(cfg, alpha):
+            rows = []
+            for K, t, Ns in passes:
+                finals = []
+                for N in Ns:
+                    try:
+                        space, v = space_of(K)
+                        scfg = SchemeConfig(scheme=cfg.scheme, alpha=alpha, gamma=cfg.gamma, tau=t / N, n_steps=N)
+                        finals.append(run_scheme(space, scfg, v)[-1].copy())
+                    except Exception as exc:
+                        raise ExperimentError(
+                            {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
+                        ) from exc
                 try:
-                    space, v = space_of(K)
-                    scfg = SchemeConfig(scheme=cfg.scheme, alpha=alpha, gamma=cfg.gamma, tau=t / N, n_steps=N)
-                    finals.append(run_scheme(space, scfg, v)[-1].copy())
-                except Exception as exc:
-                    raise ExperimentError(
-                        {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
-                    ) from exc
-            parts = []
-            for (K, t), group in itertools.groupby(zip(points, finals), key=lambda pair: (pair[0][0], pair[0][2])):
-                group = list(group)
-                try:
-                    stack = np.stack([U for _, U in group])
                     if reference is None:
                         reference = build_modal_solution(datum, alpha, cfg.gamma, tol=cfg.oracle_tol, t_min=t_min)
                         if reference.tail_bound > cfg.oracle_tol:
@@ -288,23 +292,21 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                                   f"{len(reference.modes)} modes; its tail bound {reference.tail_bound:.3g} exceeds "
                                   f"oracle_tol {cfg.oracle_tol:g}", file=sys.stderr)
                     with np.errstate(over="raise", invalid="raise"):
-                        norms = error_norms(spaces[K][0], stack, reference, t)
+                        norms = error_norms(space, np.stack(finals), reference, t)
                     if not np.all(np.isfinite(norms)):
                         raise FloatingPointError(f"error norms are not finite: {norms.tolist()}")
-                    parts.append(norms)
                 except Exception as exc:
-                    Ns = tuple(N for (_, N, _, _), _ in group)
                     raise ExperimentError(
                         {"example": cfg.example, "alpha": alpha, "K": K, "N": Ns, "t": t}, exc
                     ) from exc
-            norms = np.concatenate(parts, axis=1)
-            # a datum outside L2 (Dirac) has no norm, and its errors stay absolute
-            if report.normalized:
-                norms /= datum.l2_norm
-            l2s, h1s = norms.tolist()
-            xs = [x for *_, x in points]
-            rows = tuple(ReportRow(alpha, 1.0 / K, t / N, t, l2, h1, rate)
-                         for (K, N, t, _), l2, h1, rate in zip(points, l2s, h1s, pair_rates(xs, l2s)))
+                # a datum outside L2 (Dirac) has no norm, and its errors stay absolute
+                if report.normalized:
+                    norms /= datum.l2_norm
+                rows += (ReportRow(alpha, 1.0 / K, t / N, t, l2, h1, None)
+                         for N, (l2, h1) in zip(Ns, norms.T.tolist()))
+            xs = [getattr(r, x_name) for r in rows]
+            l2s, h1s = [r.l2_error for r in rows], [r.h1_error for r in rows]
+            rows = tuple(replace(r, rate=rate) for r, rate in zip(rows, pair_rates(xs, l2s)))
             report.families.append(Family(key, x_name, rows, fit(xs, l2s), fit(xs, h1s)))
     return report
 
@@ -312,27 +314,14 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 # ---------------------------------------------------------------------------
 # report emission
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _emit_csv(report: ErrorReport, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
     for r in report.rows:
-        writer.writerow(
-            [
-                report.config.example,
-                report.config.scheme,
-                _fmt(r.alpha),
-                _fmt(r.h),
-                _fmt(r.tau),
-                _fmt(r.t),
-                _fmt(r.l2_error),
-                _fmt(r.h1_error),
-                "" if r.rate is None else _fmt(r.rate),
-            ]
-        )
+        # .17g round-trips every float, and None writes a blank cell
+        values = (getattr(r, f.name) for f in fields(r))
+        writer.writerow([report.config.example, report.config.scheme,
+                         *("" if v is None else format(v, ".17g") for v in values)])
 
 
 def _emit_text(report: ErrorReport, stream) -> None:

@@ -285,6 +285,30 @@ def test_error_failure_names_the_family_points(monkeypatch):
     assert (point["K"], point["t"], point["N"]) == (8, 0.1, (4, 8, 16))
 
 
+def test_each_pass_is_marched_then_measured(monkeypatch):
+    # a pass is one mesh and one time: its marches run and its one error
+    # pass measures them before the next pass marches, so a spatial family
+    # alternates per mesh and a blowup family per t
+    events = []
+    run_scheme, error_norms = harness.run_scheme, harness.error_norms
+
+    def march(space, scfg, v):
+        events.append(("march", space.mesh.K, scfg.tau))
+        return run_scheme(space, scfg, v)
+
+    def measure(space, rows, exact, t):
+        events.append(("error", space.mesh.K, t))
+        return error_norms(space, rows, exact, t)
+
+    monkeypatch.setattr(harness, "run_scheme", march)
+    monkeypatch.setattr(harness, "error_norms", measure)
+    run_experiment(ExperimentConfig(example="b", study="spatial", ks=(3, 4, 5), Ns=(20,), ts=(0.1,)))
+    assert events == [(kind, K, x) for K in (8, 16, 32) for kind, x in (("march", 0.1 / 20), ("error", 0.1))]
+    events.clear()
+    run_experiment(ExperimentConfig(example="b", study="blowup", ks=(3,), Ns=(20,), ts=(1e-3, 1e-4)))
+    assert events == [(kind, 8, x) for t in (1e-3, 1e-4) for kind, x in (("march", t / 20), ("error", t))]
+
+
 @pytest.mark.parametrize("study,Ns,ts", [
     ("temporal", (4, 8), (1e300,)),
     ("blowup", (4,), (1e300, 1e299)),
@@ -480,6 +504,18 @@ def test_config_file_parser(tmp_path):
     f.write_text("projection l2\n")
     with pytest.raises(ValueError):
         read_config_file(str(f))
+
+
+def test_config_file_value_keeps_its_hash(tmp_path, capsys):
+    # a '#' starts a comment only at the start of a line or after whitespace,
+    # so an output path with a '#' in it is written whole
+    out = tmp_path / "res#1.csv"
+    f = tmp_path / "c.cfg"
+    f.write_text(f"# a study\nexample = a\nk = 3\nN = 4\nt = 0.1\nout = {out}   # the report\n")
+    assert read_config_file(str(f))["out"] == str(out)
+    assert main(["--config", str(f)]) == 0
+    assert capsys.readouterr().out == f"wrote 1 rows to {out}\n"
+    assert len(read_report_csv(str(out))) == 1
 
 
 def test_config_file_rejects_repeated_key(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 import rstokes
 from rstokes import cli
 from rstokes.cli import build_parser, main, read_config_file
-from rstokes.harness import ExperimentConfig
+from rstokes.harness import _CSV_HEADER, ExperimentConfig
 
 MODULES = ["rstokes"] + [f"rstokes.{m.name}" for m in pkgutil.iter_modules(rstokes.__path__)]
 
@@ -40,6 +40,13 @@ def test_readme_command_line_flags_exist():
     flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
     known = {opt for action in build_parser()._actions for opt in action.option_strings}
     assert flags and flags <= known, sorted(flags - known)
+
+
+def test_readme_csv_columns_are_the_writers():
+    # the columns the README promises are the header the CSV writer emits
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [columns] = re.findall(r"CSV columns are exactly\s+`([^`]*)`", text)
+    assert columns == ",".join(_CSV_HEADER)
 
 
 def test_readme_config_example_and_error_lines_hold(tmp_path, monkeypatch, capsys):
