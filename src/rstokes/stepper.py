@@ -41,8 +41,12 @@ v is 0 stays exactly 0: each of its products is 0 times a finite weight.  A
 1D run therefore marches only the support of v and writes it into the
 columns of a zero snapshot array: the sine datum's closed-form coordinates
 have one nonzero entry, and the L2 projection of the step at 1/2 has three
-quarters of them.  On the square the coordinates are the scaled spectrum of
-the zero-extended torus array: M and S multiply by their torus
+quarters of them.  When that support is partial, the array is column-major,
+so the scatter writes only the pages of the kept columns and those of the
+others stay untouched zero pages; its rows, the states U^n, are then
+strided views.  A full-support 1D run and every 2D run return the marched
+array itself, row-major.  On the square the coordinates are the scaled
+spectrum of the zero-extended torus array: M and S multiply by their torus
 symbols, whose products leak onto the torus boundary, and the
 capacitance-matrix solve, which the leak does not change, takes and returns
 spectra.  So a 2D step makes no 2D FFT.  The snapshots hold n_coords
@@ -109,7 +113,9 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
     the projections of `rstokes.fem` return them.  In 1D the march covers
     the support of v alone, as the columns off it are exactly 0 at every
     step; the factorization, the N solves, their order and the step a
-    `StepFailure` names are those of the full-width march.
+    `StepFailure` names are those of the full-width march.  The array is
+    column-major exactly when that 1D support is partial, so its rows are
+    then strided views; otherwise it is the row-major marched array.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (space.n_coords,):
@@ -161,7 +167,9 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
                 raise StepFailure(n, exc) from exc
     if keep.size == space.n_coords:
         return X
-    U = np.zeros((N + 1, space.n_coords))
+    # column-major, so each mode's trajectory is contiguous and the scatter
+    # never touches the zero pages of the other columns
+    U = np.zeros((N + 1, space.n_coords), order="F")
     U[:, keep] = X
     return U
 

@@ -681,3 +681,63 @@ def test_mode_cap_binds_for_tiny_times():
     ms2 = build_modal_solution(InitialDatum("step2d", location=0.5), 0.5, 1.0, t_min=0.1)
     assert len(ms2.modes) == 10_000
     assert ms2.tail_bound > 1e-8
+
+
+# ------------------------------------------------------ smoothing estimates
+#
+# For v in H^q the solution obeys ||u(t)||_p <= c t^(-(1-alpha)(p-q)/2) ||v||_q
+# for 0 <= p - q <= 2, and ||u(t)|| <= ||v|| for p < q.  The step has
+# q = 1/2 and the Dirac mass q = -1/2, each up to an epsilon.  The norms come
+# from the plain factors of the reference, ||u(t)||_p^2 = sum lam_j^p c_j^2
+# u_j(t)^2 over 10^5 interval modes, which gave the slopes of 2 * 10^6.
+
+_SMOOTHING_MODES = eigenbasis("interval", 10**5)
+_SMOOTHING_DATA = (("step", 0.5, (0, 1, 2)), ("dirac", -0.5, (0, 1)))
+
+
+def _smoothing_norms(alpha, t):
+    """{(datum, p): ||u(t)||_p} for both data, from one set of factors."""
+    lam = _SMOOTHING_MODES.lam
+    u = _bromwich(lam, t, 1.0, alpha)
+    out = {}
+    for kind, _, ps in _SMOOTHING_DATA:
+        cu2 = (datum_coefficients(InitialDatum(kind), _SMOOTHING_MODES) * u) ** 2
+        for p in ps:
+            out[kind, p] = math.sqrt(np.sum(lam**p * cu2))
+    return out
+
+
+def _smoothing_exponent(alpha, p, q):
+    return -(1.0 - alpha) * max(p - q, 0.0) / 2.0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+def test_regularity_slopes_match_smoothing_exponents(alpha):
+    # local slopes of log ||u(t)||_p from t = 1e-5 to 1e-6, measured
+    # (p = 0, 1, 2):
+    #   step,  alpha 0.5: -0.033, -0.126, -0.375; alpha 0.1: -0.005, -0.231, -0.693
+    #   Dirac, alpha 0.5: -0.125, -0.376;         alpha 0.1: -0.231, -0.693
+    # The data lie in H^(q - eps) only, so a slope is steeper than its
+    # exponent, by up to 0.018 at alpha = 0.1; the step's L2 norm still
+    # approaches ||v|| at 1e-6, which makes its slope -0.033 at alpha = 0.5
+    coarse, fine = _smoothing_norms(alpha, 1e-5), _smoothing_norms(alpha, 1e-6)
+    for kind, q, ps in _SMOOTHING_DATA:
+        for p in ps:
+            slope = math.log10(coarse[kind, p] / fine[kind, p])
+            theory = _smoothing_exponent(alpha, p, q)
+            lo = -0.04 if p < q else theory - 0.025
+            assert lo <= slope <= theory + 0.005, (kind, p, slope, theory)
+
+
+def test_regularity_constants_stay_bounded_at_alpha_09():
+    # at alpha = 0.9 the slopes at 1e-6 are still pre-asymptotic (step:
+    # -0.077, -0.080, -0.089 against 0, -0.025, -0.075), so only the scaled
+    # norm C(t) = ||u(t)||_p t^((1-alpha) max(p-q, 0)/2) is checked.  Over
+    # t = 1e-3..1e-6 its largest/smallest ratio measured 1.74, 1.50 and 1.11
+    # for the step (p = 0, 1, 2) and 1.46 and 1.07 for the Dirac mass
+    alpha, ts = 0.9, (1e-3, 1e-4, 1e-5, 1e-6)
+    norms = [_smoothing_norms(alpha, t) for t in ts]
+    for kind, q, ps in _SMOOTHING_DATA:
+        for p in ps:
+            C = [n[kind, p] * t ** -_smoothing_exponent(alpha, p, q) for n, t in zip(norms, ts)]
+            assert max(C) / min(C) < 2.0, (kind, p, C)

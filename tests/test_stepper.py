@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import tracemalloc
 import weakref
 
@@ -298,9 +299,12 @@ def test_all_zero_initial_vector_marches_no_mode(monkeypatch, scheme):
 
 def test_restricted_march_memory_is_bounded():
     # a 1D run on part of the modes marches them in an (N+1) x len(keep) array
-    # and then writes it into the zero snapshot array.  At the T3 step-datum
-    # runs' largest size, K = 2048 and N = 80, that array is 1 MB (1,536 of
-    # 2,047 modes), and beyond the two the working memory bound of
+    # and then writes it into the kept columns of a column-major zero snapshot
+    # array.  tracemalloc counts that array's full size, though only the pages
+    # of the kept columns become resident
+    # (test_modes_off_the_support_take_no_memory).  At the T3 step-datum
+    # runs' largest size, K = 2048 and N = 80, the marched array is 1 MB
+    # (1,536 of 2,047 modes), and beyond the two the working memory bound of
     # test_stepper_working_memory_is_bounded holds
     space = assemble(build_interval_mesh(2048))
     v = l2_project(space, InitialDatum("step"))
@@ -316,6 +320,31 @@ def test_restricted_march_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak - U.nbytes - (N + 1) * n_keep * 8 < 1 << 20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_modes_off_the_support_take_no_memory():
+    # the sine datum marches one of 2,047 modes.  Its (N+1) x n_coords
+    # snapshot array is 65.5 MB, above glibc's mmap threshold, so np.zeros
+    # maps fresh zero pages, and only the pages that the scatter writes
+    # become resident.  Column-major, that is the one kept column; row-major,
+    # it would be a page of every row, about 62 MiB
+    space = assemble(build_interval_mesh(2048))
+    v = l2_project(space, InitialDatum("smooth_sine", frequency=2))
+    assert np.count_nonzero(v) == 1
+    N = 4000
+    cfg = SchemeConfig("sbd", 0.5, 1.0, 0.1 / N, N)
+    page = os.sysconf("SC_PAGE_SIZE")
+    before = _resident_pages()
+    U = run_scheme(space, cfg, v)
+    grown = (_resident_pages() - before) * page
+    assert U.shape == (N + 1, space.n_coords)
+    assert grown < U.nbytes / 16
+
+
+def _resident_pages():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1])
 
 
 @pytest.mark.parametrize("scheme", ["be", "sbd"])

@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,13 @@ def test_traced_study_reports_every_layer_metric(tmp_path, argv):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = {m["name"] for m in spec["per_layer"]} - {"harness.trace_overhead_s"}
     assert names <= summary.keys(), sorted(names - summary.keys())
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks: repeatable counts, patches restored, self
+    # times and the recorded-row gate.  It writes only under .bench_build/
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
