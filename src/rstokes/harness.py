@@ -45,7 +45,7 @@ from .cq import DELTA
 from .fem import InitialDatum, assemble, error_norms, l2_project, mesh_line, ritz_project
 from .mesh import build_interval_mesh, build_square_mesh
 from .oracle import build_modal_solution
-from .stepper import SchemeConfig, run_scheme
+from .stepper import SchemeConfig, run_scheme, snapshot_bytes
 
 __all__ = [
     "ExperimentConfig",
@@ -67,6 +67,11 @@ class ExperimentError(RuntimeError):
         super().__init__(f"grid point ({where}) failed: {cause}")
         self.point = point
 
+
+# the host's physical memory: a pass whose snapshots would need more is
+# refused before its first march, naming its grid point, rather than killed
+# while its lazily reserved zero pages fill
+_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 # study -> the defaults of its omitted grid lists: (k on the interval, k on
 # the square, N, t); the spatial study's N, left empty here, is per example
@@ -246,45 +251,54 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     A family is its passes, each one mesh and one time, and the passes run
     in order.  Each mesh is built, assembled and given its projected initial
-    vector once.  A pass steps each of its step counts, keeping only a copy
-    of the final state, so the snapshots are freed at once; then one
-    `error_norms` call measures the stack of those final states.  So one
-    reference pass serves every step count of a temporal family, while
-    spatial and blowup families make one call per row.  Each alpha's
-    reference is built at its first error pass, for the study's smallest
-    time, after the first march.  A failed march names its grid point, and
-    a failed error pass, or one that overflows or returns a non-finite
-    norm, names the mesh, the time and every step count of the pass.
+    vector once, at its first pass.  A pass steps each of its step counts,
+    keeping only a copy of the final state, so the snapshots are freed at
+    once; then one `error_norms` call measures the stack of those final
+    states.  So one reference pass serves every step count of a temporal
+    family, while spatial and blowup families make one call per row.  Each
+    alpha's reference is built at its first error pass, for the study's
+    smallest time, after the first march.
+
+    A pass is one failure record: its grid point names the mesh, the time
+    and the step count being marched, and every step count while the pass
+    is measured, and any failure inside the pass raises `ExperimentError`
+    with that point.  A failed mesh build or projection names the pass's
+    first N, and a failed error pass, or one that overflows or returns a
+    non-finite norm, every N.  Before its first march a pass whose
+    snapshots at its largest N (`stepper.snapshot_bytes`) exceed the host's
+    physical memory is refused with a `MemoryError` naming that N.
     """
     fit = loglog_slope if cfg.study == "blowup" else fitted_rate
     datum = _DATA[cfg.example]
     project = ritz_project if cfg.projection == "ritz" else l2_project
     t_min = min(cfg.ts)
     spaces: dict[int, tuple] = {}   # K -> (space, initial vector)
-
-    def space_of(K: int) -> tuple:
-        if K not in spaces:
-            space = assemble(build_square_mesh(K) if datum.dim == 2 else build_interval_mesh(K))
-            spaces[K] = space, project(space, datum)
-        return spaces[K]
-
     report = ErrorReport(config=cfg)
     for alpha in cfg.alphas:
         reference = None
         for key, x_name, passes in _study_families(cfg, alpha):
             rows = []
             for K, t, Ns in passes:
-                finals = []
-                for N in Ns:
-                    try:
-                        space, v = space_of(K)
+                # the pass's grid point; its N is the first step count at the
+                # mesh lookup, the largest at the memory check, the one being
+                # marched, then every step count while the pass is measured
+                point = {"example": cfg.example, "alpha": alpha, "K": K, "N": Ns[0], "t": t}
+                try:
+                    if K not in spaces:
+                        space = assemble(build_square_mesh(K) if datum.dim == 2 else build_interval_mesh(K))
+                        spaces[K] = space, project(space, datum)
+                    space, v = spaces[K]
+                    point["N"] = max(Ns)
+                    need = snapshot_bytes(space, point["N"], v)
+                    if need > _MEMORY_BYTES:
+                        raise MemoryError(f"its snapshots need {need} bytes, more than the "
+                                          f"{_MEMORY_BYTES} bytes of physical memory")
+                    finals = []
+                    for N in Ns:
+                        point["N"] = N
                         scfg = SchemeConfig(scheme=cfg.scheme, alpha=alpha, gamma=cfg.gamma, tau=t / N, n_steps=N)
                         finals.append(run_scheme(space, scfg, v)[-1].copy())
-                    except Exception as exc:
-                        raise ExperimentError(
-                            {"example": cfg.example, "alpha": alpha, "K": K, "N": N, "t": t}, exc
-                        ) from exc
-                try:
+                    point["N"] = Ns
                     if reference is None:
                         reference = build_modal_solution(datum, alpha, cfg.gamma, tol=cfg.oracle_tol, t_min=t_min)
                         if reference.tail_bound > cfg.oracle_tol:
@@ -296,9 +310,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                     if not np.all(np.isfinite(norms)):
                         raise FloatingPointError(f"error norms are not finite: {norms.tolist()}")
                 except Exception as exc:
-                    raise ExperimentError(
-                        {"example": cfg.example, "alpha": alpha, "K": K, "N": Ns, "t": t}, exc
-                    ) from exc
+                    raise ExperimentError(point, exc) from exc
                 # a datum outside L2 (Dirac) has no norm, and its errors stay absolute
                 if report.normalized:
                     norms /= datum.l2_norm

@@ -197,10 +197,13 @@ class ModalSolution:
     beta1 part sums over all modes to beta1(t) w, w = (-Laplace)^-1 v in closed
     form (`_inverse_laplacian`), and `coeffs` pair with rho_j = O(lam_j^-2).
     beta1 carries up to 8e-11 relative roundoff (alpha = 0.05; 3e-11 at 0.1,
-    1.5e-12 at 0.5), so the split adds an absolute floor near that times
-    beta1(t) sup|w|, which `tail_bound` does not count: 2.3e-6 for the step at
-    alpha = 0.1, t = 1e-8, and 3e-8 at t = 1e-6.  With `datum` None (2D, or
-    coefficients built by hand) `coeffs` pair with the plain factors u_j.
+    1.5e-12 at 0.5), so the split adds an absolute floor of that error times
+    beta1(t) sup|w|, which `tail_bound` does not count.  For the step at
+    alpha = 0.1 (sup|w| = 9/128, at x = 3/8), the rule's beta1 differs from
+    its series summed in 50-digit mpmath by 4.0e-12 relative at t = 1e-8
+    (beta1 = 1.228e6) and 1.85e-11 at t = 1e-6 (1.660e4): floors of 3.5e-7
+    and 2.2e-8.  With `datum` None (2D, or coefficients built by hand)
+    `coeffs` pair with the plain factors u_j.
 
     `tail_bound` bounds the sup norm of the dropped modes at every t >= t_min
     (0.0 when nothing is dropped).

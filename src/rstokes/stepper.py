@@ -66,7 +66,7 @@ from .cq import DELTA, weights
 from .fem import FemSpace
 from .linalg import DiagonalMatrix, SpdFactorization
 
-__all__ = ["SchemeConfig", "run_scheme"]
+__all__ = ["SchemeConfig", "run_scheme", "snapshot_bytes"]
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,8 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
     w = weights(cfg.scheme, cfg.alpha, N)
     frac = cfg.gamma * tau ** (-cfg.alpha)
     diag = 1.0 + frac * w[0]
-    M, S, keep = space.M, space.S, np.arange(space.n_coords)
-    if isinstance(M, DiagonalMatrix):
-        # each DST-I mode marches alone, and one whose U^0 is 0 stays exactly 0
-        keep = np.flatnonzero(v)
+    M, S, keep = space.M, space.S, _support(space, v)
+    if keep.size < space.n_coords:
         M, S = DiagonalMatrix(M.eigenvalues[keep]), DiagonalMatrix(S.eigenvalues[keep])
     solver = SpdFactorization(M.scaled_sum(c[0] / tau, S, diag))
     # the history enters as S applied to the weighted sum with weights
@@ -172,6 +170,22 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
     U = np.zeros((N + 1, space.n_coords), order="F")
     U[:, keep] = X
     return U
+
+
+def _support(space: FemSpace, v: np.ndarray) -> np.ndarray:
+    """The coordinates a run marches: in 1D the nonzero entries of v, as each
+    DST-I mode marches alone and one whose U^0 is 0 stays exactly 0; on the
+    square all of them."""
+    return np.flatnonzero(v) if isinstance(space.M, DiagonalMatrix) else np.arange(space.n_coords)
+
+
+def snapshot_bytes(space: FemSpace, n_steps: int, v: np.ndarray) -> int:
+    """Bytes that a `run_scheme` call of n_steps steps from v makes resident:
+    the (N+1) x n_coords snapshots, or, when the 1D support is partial, the
+    marched array and the kept columns of the column-major result, whose
+    other columns stay untouched zero pages."""
+    kept = _support(space, v).size
+    return 8 * (n_steps + 1) * (space.n_coords if kept == space.n_coords else 2 * kept)
 
 
 # steps per block, the rows of each far-history product: with few dofs,

@@ -32,7 +32,7 @@ from rstokes.fem import (
 from rstokes.harness import ExperimentConfig, run_experiment
 from rstokes.linalg import solve_spd
 from rstokes.mesh import build_interval_mesh, build_square_mesh
-from rstokes.oracle import ModalSolution, build_modal_solution
+from rstokes.oracle import ModalSolution, _bromwich, build_modal_solution
 from rstokes.stepper import SchemeConfig, run_scheme
 
 
@@ -512,3 +512,33 @@ def test_normalization_fields():
     assert rep.normalized
     assert row.l2_error == pytest.approx(l2 / (2**-0.5))
     assert row.h1_error == pytest.approx(h1 / (2**-0.5))
+
+
+@pytest.mark.parametrize("kind,q", [("step", 0.5), ("dirac", -0.5)])
+def test_semidiscrete_error_has_the_spatial_t_exponent(kind, q):
+    # ||u_h(t) - u(t)|| + h ||grad(u_h(t) - u(t))|| <= c h^2 t^(-(1-alpha)(2-q)/2)
+    # for v in H^q, with u_h(t) = E * v_h exactly in DST-I coordinates (the
+    # semidiscrete solution, no march).  At alpha = 0.5, local L2 slopes over
+    # t = 1e-3 -> 1e-4 -> 1e-5 -> 1e-6 measured -0.347, -0.381, -0.374
+    # (K = 64) and -0.347, -0.381, -0.375 (K = 128) for the step (theory
+    # -0.375), -0.631, -0.639, -0.626 and -0.631, -0.639, -0.627 for the Dirac
+    # mass (theory -0.625); e K^2 and the H1 error times K agree between
+    # K = 64 and 128 within 0.33% at every t (step e K^2 at t = 1e-6: 8.381
+    # and 8.408; Dirac: 62.95 and 63.07).  The references keep 151 and 1,029
+    # modes
+    alpha, ts = 0.5, (1e-3, 1e-4, 1e-5, 1e-6)
+    theory = -(1.0 - alpha) * (2.0 - q) / 2.0
+    datum = InitialDatum(kind)
+    reference = build_modal_solution(datum, alpha, 1.0, tol=1e-6, t_min=1e-6)
+    scaled = []
+    for K in (64, 128):
+        space = assemble(build_interval_mesh(K))
+        v = l2_project(space, datum)
+        lam = space.S.eigenvalues / space.M.eigenvalues
+        e = np.array([error_norms(space, (_bromwich(lam, t, 1.0, alpha, "plain") * v)[None], reference, t)[:, 0]
+                      for t in ts])
+        slopes = np.diff(np.log(e[:, 0])) / np.diff(np.log(ts))
+        assert np.all(np.abs(slopes - theory) < 0.035), slopes
+        assert abs(slopes[-1] - theory) < 0.005, slopes
+        scaled.append(e * [K**2, K])
+    assert np.all(np.abs(scaled[1] / scaled[0] - 1.0) < 0.01)

@@ -351,6 +351,23 @@ def test_nonfinite_error_norm_fails_its_grid_point(capsys, monkeypatch):
     assert err.value.point == {"example": "a", "alpha": 0.5, "K": 8, "N": (4, 8), "t": 0.1}
 
 
+@pytest.mark.parametrize("Ns", ["80", "40,80,20"])
+def test_pass_too_large_for_memory_is_refused_before_its_first_march(capsys, monkeypatch, Ns):
+    # the step's L2 projection at K = 2048 has 1,536 nonzero DST-I modes, so
+    # its N = 80 march makes 2 * 81 * 1536 * 8 = 1,990,656 bytes resident:
+    # above a 1 MiB limit the pass is refused at its largest N, named like a
+    # failed one, and nothing is marched
+    marches = []
+    monkeypatch.setattr(harness, "_MEMORY_BYTES", 1 << 20)
+    monkeypatch.setattr(harness, "run_scheme", lambda *args: marches.append(args))
+    assert main(["--example", "b", "--scheme", "sbd", "--k", "11", "--N", Ns, "--t", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and marches == []
+    (error,) = captured.err.splitlines()
+    assert error.startswith("rstokes: error: grid point (example=b, alpha=0.5, K=2048, N=80, t=0.1) failed:")
+    assert "1990656 bytes" in error
+
+
 def test_temporal_study_keeps_one_trajectory_alive():
     # fine_tau's study: the harness keeps only the final state of each step
     # count, so its peak is the N = 500 trajectory plus a little; a harness

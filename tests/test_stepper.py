@@ -22,7 +22,7 @@ from oracles import (
 from rstokes.fem import InitialDatum, assemble, l2_project
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.oracle import _bromwich
-from rstokes.stepper import _BLOCK, SchemeConfig, StepFailure, run_scheme
+from rstokes.stepper import _BLOCK, SchemeConfig, StepFailure, run_scheme, snapshot_bytes
 
 PI2 = math.pi**2
 
@@ -378,16 +378,22 @@ def test_square_matches_generating_function(scheme, alpha, N, K, rng):
 
 
 @pytest.mark.parametrize("scheme,window", [("be", (0.98, 1.04)), ("sbd", (2.0, 2.15))])
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-def test_nonsmooth_temporal_rate_is_uniform_in_lambda(scheme, window, alpha):
+# the t = 0.1 cases keep the ids they had before t was a parameter
+@pytest.mark.parametrize("alpha,t", [pytest.param(alpha, t, id=f"{alpha}" if t == 0.1 else f"{alpha}-t{t}")
+                                     for t in (0.1, 0.01, 0.001) for alpha in (0.1, 0.5, 0.9)])
+def test_nonsmooth_temporal_rate_is_uniform_in_lambda(scheme, window, alpha, t):
     # the paper's nonsmooth-data temporal estimate mode by mode: with mu = 1
     # and sigma = lambda, sup over lambda in [pi^2, 1e10] of |U^N - E(lambda)|
     # falls at the scheme's order, and every P1 eigenvalue is at least pi^2;
-    # measured pair rates at t = 0.1, N = 10..80: 0.990 to 1.025 (BE) and
-    # 2.022 to 2.130 (SBD).  The sup is taken at lambda = pi^2 except for SBD
-    # at alpha = 0.1 (lambda near 14); at lambda = 1e10 the gap is at most
-    # 2e-6 of it, so the grid holds the sup and not a cut-off tail
-    t, Ns = 0.1, (10, 20, 40, 80)
+    # measured pair rates over N = 10..80: 0.990 to 1.025 (BE) and 2.022 to
+    # 2.130 (SBD) at t = 0.1, 0.983 to 1.015 (BE) and 2.022 to 2.130 (SBD) at
+    # t = 0.01 and 0.001.  The sup lies at lambda = pi^2 or inside the grid
+    # (at lambda near 1.1e3 for t = 0.001, alpha = 0.1); at lambda = 1e10
+    # the gap is at most 2e-6 of it, so the grid holds the sup and not a
+    # cut-off tail.
+    # t = 1 is left out: there BE is still pre-asymptotic at N = 10, its
+    # first pair rate 1.16 at alpha = 0.1 and 1.056 at alpha = 0.5
+    Ns = (10, 20, 40, 80)
     lam = np.logspace(math.log10(PI2), 10.0, 401)
     exact = _bromwich(lam, t, 1.0, alpha, "plain")
     sups = []
@@ -398,6 +404,37 @@ def test_nonsmooth_temporal_rate_is_uniform_in_lambda(scheme, window, alpha):
         sups.append(gap.max())
     rates = np.log2(np.array(sups[:-1]) / np.array(sups[1:]))
     assert window[0] < rates.min() and rates.max() < window[1]
+
+
+@pytest.mark.parametrize("case,K,marched,n_coords", [
+    ("sine", 2048, 1, 2047),
+    ("step", 16, 12, 15),
+    ("dense", 16, 15, 15),
+    ("square", 8, 80, 80),
+])
+def test_snapshot_bytes_counts_what_a_run_makes_resident(rng, case, K, marched, n_coords):
+    # a full-support run keeps its (N+1) x n_coords snapshots; a partial 1D
+    # support keeps the marched array and the kept columns of the
+    # column-major result, 8 (N+1) 2 nnz(v) bytes.  The sine's closed form has
+    # one nonzero DST-I mode and the step's L2 projection at K = 16 has 12 of
+    # 15; a 2D run marches all 2K(K//2 + 1) torus spectra, zero or not
+    space = assemble(build_square_mesh(K) if case == "square" else build_interval_mesh(K))
+    if case == "dense":
+        v = rng.standard_normal(space.n_coords)
+    else:
+        kind = {"sine": "smooth_sine", "step": "step", "square": "step2d"}[case]
+        v = l2_project(space, InitialDatum(kind))
+    N = 30
+    U = run_scheme(space, SchemeConfig("sbd", 0.5, 1.0, 0.1 / N, N), v)
+    assert space.n_coords == n_coords
+    if case != "square":
+        assert np.count_nonzero(v) == np.count_nonzero(U.any(axis=0)) == marched
+    columns = n_coords if marched == n_coords else 2 * marched
+    assert snapshot_bytes(space, N, v) == 8 * (N + 1) * columns
+    if marched == n_coords:
+        assert snapshot_bytes(space, N, v) == U.nbytes and U.flags.c_contiguous
+    else:
+        assert U.flags.f_contiguous
 
 
 @pytest.mark.parametrize("scheme", ["be", "sbd"])
