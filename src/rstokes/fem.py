@@ -399,8 +399,8 @@ def error_norms(space: FemSpace, numeric: np.ndarray, exact: "ModalSolution", t:
     finest temporal rows have L2 errors near 1e-7, where the expansion moved
     the squared error by 2e-5 relative.
     """
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got t={t}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"time must be positive and finite, got t={t}")
     numeric = np.asarray(numeric, dtype=float)
     if numeric.ndim != 2 or numeric.shape[1] != space.n_coords:
         raise ValueError(f"expected an (R, {space.n_coords}) stack of coordinate vectors, got shape {numeric.shape}")

@@ -222,8 +222,8 @@ class ModalSolution:
     # -- time factors ------------------------------------------------------
     def factors(self, t: float) -> np.ndarray:
         """Per mode: rho_j(t) for a split expansion, u_j(t) otherwise."""
-        if t <= 0.0:
-            raise ValueError(f"time must be positive, got t={t}")
+        if not (math.isfinite(t) and t > 0.0):
+            raise ValueError(f"time must be positive and finite, got t={t}")
         cached = self._factors.get(t)
         if cached is None:
             variant = "residual" if self.datum is not None else "plain"
@@ -233,6 +233,8 @@ class ModalSolution:
 
     def beta1(self, t: float) -> float:
         """Split amplitude: inverse transform of 1/(1 + gamma z^alpha)."""
+        if not (math.isfinite(t) and t > 0.0):
+            raise ValueError(f"time must be positive and finite, got t={t}")
         return float(_bromwich(None, t, self.gamma, self.alpha, "limit")[0])
 
     # -- evaluation --------------------------------------------------------
@@ -384,8 +386,9 @@ def build_modal_solution(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    for name, value in (("gamma", gamma), ("tol", tol), ("t_min", t_min)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {name}={value}")
     if datum.kind == "smooth_sine" and datum.frequency > _MODE_CAP:
         raise ValueError(f"sine frequency {datum.frequency} exceeds the {_MODE_CAP}-mode cap")
     domain = "square" if datum.dim == 2 else "interval"

@@ -21,15 +21,16 @@ U^0..U^N.  SBD's first step is the corrected start (weight 3/2 on the
 startup sequence and a half-weighted initial stiffness term) that restores
 second-order accuracy for nonvanishing initial data.
 
-The weighted sum is split at blocks of `_BLOCK` steps.  Before the steps
-s..e-1 of a block are solved, their history from U^0..U^{s-1} (the far
-part) is added to their own, not yet solved, rows of the snapshot array by
-one matrix product, U[s:e] += T U[0:s] with the Toeplitz block
-T[i, j] = w_{s+i-j} (theta_{s+i} for j = 0), built and multiplied in
-chunks that keep its temporaries bounded.  Each step then adds its near
-part from the steps of its own block, one BLAS product, and is solved.  So
-the N^2/2 dof multiply-adds of the direct sum stay, but almost all of them
-run as Level-3 BLAS; steps are still solved one at a time in order 1..N.
+The rows 1..N of the snapshot array hold each step's history until the
+step is solved; for SBD they start at theta_n U^0, for BE at zero.  The rest
+of the weighted sum is split at blocks of `_BLOCK` steps.  Before the steps
+s..e-1 of a block are solved, their history from U^1..U^{s-1} (the far
+part) is added to their own rows by one matrix product, U[s:e] += T U[1:s]
+with the Toeplitz block T[i, j] = w_{s+i-j}, built and multiplied in chunks
+that keep its temporaries bounded.  Each step then adds its near part from
+the steps of its own block, one BLAS product, and is solved.  So the
+N^2/2 dof multiply-adds of the direct sum stay, but almost all of them run
+as Level-3 BLAS; steps are still solved one at a time in order 1..N.
 
 The stepper works in the coordinates of its space (`FemSpace.to_coords`)
 and never changes them: v and the snapshots are in those coordinates, and M,
@@ -132,26 +133,27 @@ def run_scheme(space: FemSpace, cfg: SchemeConfig, v: np.ndarray) -> np.ndarray:
     # the history enters as S applied to the weighted sum with weights
     # frac w_k, reversed so that every run of them a product needs is a
     # contiguous slice: wr[N-k] = frac w_k for k >= 1.  wr[N] = 1 is the
-    # weight of a step's own row, which holds its far history.
+    # weight of a step's own row, which holds its U^0 term and far history.
     wr = (frac * w)[::-1].copy()
     wr[N] = 1.0
-    # theta[n]: weight of U^0 in the history of step n
-    if cfg.scheme == "sbd":
-        theta = frac * np.concatenate(([0.0], 0.5 * w[:-1]))
-        # corrected first step: half-weighted initial stiffness term 0.5 diag S U^0
-        theta[1] = 0.5 * diag
-    else:
-        theta = np.zeros(N + 1)
     # weights of U^{n-d}..U^{n-1} in the mass term: minus the multistep part
     past = -np.array(c[:0:-1]) / tau
     d = len(past)
 
-    # rows 1..N start at zero: each holds its far history until it is solved
+    # rows 1..N hold each step's history until it is solved: SBD's U^0 term
+    # theta_n U^0, then the far history from U^1..U^{s-1}
     X = np.zeros((N + 1, keep.size))
     X[0] = v[keep]
+    if cfg.scheme == "sbd":
+        # theta[n-1] = frac w_{n-1} / 2, the weight of U^0 in the history of
+        # step n; at n = 1 the corrected start's half-weighted initial
+        # stiffness term 0.5 diag S U^0
+        theta = 0.5 * frac * w[:-1]
+        theta[0] = 0.5 * diag
+        np.multiply.outer(theta, X[0], out=X[1:])
     for s in range(1, N + 1, _BLOCK):
         e = min(s + _BLOCK, N + 1)
-        _add_far_history(X, wr, theta, s, e)
+        _add_far_history(X, wr, s, e)
         for n in range(s, e):
             if n < d:  # SBD's corrected first step: c_0 M U^0 / tau
                 rhs = M @ ((c[0] / tau) * X[0])
@@ -196,24 +198,19 @@ _BLOCK = 64
 _PRODUCT_ENTRIES = 1 << 15
 
 
-def _add_far_history(U: np.ndarray, wr: np.ndarray, theta: np.ndarray, s: int, e: int) -> None:
-    """U[n] += theta_n U^0 + sum_{1 <= j < s} w_{n-j} U^j for every n in [s, e).
+def _add_far_history(U: np.ndarray, wr: np.ndarray, s: int, e: int) -> None:
+    """U[n] += sum_{1 <= j < s} w_{n-j} U^j for every n in [s, e).
 
     wr holds the weights reversed, wr[N-k] = w_k, so the rows of the
     Toeplitz block T[i, j] = w_{s+i-j} are the overlapping runs
-    wr[N-s-i : N-i]; a chunk of its columns is one contiguous copy.
+    wr[N-s-i : N-i]; a chunk of its columns is one contiguous copy.  The
+    first block, s = 1, has no far history.
     """
-    # the first block's history is the one column theta_1..theta_{e-1}, zero
-    # for BE
-    if s == 1 and not np.any(theta[1:e]):
-        return
     N = len(wr) - 1
     chunk = max(1, _PRODUCT_ENTRIES // (e - s))
-    for j0 in range(0, s, chunk):
+    for j0 in range(1, s, chunk):
         j1 = min(j0 + chunk, s)
         # T[i, j - j0] = w_{s+i-j}: row i is wr[N-s-i+j0 : N-s-i+j1]
         T = sliding_window_view(wr[N - e + 1 + j0 : N - s + j1], j1 - j0)[::-1].copy()
-        if j0 == 0:
-            T[:, 0] = theta[s:e]
         for c0 in range(0, U.shape[1], chunk):
             U[s:e, c0 : c0 + chunk] += T @ U[j0:j1, c0 : c0 + chunk]

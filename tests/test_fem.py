@@ -289,6 +289,14 @@ def test_error_norms_validation():
         error_norms(space, np.zeros((1, 2, space.n_dof)), ms, 0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_error_norms_rejects_nonfinite_time(t):
+    ms = build_modal_solution(InitialDatum("smooth_sine", frequency=2), 0.5, 1.0)
+    space = assemble(build_interval_mesh(8))
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        error_norms(space, np.zeros((1, space.n_coords)), ms, t)
+
+
 def test_error_norms_rejects_a_single_vector():
     # one mesh function is a stack of one row; the error names that shape
     ms = build_modal_solution(InitialDatum("smooth_sine", frequency=2), 0.5, 1.0)
@@ -514,8 +522,17 @@ def test_normalization_fields():
     assert row.h1_error == pytest.approx(h1 / (2**-0.5))
 
 
-@pytest.mark.parametrize("kind,q", [("step", 0.5), ("dirac", -0.5)])
-def test_semidiscrete_error_has_the_spatial_t_exponent(kind, q):
+# windows: every local L2 slope, the last one, and the ratios between the
+# two meshes of e K^2 and of the H1 error times K
+_ALPHA_05_WINDOWS = (0.035, 0.005, 0.01, 0.01)
+
+
+@pytest.mark.parametrize("kind,q,alpha,Ks,windows", [
+    pytest.param("step", 0.5, 0.5, (64, 128), _ALPHA_05_WINDOWS, id="step-0.5"),
+    pytest.param("dirac", -0.5, 0.5, (64, 128), _ALPHA_05_WINDOWS, id="dirac--0.5"),
+    pytest.param("step", 0.5, 0.1, (128, 256), (0.03, 0.02, 0.02, 0.07), id="step-0.1"),
+])
+def test_semidiscrete_error_has_the_spatial_t_exponent(kind, q, alpha, Ks, windows):
     # ||u_h(t) - u(t)|| + h ||grad(u_h(t) - u(t))|| <= c h^2 t^(-(1-alpha)(2-q)/2)
     # for v in H^q, with u_h(t) = E * v_h exactly in DST-I coordinates (the
     # semidiscrete solution, no march).  At alpha = 0.5, local L2 slopes over
@@ -525,20 +542,28 @@ def test_semidiscrete_error_has_the_spatial_t_exponent(kind, q):
     # mass (theory -0.625); e K^2 and the H1 error times K agree between
     # K = 64 and 128 within 0.33% at every t (step e K^2 at t = 1e-6: 8.381
     # and 8.408; Dirac: 62.95 and 63.07).  The references keep 151 and 1,029
-    # modes
-    alpha, ts = 0.5, (1e-3, 1e-4, 1e-5, 1e-6)
+    # modes.  At alpha = 0.1 the step's slopes measured -0.695, -0.687,
+    # -0.691 (K = 128) and -0.696, -0.693, -0.682 (K = 256) against -0.675,
+    # as the datum lies in H^(1/2 - eps) only; e K^2 agrees between the two
+    # meshes within 1.5% and the H1 error times K within 5.6%.  K = 64 is
+    # pre-asymptotic there (last slope -0.509).  That reference keeps 4,265
+    # modes with a tail bound of 9.99e-7.  The Dirac mass at alpha = 0.1 is
+    # left out: its e K^2 has not settled at K = 512 for t <= 1e-5
+    slope_window, last_window, l2_window, h1_window = windows
+    ts = (1e-3, 1e-4, 1e-5, 1e-6)
     theory = -(1.0 - alpha) * (2.0 - q) / 2.0
     datum = InitialDatum(kind)
     reference = build_modal_solution(datum, alpha, 1.0, tol=1e-6, t_min=1e-6)
     scaled = []
-    for K in (64, 128):
+    for K in Ks:
         space = assemble(build_interval_mesh(K))
         v = l2_project(space, datum)
         lam = space.S.eigenvalues / space.M.eigenvalues
         e = np.array([error_norms(space, (_bromwich(lam, t, 1.0, alpha, "plain") * v)[None], reference, t)[:, 0]
                       for t in ts])
         slopes = np.diff(np.log(e[:, 0])) / np.diff(np.log(ts))
-        assert np.all(np.abs(slopes - theory) < 0.035), slopes
-        assert abs(slopes[-1] - theory) < 0.005, slopes
+        assert np.all(np.abs(slopes - theory) < slope_window), slopes
+        assert abs(slopes[-1] - theory) < last_window, slopes
         scaled.append(e * [K**2, K])
-    assert np.all(np.abs(scaled[1] / scaled[0] - 1.0) < 0.01)
+    ratio = np.abs(scaled[1] / scaled[0] - 1.0)
+    assert np.all(ratio[:, 0] < l2_window) and np.all(ratio[:, 1] < h1_window), ratio

@@ -382,6 +382,28 @@ def test_single_mode_solution_exact():
         ms.eval_points(x, 0.0)
 
 
+@pytest.mark.parametrize("name,value", [("gamma", math.nan), ("gamma", math.inf), ("tol", math.nan),
+                                        ("tol", math.inf), ("tol", -1.0), ("t_min", math.nan),
+                                        ("t_min", math.inf), ("t_min", -1.0), ("t_min", 0.0)])
+def test_build_modal_solution_rejects_nonpositive_or_nonfinite(name, value):
+    # accepted, a nan gamma or t_min would give a nan reference or tail
+    # bound, a nan tol would keep the mode cap silently, and t_min = -1 would
+    # record a negative "certified" tail bound
+    kwargs = {"gamma": 1.0, "tol": 1e-8, "t_min": 1e-3, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        build_modal_solution(InitialDatum("step"), 0.5, **kwargs)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])
+def test_time_factors_reject_nonpositive_or_nonfinite_time(t):
+    # accepted, nan and inf would give nan factors with numpy warnings, and
+    # beta1 a finite value at t = -1
+    ms = build_modal_solution(InitialDatum("step"), 0.5, 1.0)
+    for call in (ms.factors, ms.beta1, lambda t: ms.eval_points(np.array([0.25]), t)):
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            call(t)
+
+
 def test_dirac_value_finite_at_misaligned_time():
     tol = 1e-8
     ms = build_modal_solution(InitialDatum("dirac", location=0.5), 0.5, 1.0, tol=tol, t_min=0.01)

@@ -20,6 +20,7 @@ from oracles import (
     uj_eval,
 )
 from rstokes.fem import InitialDatum, assemble, l2_project
+from rstokes.harness import ExperimentConfig, run_experiment
 from rstokes.mesh import build_interval_mesh, build_square_mesh
 from rstokes.oracle import _bromwich
 from rstokes.stepper import _BLOCK, SchemeConfig, StepFailure, run_scheme, snapshot_bytes
@@ -404,6 +405,51 @@ def test_nonsmooth_temporal_rate_is_uniform_in_lambda(scheme, window, alpha, t):
         sups.append(gap.max())
     rates = np.log2(np.array(sups[:-1]) / np.array(sups[1:]))
     assert window[0] < rates.min() and rates.max() < window[1]
+
+
+def _temporal_part(space, v, scheme, alpha, t, N):
+    """L2 and H1 norms of U^N - u_h(t), with u_h(t) = E * v_h the
+    semidiscrete solution, exact in DST-I coordinates."""
+    mu, sigma = space.M.eigenvalues, space.S.eigenvalues
+    semidiscrete = _bromwich(sigma / mu, t, 1.0, alpha, "plain") * v
+    d = run_scheme(space, SchemeConfig(scheme, alpha, 1.0, t / N, N), v)[-1] - semidiscrete
+    return math.sqrt(mu @ d**2), math.sqrt(sigma @ d**2)
+
+
+@pytest.fixture(scope="module")
+def t3_space():
+    space = assemble(build_interval_mesh(2048))
+    return space, l2_project(space, InitialDatum("step"))
+
+
+@pytest.mark.parametrize("scheme,order", [("be", 1), ("sbd", 2)])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_temporal_part_has_the_scheme_order(t3_space, scheme, order, alpha):
+    # T3's grid (step, K = 2048, t = 0.1, N = 5..80) against the semidiscrete
+    # solution, so the mesh's error drops out.  Measured pair rates: BE L2
+    # 0.985-1.050 and H1 1.000-1.056; SBD L2 2.012-2.288 and H1 2.016-2.267,
+    # except the first H1 pair at alpha = 0.1 (2.48).  Later pairs are at most
+    # 1.028 (BE) and 2.109 (SBD)
+    space, v = t3_space
+    e = np.array([_temporal_part(space, v, scheme, alpha, 0.1, N) for N in (5, 10, 20, 40, 80)])
+    rates = np.log2(e[:-1] / e[1:])
+    assert np.all(rates > order - 0.05), rates
+    assert np.all(rates[0] < 1.25 * order) and np.all(rates[1:] < order + 0.15), rates
+
+
+def test_blowup_temporal_part_is_a_small_share_and_falls_as_t_vanishes():
+    # T5(b) (step, K = 64, SBD, N = 1000, t = 1e-3..1e-8) is a spatial study:
+    # the temporal part of each reported L2 error measured at most 1.96e-4 of
+    # it, and falling from 4.5e-8 to 7.3e-9 (normalized like the report)
+    ts = tuple(10.0 ** (-k) for k in range(3, 9))
+    rep = run_experiment(ExperimentConfig(example="b", scheme="sbd", study="blowup", alphas=(0.5,), ks=(6,),
+                                          Ns=(1000,), ts=ts))
+    datum = InitialDatum("step")
+    space = assemble(build_interval_mesh(64))
+    v = l2_project(space, datum)
+    temporal = np.array([_temporal_part(space, v, "sbd", 0.5, t, 1000)[0] for t in ts]) / datum.l2_norm
+    assert np.all(temporal <= 3e-4 * np.array([row.l2_error for row in rep.rows])), temporal
+    assert np.all(np.diff(temporal) < 0.0), temporal
 
 
 @pytest.mark.parametrize("case,K,marched,n_coords", [
